@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selftesting
 from selftesting.cli import main
 
 
@@ -155,10 +158,14 @@ def test_coeffs_file_input(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the subprocess imports the same package this test imported
+    src = str(Path(selftesting.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "selftesting", "generate", "--coeffs", "0.8,0.6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from selftesting import (
     measurement_equivalence,
 )
 from selftesting.errors import DegenerateBlockError, IsometryConsistencyError
-from selftesting.extraction import _apply_isometry_matrix, _pre_flip_state
+from selftesting.extraction import _apply_isometry_matrix, _ladder_stack
+from selftesting.ideal import Measurement, Realization
 from selftesting.qlinalg import SIGMA_X, SIGMA_Z, dagger
 
 
@@ -200,11 +203,74 @@ def test_chain_norms_telescope():
         assert abs(np.linalg.norm(vec) - sc.c[k]) < 1e-12
 
 
+def _stacks(ops):
+    return (
+        _ladder_stack(ops.z_a, ops.x_a, ops.omega),
+        _ladder_stack(ops.z_b, ops.x_b, ops.omega),
+    )
+
+
+def _circuit(ops, mat):
+    """Reference: the paper's four-stage circuit, stage by stage.
+
+    Ancilla Fourier, controlled phase powers, inverse Fourier, controlled
+    flip chains, each applied to both ancillas.
+    """
+    d = ops.d
+    grid = np.arange(d)
+    f = ops.omega ** np.outer(grid, grid) / np.sqrt(d)
+
+    def fourier(psi, f):
+        return np.einsum("kj,lm,abjm->abkl", f, f, psi)
+
+    def controlled(psi, ops_a, ops_b):
+        psi = psi.copy()
+        for k in range(1, d):
+            psi[:, :, k, :] = np.einsum("ia,abl->ibl", ops_a[k], psi[:, :, k, :])
+            psi[:, :, :, k] = np.einsum("jb,abk->ajk", ops_b[k], psi[:, :, :, k])
+        return psi
+
+    def powers(z):
+        out = [np.eye(z.shape[0], dtype=complex)]
+        for _ in range(1, d):
+            out.append(out[-1] @ z)
+        return out
+
+    psi = np.zeros((*mat.shape, d, d), dtype=complex)
+    psi[:, :, 0, 0] = mat
+    psi = fourier(psi, f)
+    psi = controlled(psi, powers(ops.z_a), powers(ops.z_b))
+    psi = fourier(psi, dagger(f))
+    return controlled(psi, ops.x_a, ops.x_b)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_closed_form_matches_circuit(d):
+    rng = np.random.default_rng(40 + d)
+    sc = random_coefficients(d, seed=40 + d)
+    ideal = ideal_realization(sc)
+    embedded = embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=1, seed=d))
+    for r in (ideal, embedded):
+        ops = build_criterion_ops(r, sc)
+        stack_a, stack_b = _stacks(ops)
+        noise = rng.standard_normal((2, r.dim_a, r.dim_b))
+        for mat in (r.state_matrix(), noise[0] + 1j * noise[1]):
+            got = _apply_isometry_matrix(stack_a, stack_b, mat)
+            assert np.max(np.abs(got - _circuit(ops, mat))) <= 1e-12
+
+
 def test_pre_flip_state_ideal():
+    # identity flips stop the isometry before its flip stage:
+    # Pi_A^(k) (x) Pi_B^(l) |psi> = delta_kl c_k |kk>
     sc = random_coefficients(3, seed=17)
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    psi = _pre_flip_state(ops, r)
+    no_flip = [np.eye(3)] * 3
+    psi = _apply_isometry_matrix(
+        _ladder_stack(ops.z_a, no_flip, ops.omega),
+        _ladder_stack(ops.z_b, no_flip, ops.omega),
+        r.state_matrix(),
+    )
     assert psi.shape == (3, 3, 3, 3)
     want = np.zeros((3, 3, 3, 3), dtype=complex)
     for i in range(3):
@@ -221,13 +287,13 @@ def test_isometry_preserves_arbitrary_vectors():
         r = ideal_realization(sc)
         if extra:
             r = embed_realization(r, EmbeddingSpec(extra_a=extra, extra_b=extra, seed=8))
-        ops = build_criterion_ops(r, sc)
+        stack_a, stack_b = _stacks(build_criterion_ops(r, sc))
         for _ in range(3):
             mat = rng.standard_normal((r.dim_a, r.dim_b)) + 1j * rng.standard_normal(
                 (r.dim_a, r.dim_b)
             )
             mat /= np.linalg.norm(mat)
-            out = _apply_isometry_matrix(ops, mat)
+            out = _apply_isometry_matrix(stack_a, stack_b, mat)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -259,6 +325,51 @@ def test_isometry_rejects_norm_drift():
     ops.x_a[1] = 1.5 * ops.x_a[1]
     with pytest.raises(IsometryConsistencyError):
         apply_isometry(ops, r, sc)
+
+
+def _perturbed(r, eps, seed):
+    """`r` with Gaussian noise on its state and each measurement rotated by exp(i eps H)."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((2, r.state.size))
+    state = r.state + eps * (noise[0] + 1j * noise[1])
+
+    def rotate(meas):
+        h = rng.standard_normal((2, meas.dim, meas.dim))
+        h = h[0] + 1j * h[1]
+        w, v = np.linalg.eigh(h + dagger(h))
+        u = (v * np.exp(0.5j * eps * w)) @ dagger(v)
+        return Measurement(u @ meas.projectors @ dagger(u))
+
+    return Realization(
+        r.dim_a,
+        r.dim_b,
+        state / np.linalg.norm(state),
+        tuple(map(rotate, r.alice)),
+        tuple(map(rotate, r.bob)),
+    )
+
+
+def test_product_overlap_bounded_by_fidelity():
+    # a junk state normalized by the claimed c_0 instead of its own norm
+    # let the noisy device report product_overlap = 1.125 against fidelity
+    # 0.977; on the embedded one the overlap exceeds the fidelity clipped
+    # to 1 by float dust
+    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
+    ideal = ideal_realization(sc)
+    noisy = _perturbed(ideal, 0.05, seed=2)
+    embedded = embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=3, seed=2))
+    for r in (noisy, embedded):
+        _, rep = apply_isometry(build_criterion_ops(r, sc), r, sc)
+        assert 0.0 <= rep.product_overlap <= rep.fidelity <= 1.0
+
+
+def test_product_overlap_zero_without_outcome_zero_weight():
+    # no weight on outcome 0 leaves no junk state to normalize
+    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
+    r = replace(ideal_realization(sc), state=np.array([0.0, 0.0, 0.0, 1.0]))
+    _, rep = apply_isometry(build_criterion_ops(r, sc), r, sc)
+    assert rep.product_overlap == 0.0
+    assert abs(rep.fidelity - 0.36) < 1e-12
 
 
 def test_measurement_equivalence_ideal():
