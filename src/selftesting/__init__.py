@@ -25,7 +25,6 @@ from .errors import (
     CoverageError,
     DegenerateBlockError,
     DimensionError,
-    DimensionLimitError,
     HermiticityError,
     IsometryConsistencyError,
     NormalizationError,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CorrelationTables
-from .schmidt import SchmidtCoefficients, angles, primed_pairs, unprimed_pairs
+from .schmidt import AngleSchedule, SchmidtCoefficients, angles, primed_pairs, unprimed_pairs
 
 __all__ = [
     "BlockCorrelators",
@@ -102,11 +102,9 @@ def block_correlators(
     )
 
 
-def block_violation(
-    t: CorrelationTables, sc: SchmidtCoefficients, m: int, *, primed: bool = False
+def _block_score(
+    t: CorrelationTables, sc: SchmidtCoefficients, sched: AngleSchedule, m: int, primed: bool
 ) -> BlockScore:
-    """Score block m of the tables against its exact quantum maximum."""
-    sched = angles(sc)
     if primed:
         lo, hi = primed_pairs(sc.d)[m]
         alpha = float(sched.alpha_primed[m])
@@ -129,9 +127,17 @@ def block_violation(
     )
 
 
+def block_violation(
+    t: CorrelationTables, sc: SchmidtCoefficients, m: int, *, primed: bool = False
+) -> BlockScore:
+    """Score block m of the tables against its exact quantum maximum."""
+    return _block_score(t, sc, angles(sc), m, primed)
+
+
 def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockScore]:
     """Scores for every block of both families, unprimed first."""
+    sched = angles(sc)
     n = sc.d // 2
-    out = [block_violation(t, sc, m) for m in range(n)]
-    out += [block_violation(t, sc, m, primed=True) for m in range(n)]
+    out = [_block_score(t, sc, sched, m, False) for m in range(n)]
+    out += [_block_score(t, sc, sched, m, True) for m in range(n)]
     return out

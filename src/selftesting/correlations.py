@@ -58,7 +58,9 @@ class CorrelationTables:
 
     Absent pairs mean "no statement", not "all zeros"; consumers that need
     a pair must go through :meth:`table` so absence raises
-    :class:`CoverageError`.
+    :class:`CoverageError`. Every entry must be finite (``ValueError``
+    otherwise): a NaN compares false against every tolerance, so it would
+    pass any check made on it.
     """
 
     d: int
@@ -75,6 +77,8 @@ class CorrelationTables:
                 raise ValueError(
                     f"table {key} has shape {arr.shape}, expected {(self.d, self.d)}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"table {key} contains non-finite entries")
             clean[(x, y)] = arr
         self.tables = clean
 
@@ -94,17 +98,21 @@ class CorrelationTables:
 def compute_tables(r: Realization) -> CorrelationTables:
     """Born-rule tables of a realization, for all 12 setting pairs.
 
-    Entry [a][b] is ``<psi| P^x_a (x) Q^y_b |psi>``. The imaginary residue
-    of each entry must stay below 1e-10 (projector stacks are Hermitian,
-    so anything larger signals corrupted inputs).
+    Entry [a][b] is ``<psi| P^x_a (x) Q^y_b |psi>``. With the state as its
+    coefficient matrix ``m`` this is ``sum_{i,l} (P^x_a m)[i,l] (m* Q^y_b)[i,l]``,
+    so each table is one matrix product: the stack ``P^x m`` of the first
+    party's setting x, flattened to one row per outcome, against the stack
+    ``m* Q^y`` of the second party's setting y. The imaginary residue of
+    each entry must stay below 1e-10 (projector stacks are Hermitian, so
+    anything larger signals corrupted inputs).
     """
     m = r.state_matrix()
+    left = [(r.alice[x].projectors @ m).reshape(-1, m.size) for x in range(ALICE_SETTINGS)]
+    right = [(m.conj() @ r.bob[y].projectors).reshape(-1, m.size) for y in range(BOB_SETTINGS)]
     out: dict[tuple[int, int], np.ndarray] = {}
     for x in range(ALICE_SETTINGS):
-        pa = r.alice[x].projectors
         for y in range(BOB_SETTINGS):
-            pb = r.bob[y].projectors
-            tab = np.einsum("ij,aik,bjl,kl->ab", m.conj(), pa, pb, m, optimize=True)
+            tab = left[x] @ right[y].T
             worst = float(np.max(np.abs(tab.imag)))
             if worst > IMAG_TOL:
                 raise HermiticityError(

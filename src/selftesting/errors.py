@@ -10,7 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "SelfTestingError",
-    "DimensionLimitError",
     "DimensionError",
     "HermiticityError",
     "NormalizationError",
@@ -26,10 +25,6 @@ __all__ = [
 
 class SelfTestingError(Exception):
     """Base class for all domain errors raised by this package."""
-
-
-class DimensionLimitError(SelfTestingError):
-    """An operator or product would exceed the configured dimension cap."""
 
 
 class DimensionError(SelfTestingError):

@@ -68,21 +68,31 @@ class Measurement:
         return int(self.projectors.shape[1])
 
     def validate(self, tol: float = MEASUREMENT_TOL) -> None:
-        """Check Hermitian, idempotent, mutually orthogonal, complete."""
+        """Check finite, Hermitian, idempotent, mutually orthogonal, complete.
+
+        Products ``P_j P_k`` for k >= j are formed one outcome row at a
+        time, as ``P_j`` against the stack ``[P_j, ..., P_{n-1}]`` laid side
+        by side; the first failing pair in (j, k) order is reported.
+        """
         p = self.projectors
+        if not np.all(np.isfinite(p)):
+            raise ValueError("projectors contain non-finite entries")
         herm = np.max(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))))
         if herm > tol:
             raise HermiticityError(f"projector asymmetry {herm:.3e} > {tol:.0e}")
-        for j in range(self.n_outcomes):
-            idem = np.max(np.abs(p[j] @ p[j] - p[j]))
-            if idem > tol:
-                raise ValueError(f"outcome {j} projector not idempotent ({idem:.3e})")
-            for k in range(j + 1, self.n_outcomes):
-                cross = np.max(np.abs(p[j] @ p[k]))
-                if cross > tol:
-                    raise ValueError(
-                        f"outcomes {j},{k} projectors overlap ({cross:.3e})"
-                    )
+        n, dim = self.n_outcomes, self.dim
+        right = p.transpose(1, 0, 2).reshape(dim, n * dim)
+        worst = np.zeros((n, n))
+        for j in range(n):
+            row = (p[j] @ right[:, j * dim :]).reshape(dim, n - j, dim)
+            row[:, 0] -= p[j]
+            worst[j, j:] = np.max(np.abs(row), axis=(0, 2))
+        bad = np.argwhere(worst > tol)
+        if bad.size:
+            j, k = bad[0]
+            if j == k:
+                raise ValueError(f"outcome {j} projector not idempotent ({worst[j, j]:.3e})")
+            raise ValueError(f"outcomes {j},{k} projectors overlap ({worst[j, k]:.3e})")
         comp = np.max(np.abs(p.sum(axis=0) - np.eye(self.dim)))
         if comp > tol:
             raise ValueError(f"projectors sum off identity by {comp:.3e}")

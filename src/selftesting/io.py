@@ -10,9 +10,11 @@ Formats (all plain JSON):
   state is row-major over (first, second) party indices, each setting is a
   list of per-outcome matrices, and every matrix entry is an [re, im] pair.
 
-Malformed documents raise :class:`ParseError` with the offending field;
-domain violations (bad normalization, broken projectors) surface as their
-own error types from the constructors.
+Malformed documents raise :class:`ParseError` with the offending field, and
+so do tables with non-finite entries and realizations whose validation
+fails with a ``ValueError`` (non-finite state, broken projectors); domain
+violations with their own type (bad normalization, non-Hermitian
+projectors) surface as that type.
 """
 
 from __future__ import annotations
@@ -175,5 +177,8 @@ def load_realization(path: str | Path, *, validate: bool = True) -> Realization:
         bob=read_side("bob", 4, dim_b),
     )
     if validate:
-        r.validate()
+        try:
+            r.validate()
+        except ValueError as e:
+            raise ParseError(f"{path}: {e}") from None
     return r

@@ -18,33 +18,19 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-from .errors import (
-    DimensionLimitError,
-    HermiticityError,
-    NormalizationError,
-    RankError,
-)
+from .errors import HermiticityError, NormalizationError, RankError
 
 __all__ = [
-    "DIM_CAP",
     "SIGMA_X",
     "SIGMA_Z",
     "dagger",
-    "kron",
-    "direct_sum",
     "hermitian_eig",
     "sign_unitarize",
     "projector_onto_range",
-    "partial_trace",
     "pure_fidelity",
 ]
-
-#: Largest admitted dimension for any single operator produced here.
-DIM_CAP = 4096
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -60,50 +46,6 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray, *, max_dim: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a dimension guard.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Square matrices.
-    max_dim : int
-        Cap on the resulting dimension; exceeded means
-        :class:`DimensionLimitError`.
-
-    Returns
-    -------
-    ndarray
-        ``a (x) b`` with row-major composite indexing, so basis vector
-        ``e_i (x) e_k`` sits at index ``i * dim(b) + k``.
-    """
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
-        raise DimensionLimitError(
-            f"kron result dimension {out_dim} exceeds cap {max_dim}"
-        )
-    return np.kron(a, b)
-
-
-def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Block-diagonal direct sum of square matrices, in the given order."""
-    mats = [_as_square(blk, f"blocks[{i}]") for i, blk in enumerate(blocks)]
-    if not mats:
-        raise ValueError("direct_sum needs at least one block")
-    dim = sum(m.shape[0] for m in mats)
-    if dim > DIM_CAP:
-        raise DimensionLimitError(f"direct_sum dimension {dim} exceeds cap {DIM_CAP}")
-    out = np.zeros((dim, dim), dtype=complex)
-    at = 0
-    for m in mats:
-        n = m.shape[0]
-        out[at : at + n, at : at + n] = m
-        at += n
-    return out
 
 
 def _fix_phases(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -177,45 +119,6 @@ def projector_onto_range(g: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
         )
     keep = v[:, w > rank_tol]
     return keep @ dagger(keep)
-
-
-def partial_trace(
-    state: np.ndarray, dims: Sequence[int], keep: Iterable[int]
-) -> np.ndarray:
-    """Reduced density matrix of a pure state.
-
-    Parameters
-    ----------
-    state : ndarray
-        Flat state vector over the product of `dims`, row-major.
-    dims : sequence of int
-        Subsystem dimensions, in tensor order.
-    keep : iterable of int
-        Indices (into `dims`) of the subsystems to keep. Kept subsystems
-        retain their relative order.
-
-    Returns
-    -------
-    ndarray
-        Density matrix on the kept subsystems.
-    """
-    dims = tuple(int(n) for n in dims)
-    keep_axes = sorted(set(int(k) for k in keep))
-    if not keep_axes:
-        raise ValueError("keep must name at least one subsystem")
-    if keep_axes[0] < 0 or keep_axes[-1] >= len(dims):
-        raise ValueError(f"keep {keep_axes} out of range for {len(dims)} subsystems")
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.size != int(np.prod(dims)):
-        raise ValueError(
-            f"state length {state.size} does not match dims product {int(np.prod(dims))}"
-        )
-    trace_axes = [i for i in range(len(dims)) if i not in keep_axes]
-    tensor = state.reshape(dims)
-    perm = keep_axes + trace_axes
-    d_keep = int(np.prod([dims[i] for i in keep_axes]))
-    mat = np.transpose(tensor, perm).reshape(d_keep, -1)
-    return mat @ dagger(mat)
 
 
 def pure_fidelity(

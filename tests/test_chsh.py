@@ -14,6 +14,7 @@ from selftesting import (
     embed_realization,
     ideal_realization,
     reference_tables,
+    sample_tables,
 )
 
 TWO_SQRT_TWO = 2 * np.sqrt(2)
@@ -62,6 +63,17 @@ def test_violation_identity_all_blocks():
         for score in block_scores(t, sc):
             assert abs(score.residual) < 1e-12
             assert abs(score.beta - score.target) < 1e-12
+
+
+def test_block_scores_match_block_violation():
+    # one schedule per call must give exactly the per-block scores, also on
+    # sampled tables that meet no identity
+    for d in (2, 3, 6, 9):
+        sc = random_coefficients(d, seed=720 + d)
+        r = embed_realization(ideal_realization(sc), EmbeddingSpec(extra_a=1, seed=d))
+        for t in (compute_tables(r), sample_tables(r, 500, seed=d).estimated):
+            want = [block_violation(t, sc, m, primed=p) for p in (False, True) for m in range(d // 2)]
+            assert block_scores(t, sc) == want
 
 
 def test_scores_cover_both_families():

@@ -43,6 +43,34 @@ def test_verify_fails_on_corruption(capsys, tmp_path):
     assert abs(rep["block_residual"] - 1e-3) < 1e-4
 
 
+def test_verify_rejects_nonfinite_tables(capsys, tmp_path):
+    tables = tmp_path / "t.json"
+    run_cli(capsys, "generate", "--coeffs", "0.8,0.6", "-o", str(tables))
+    doc = json.loads(tables.read_text())
+    doc["tables"]["2,3"][1][1] = float("nan")
+    tables.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(tables), "--coeffs", "0.8,0.6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_invalid_realization_is_input_error(capsys, tmp_path):
+    real = tmp_path / "r.json"
+    run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))
+    overlapping = json.loads(real.read_text())
+    overlapping["alice"][0][1] = overlapping["alice"][0][0]
+    nan_state = json.loads(real.read_text())
+    nan_state["state"][0] = [float("nan"), 0.0]
+    for doc, why in ((overlapping, "overlap"), (nan_state, "non-finite")):
+        real.write_text(json.dumps(doc))
+        for argv in (["extract", str(real), "--coeffs", "0.8,0.6"], ["sample", str(real)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {real}:") and why in err
+
+
 def test_exit_2_on_bad_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(tmp_path / "missing.json"),
                            "--coeffs", "0.8,0.6")

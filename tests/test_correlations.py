@@ -3,11 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_coefficients
+from conftest import projector_stack, random_coefficients, random_ranges
 from selftesting import (
     CorrelationTables,
+    EmbeddingSpec,
+    Measurement,
+    Realization,
     SchmidtCoefficients,
     compute_tables,
+    embed_realization,
     ideal_realization,
     no_signaling_check,
     reference_tables,
@@ -55,6 +59,59 @@ def test_reference_frozen_entries():
     tm = reference_tables(scm)
     assert abs(tm.table(1, 0)[0, 0] - T10_MAX_DIAG) < 1e-14
     assert abs(tm.table(1, 0)[0, 1] - T10_MAX_OFF) < 1e-14
+
+
+def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:
+    """Reference Born rule: one einsum per setting pair."""
+    m = r.state_matrix()
+    return {
+        (x, y): np.einsum("ij,aik,bjl,kl->ab", m.conj(), r.alice[x].projectors,
+                          r.bob[y].projectors, m, optimize=True)
+        for x in range(3)
+        for y in range(4)
+    }
+
+
+def _random_device(d: int, dim_a: int, dim_b: int, seed: int) -> Realization:
+    """Random state and projective measurements with d outcomes of mixed rank."""
+    rng = np.random.default_rng(seed)
+
+    def measurement(dim: int) -> Measurement:
+        return Measurement(projector_stack(random_ranges(d, dim, rng)))
+
+    state = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
+    return Realization(
+        dim_a=dim_a,
+        dim_b=dim_b,
+        state=state / np.linalg.norm(state),
+        alice=tuple(measurement(dim_a) for _ in range(3)),
+        bob=tuple(measurement(dim_b) for _ in range(4)),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_compute_tables_matches_einsum(d):
+    sc = random_coefficients(d, seed=800 + d)
+    devices = [
+        embed_realization(ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=3, seed=d)),
+        _random_device(d, d + 1, d + 3, seed=810 + d),
+    ]
+    for r in devices:
+        r.validate()
+        got = compute_tables(r)
+        for pair, want in _einsum_tables(r).items():
+            assert np.max(np.abs(got.table(*pair) - want.real)) <= 1e-14
+
+
+def test_tables_reject_nonfinite_entries():
+    t = reference_tables(SchmidtCoefficients(np.array([0.8, 0.6])))
+    tables = {p: t.table(*p).copy() for p in t.pairs()}
+    tables[(2, 3)][1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        CorrelationTables(d=2, tables=tables)
+    tables[(2, 3)][1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        CorrelationTables(d=2, tables=tables)
 
 
 def test_two_routes_agree():
@@ -205,5 +262,5 @@ def test_compute_tables_rejects_nonhermitian_projectors():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
     r.alice[0].projectors[0, 0, 1] += 1e-3j
-    with pytest.raises(HermiticityError):
+    with pytest.raises(HermiticityError, match=r"pair \(0,0\)"):
         compute_tables(r)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_coefficients
+from conftest import projector_stack, random_coefficients, random_ranges
 from selftesting import (
     Measurement,
     SchmidtCoefficients,
@@ -12,7 +12,8 @@ from selftesting import (
     ideal_bob,
     ideal_realization,
 )
-from selftesting.errors import NormalizationError
+from selftesting.errors import HermiticityError, NormalizationError
+from selftesting.ideal import MEASUREMENT_TOL
 
 # cos^2(mu/2) for c=(0.8, 0.6): overlap of Bob's first tilted vector with e_0
 BOB_OVERLAP_86 = 0.8606936605154758
@@ -24,6 +25,85 @@ def test_measurement_validation_catches_broken_projectors():
     bad = Measurement(projectors=np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def _validate_loop(meas: Measurement, tol: float = MEASUREMENT_TOL) -> None:
+    """Pairwise reference for Measurement.validate: one product per (j, k >= j)."""
+    p = meas.projectors
+    herm = np.max(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))))
+    if herm > tol:
+        raise HermiticityError(f"projector asymmetry {herm:.3e} > {tol:.0e}")
+    for j in range(meas.n_outcomes):
+        idem = np.max(np.abs(p[j] @ p[j] - p[j]))
+        if idem > tol:
+            raise ValueError(f"outcome {j} projector not idempotent ({idem:.3e})")
+        for k in range(j + 1, meas.n_outcomes):
+            cross = np.max(np.abs(p[j] @ p[k]))
+            if cross > tol:
+                raise ValueError(f"outcomes {j},{k} projectors overlap ({cross:.3e})")
+    comp = np.max(np.abs(p.sum(axis=0) - np.eye(meas.dim)))
+    if comp > tol:
+        raise ValueError(f"projectors sum off identity by {comp:.3e}")
+
+
+def _verdict(check) -> tuple[type, str] | None:
+    try:
+        check()
+    except (ValueError, HermiticityError) as e:
+        return type(e), str(e)
+    return None
+
+
+def _perturbed_stack(seed: int) -> tuple[str, np.ndarray]:
+    """Random projective measurement with one seeded defect of size eps.
+
+    The defect is one of: nothing, a non-Hermitian entry, a scaled
+    projector (idempotency), a vector leaning into another outcome's range
+    (overlap), or a dropped outcome (completeness).
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    dim = n + int(rng.integers(0, 4))
+    ranges = random_ranges(n, dim, rng)
+    p = projector_stack(ranges)
+    kind = ("none", "hermiticity", "idempotency", "overlap", "completeness")[seed % 5]
+    eps = 10.0 ** rng.uniform(-12, -3)
+    j, k = (int(v) for v in rng.choice(n, size=2, replace=False))
+    if kind == "hermiticity":
+        p[j, 0, dim - 1] += eps * 1j
+    elif kind == "idempotency":
+        p[j] *= 1 + eps
+    elif kind == "overlap":
+        a, b = ranges[k][:, 0], ranges[j][:, 0]
+        v = (a + eps * b) / np.sqrt(1 + eps * eps)
+        p[k] += np.outer(v, v.conj()) - np.outer(a, a.conj())
+    elif kind == "completeness":
+        p[j] = 0.0
+    return kind, p
+
+
+def test_validate_matches_pairwise_loop():
+    first_words = set()
+    for seed in range(400):
+        kind, stack = _perturbed_stack(seed)
+        meas = Measurement(stack)
+        want = _verdict(lambda: _validate_loop(meas))
+        assert _verdict(meas.validate) == want, (seed, kind)
+        if want is not None:
+            first_words.add(want[1].split()[0])
+    # every failure kind was reached: asymmetry, idempotency, overlap, completeness
+    assert first_words == {"projector", "outcome", "outcomes", "projectors"}
+
+
+def test_validate_rejects_nonfinite_projectors():
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    stack[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Measurement(stack).validate()
+    stack[0, 0, 0] = 1.0
+    stack[1, 0, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        Measurement(stack).validate()
 
 
 def test_ideal_measurements_are_valid_projective():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from selftesting.errors import (
-    DimensionLimitError,
     HermiticityError,
     NormalizationError,
     RankError,
@@ -13,10 +12,7 @@ from selftesting.qlinalg import (
     SIGMA_X,
     SIGMA_Z,
     dagger,
-    direct_sum,
     hermitian_eig,
-    kron,
-    partial_trace,
     projector_onto_range,
     pure_fidelity,
     sign_unitarize,
@@ -26,41 +22,6 @@ from selftesting.qlinalg import (
 def test_dagger():
     a = np.array([[1.0, 2.0j], [3.0, 4.0]])
     assert np.array_equal(dagger(a), a.conj().T)
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((4, 4))
-    assert np.allclose(kron(a, b), np.kron(a, b))
-
-
-def test_kron_identities_and_index_order():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-    e0 = np.zeros(4)
-    e0[0] = 1.0
-    assert np.array_equal(kron(SIGMA_X, np.eye(2)) @ e0, np.eye(4)[2])
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(42)
-    a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-    # float multiplication rounds, so compare up to machine precision
-    assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-15)
-
-
-def test_kron_dimension_cap():
-    big = np.eye(100)
-    with pytest.raises(DimensionLimitError):
-        kron(big, big)
-    assert kron(big, big, max_dim=10_000).shape == (10_000, 10_000)
-
-
-def test_direct_sum():
-    out = direct_sum([np.eye(2), 3 * np.eye(1)])
-    expected = np.diag([1.0, 1.0, 3.0])
-    assert np.allclose(out, expected)
 
 
 def test_hermitian_eig_reconstruction_and_phase():
@@ -120,37 +81,6 @@ def test_projector_onto_range():
 def test_projector_onto_range_ambiguous_rank():
     with pytest.raises(RankError):
         projector_onto_range(np.diag([1.0, 5e-8, 0.0]))
-
-
-def test_partial_trace_bipartite():
-    c = np.array([0.8, 0.6])
-    state = np.zeros(4)
-    state[0], state[3] = c[0], c[1]
-    rho_a = partial_trace(state, (2, 2), keep=(0,))
-    assert np.allclose(rho_a, np.diag([0.64, 0.36]), atol=1e-14)
-    rho_b = partial_trace(state, (2, 2), keep=(1,))
-    assert np.allclose(rho_b, np.diag([0.64, 0.36]), atol=1e-14)
-
-
-def test_partial_trace_keeps_subsystem_order():
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal(2 * 3 * 4) + 1j * rng.standard_normal(2 * 3 * 4)
-    psi /= np.linalg.norm(psi)
-    rho = partial_trace(psi, (2, 3, 4), keep=(2, 0))
-    assert rho.shape == (8, 8)
-    assert abs(np.trace(rho) - 1.0) < 1e-12
-    # kept subsystems stay in tensor order no matter how keep is spelled
-    t = psi.reshape(2, 3, 4)
-    expected = np.einsum("ajb,cjd->abcd", t, t.conj()).reshape(8, 8)
-    assert np.allclose(rho, expected, atol=1e-12)
-
-
-def test_partial_trace_product_and_maximal():
-    e00 = np.zeros(4)
-    e00[0] = 1.0
-    assert np.allclose(partial_trace(e00, (2, 2), keep=(1,)), np.diag([1.0, 0.0]))
-    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    assert np.allclose(partial_trace(phi, (2, 2), keep=(0,)), np.eye(2) / 2)
 
 
 def test_pure_fidelity_half():
