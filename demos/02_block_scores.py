@@ -12,8 +12,8 @@ import numpy as np
 
 from selftesting import (
     SchmidtCoefficients,
-    angles,
     block_scores,
+    blocks,
     compute_tables,
     ideal_realization,
 )
@@ -26,7 +26,6 @@ print(f"maximal pair: beta = {score.beta:.12f}  (2*sqrt(2) = {2 * np.sqrt(2):.12
 
 # A four-level state with distinct weights per block.
 sc4 = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
-sched = angles(sc4)
 tables = compute_tables(ideal_realization(sc4))
 
 print(f"\nd=4 coefficients {sc4.c}")
@@ -46,5 +45,6 @@ for s in block_scores(tables, sc4):
 # The tilt per block is a function of the coefficient ratio alone; the
 # wrap-around block of even d pairs the last outcome with the first.
 wrap = block_scores(tables, sc4)[-1]
+block = blocks(sc4)[-1]
 print(f"\nwrap block pair {wrap.pair}: tilt {wrap.alpha:.6f} "
-      f"(schedule says {sched.alpha_primed[1]:.6f})")
+      f"(block table says {block.pair}, {block.alpha:.6f})")

@@ -49,11 +49,13 @@ from .harness import EmbeddingSpec, SampleResult, embed_realization, sample_tabl
 from .ideal import Measurement, Realization, ideal_alice, ideal_bob, ideal_realization
 from .schmidt import (
     AngleSchedule,
+    Block,
     SchmidtCoefficients,
     angles,
-    primed_pairs,
+    blocks,
+    corner,
+    pairs,
     target_state,
-    unprimed_pairs,
 )
 
 __version__ = "0.1.0"

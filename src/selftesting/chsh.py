@@ -11,12 +11,9 @@ the block is ``sqrt(8 + 2 alpha^2)`` times the block's state mass, and the
 ideal tables meet that bound exactly on every block; the classical
 (deterministic) bound is ``(2 + |alpha|) * mass``.
 
-Setting use per family:
-
-* unprimed block m: A settings (0, 1), B settings (0, 1), outcomes
-  (2m, 2m+1);
-* primed block m: A settings (0, 2), B settings (2, 3), outcomes
-  (2m+1, (2m+2) mod d).
+The observables of a block are read from the tables of its settings
+``xs`` x ``ys`` on its outcome pair (lo, hi), as listed by
+:func:`selftesting.schmidt.blocks`.
 
 Marginals ``<A0>`` are taken as full row sums of the relevant table, so
 off-block weight (absent in ideal tables, present in noisy ones) is
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CorrelationTables
-from .schmidt import AngleSchedule, SchmidtCoefficients, angles, primed_pairs, unprimed_pairs
+from .schmidt import Block, SchmidtCoefficients, blocks
 
 __all__ = [
     "BlockCorrelators",
@@ -76,24 +73,18 @@ def _pair_correlator(tab: np.ndarray, lo: int, hi: int) -> float:
     return float(tab[lo, lo] - tab[lo, hi] - tab[hi, lo] + tab[hi, hi])
 
 
-def block_correlators(
-    t: CorrelationTables, d: int, m: int, *, primed: bool = False
-) -> BlockCorrelators:
-    """Correlators and first-party marginal of block m from the tables."""
-    if primed:
-        lo, hi = primed_pairs(d)[m]
-        xs, ys = (0, 2), (2, 3)
-    else:
-        lo, hi = unprimed_pairs(d)[m]
-        xs, ys = (0, 1), (0, 1)
+def block_correlators(t: CorrelationTables, b: Block) -> BlockCorrelators:
+    """Correlators and first-party marginal of block `b` from the tables."""
+    lo, hi = b.pair
+    xs, ys = b.xs, b.ys
     t00 = t.table(xs[0], ys[0])
     t01 = t.table(xs[0], ys[1])
     t10 = t.table(xs[1], ys[0])
     t11 = t.table(xs[1], ys[1])
     marginal = float(t00[lo, :].sum() - t00[hi, :].sum())
     return BlockCorrelators(
-        m=m,
-        primed=primed,
+        m=b.m,
+        primed=b.primed,
         a0=marginal,
         a0b0=_pair_correlator(t00, lo, hi),
         a0b1=_pair_correlator(t01, lo, hi),
@@ -102,42 +93,22 @@ def block_correlators(
     )
 
 
-def _block_score(
-    t: CorrelationTables, sc: SchmidtCoefficients, sched: AngleSchedule, m: int, primed: bool
-) -> BlockScore:
-    if primed:
-        lo, hi = primed_pairs(sc.d)[m]
-        alpha = float(sched.alpha_primed[m])
-    else:
-        lo, hi = unprimed_pairs(sc.d)[m]
-        alpha = float(sched.alpha[m])
-    corr = block_correlators(t, sc.d, m, primed=primed)
-    beta = alpha * corr.a0 + corr.a0b0 + corr.a0b1 + corr.a1b0 - corr.a1b1
-    mass = float(sc.c[lo] ** 2 + sc.c[hi] ** 2)
-    target = float(np.sqrt(8.0 + 2.0 * alpha * alpha) * mass)
+def block_violation(t: CorrelationTables, b: Block) -> BlockScore:
+    """Score block `b` of the tables against its exact quantum maximum."""
+    corr = block_correlators(t, b)
+    beta = b.alpha * corr.a0 + corr.a0b0 + corr.a0b1 + corr.a1b0 - corr.a1b1
     return BlockScore(
-        m=m,
-        primed=primed,
-        pair=(lo, hi),
-        mass=mass,
-        alpha=alpha,
+        m=b.m,
+        primed=b.primed,
+        pair=b.pair,
+        mass=b.mass,
+        alpha=b.alpha,
         beta=float(beta),
-        target=target,
+        target=float(np.sqrt(8.0 + 2.0 * b.alpha * b.alpha) * b.mass),
         correlators=corr,
     )
 
 
-def block_violation(
-    t: CorrelationTables, sc: SchmidtCoefficients, m: int, *, primed: bool = False
-) -> BlockScore:
-    """Score block m of the tables against its exact quantum maximum."""
-    return _block_score(t, sc, angles(sc), m, primed)
-
-
 def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockScore]:
-    """Scores for every block of both families, unprimed first."""
-    sched = angles(sc)
-    n = sc.d // 2
-    out = [_block_score(t, sc, sched, m, False) for m in range(n)]
-    out += [_block_score(t, sc, sched, m, True) for m in range(n)]
-    return out
+    """Scores for every block of both families, in :func:`blocks` order."""
+    return [block_violation(t, b) for b in blocks(sc)]

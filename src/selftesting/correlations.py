@@ -2,13 +2,11 @@
 
 A table set holds one d x d matrix per setting pair (x, y), entry [a][b]
 being P(a, b | x, y). Twelve pairs exist; eight of them are constrained by
-the self-test and are the ones :func:`reference_tables` emits:
-
-* ``x in {0,1} with y in {0,1}`` carry the unprimed blocks,
-* ``x in {0,2} with y in {2,3}`` carry the primed blocks.
-
-The remaining four pairs are intentionally unconstrained: they may hold
-anything a device produces, and the verifier ignores them.
+the self-test and are the ones :func:`reference_tables` emits: the pairs of
+one family's settings carry that family's blocks and corner (see
+:func:`selftesting.schmidt.blocks`). The remaining four pairs are
+intentionally unconstrained: they may hold anything a device produces, and
+the verifier ignores them.
 
 :func:`compute_tables` and :func:`reference_tables` are two independent
 routes to the same numbers for an ideal realization. The first applies the
@@ -25,7 +23,7 @@ import numpy as np
 
 from .errors import CoverageError, HermiticityError
 from .ideal import Realization
-from .schmidt import SchmidtCoefficients, angles, primed_pairs, unprimed_pairs
+from .schmidt import SETTINGS, SchmidtCoefficients, blocks, corner, pairs
 
 __all__ = [
     "CorrelationTables",
@@ -46,10 +44,9 @@ IMAG_TOL = 1e-10
 
 
 def constrained_pairs() -> list[tuple[int, int]]:
-    """Setting pairs the self-test pins down, in row-major order."""
-    unprimed = [(x, y) for x in (0, 1) for y in (0, 1)]
-    primed = [(x, y) for x in (0, 2) for y in (2, 3)]
-    return unprimed + primed
+    """Setting pairs the self-test pins down: unprimed family first, each in
+    row-major order."""
+    return [(x, y) for xs, ys in SETTINGS.values() for x in xs for y in ys]
 
 
 @dataclass
@@ -125,6 +122,7 @@ def compute_tables(r: Realization) -> CorrelationTables:
 def _block_2x2(x_eff: int, y_eff: int, c_lo: float, c_hi: float, mu: float) -> np.ndarray:
     """Closed-form 2x2 block of the constrained tables.
 
+    ``x_eff`` and ``y_eff`` index the block's settings ``xs`` and ``ys``:
     ``x_eff`` 0 means the computational-basis setting, 1 the flip setting;
     ``y_eff`` 0 means tilt ``+mu``, 1 tilt ``-mu``.
     """
@@ -149,38 +147,25 @@ def _block_2x2(x_eff: int, y_eff: int, c_lo: float, c_hi: float, mu: float) -> n
 def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
     """Closed-form tables for the 8 constrained pairs.
 
-    Unprimed pairs are block diagonal over the unprimed outcome pairs with
-    the leftover corner (d-1, d-1) carrying its full coefficient weight
-    when d is odd; primed pairs mirror this over the primed outcome pairs
-    with corner (0, 0).
+    Each pair of a family's settings is block diagonal over that family's
+    blocks, with the family's corner (k, k) carrying its full coefficient
+    weight when d is odd.
     """
     d = sc.d
     c = sc.c
-    sched = angles(sc)
+    table = blocks(sc)
     out: dict[tuple[int, int], np.ndarray] = {}
-
-    for x in (0, 1):
-        for y in (0, 1):
-            tab = np.zeros((d, d))
-            for m_blk, (lo, hi) in enumerate(unprimed_pairs(d)):
-                blk = _block_2x2(x, y, c[lo], c[hi], sched.mu[m_blk])
-                tab[np.ix_([lo, hi], [lo, hi])] = blk
-            if d % 2:
-                tab[d - 1, d - 1] = c[d - 1] ** 2
-            out[(x, y)] = tab
-
-    f = {0: 0, 2: 1}
-    g = {2: 0, 3: 1}
-    for x in (0, 2):
-        for y in (2, 3):
-            tab = np.zeros((d, d))
-            for m_blk, (lo, hi) in enumerate(primed_pairs(d)):
-                blk = _block_2x2(f[x], g[y], c[lo], c[hi], sched.mu_primed[m_blk])
-                tab[np.ix_([lo, hi], [lo, hi])] = blk
-            if d % 2:
-                tab[0, 0] = c[0] ** 2
-            out[(x, y)] = tab
-
+    for primed, (xs, ys) in SETTINGS.items():
+        family = [b for b in table if b.primed == primed]
+        top = corner(d, primed)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                tab = np.zeros((d, d))
+                for b in family:
+                    tab[np.ix_(b.pair, b.pair)] = _block_2x2(i, j, c[b.lo], c[b.hi], b.mu)
+                if top is not None:
+                    tab[top, top] = c[top] ** 2
+                out[(x, y)] = tab
     return CorrelationTables(d=d, tables=out)
 
 
@@ -191,16 +176,15 @@ def no_signaling_check(t: CorrelationTables) -> float:
     appears with; mirrored for the second party over column sums. Pairs not
     present contribute nothing.
     """
-    worst = 0.0
+    gaps = [0.0]
     for x in range(ALICE_SETTINGS):
         rows = [t.tables[(x, y)].sum(axis=1) for y in range(BOB_SETTINGS) if t.has(x, y)]
-        for i in range(1, len(rows)):
-            worst = max(worst, float(np.max(np.abs(rows[i] - rows[0]))))
+        gaps += [np.max(np.abs(row - rows[0])) for row in rows[1:]]
     for y in range(BOB_SETTINGS):
         cols = [t.tables[(x, y)].sum(axis=0) for x in range(ALICE_SETTINGS) if t.has(x, y)]
-        for i in range(1, len(cols)):
-            worst = max(worst, float(np.max(np.abs(cols[i] - cols[0]))))
-    return worst
+        gaps += [np.max(np.abs(col - cols[0])) for col in cols[1:]]
+    # np.max, not the builtin: a NaN must propagate, not be dropped.
+    return float(np.max(gaps))
 
 
 @dataclass(frozen=True)
@@ -232,19 +216,19 @@ def verify_tables(
     no-signaling and sum-to-one checks.
     """
     ref = reference_tables(sc)
-    d = sc.d
-    block_res = 0.0
-    off_mass = 0.0
-    for x, y in constrained_pairs():
-        got = t.table(x, y)
-        want = ref.tables[(x, y)]
-        mask = _constrained_mask(d, primed=(y >= 2))
-        block_res = max(block_res, float(np.max(np.abs((got - want)[mask]))))
-        off_mass = max(off_mass, float(np.sum(np.abs(got[~mask]))))
+    gaps: list[float] = []
+    masses: list[float] = []
+    for primed, (xs, ys) in SETTINGS.items():
+        mask = _constrained_mask(sc.d, primed)
+        for x in xs:
+            for y in ys:
+                got = t.table(x, y)
+                gaps.append(np.max(np.abs((got - ref.tables[(x, y)])[mask])))
+                masses.append(np.sum(np.abs(got[~mask])))
+    # Fold with numpy, which propagates a NaN that the builtin max would drop.
+    block_res, off_mass = float(np.max(gaps)), float(np.max(masses))
     ns = no_signaling_check(t)
-    sum_res = max(
-        float(abs(t.tables[pair].sum() - 1.0)) for pair in t.pairs()
-    )
+    sum_res = float(np.max([abs(t.tables[pair].sum() - 1.0) for pair in t.pairs()]))
     passed = block_res <= tol and off_mass <= tol and ns <= tol and sum_res <= tol
     return VerificationReport(
         tol=tol,
@@ -259,10 +243,9 @@ def verify_tables(
 def _constrained_mask(d: int, primed: bool) -> np.ndarray:
     """Boolean mask of positions carrying block (or corner) weight."""
     mask = np.zeros((d, d), dtype=bool)
-    pairs = primed_pairs(d) if primed else unprimed_pairs(d)
-    for lo, hi in pairs:
-        mask[np.ix_([lo, hi], [lo, hi])] = True
-    if d % 2:
-        corner = 0 if primed else d - 1
-        mask[corner, corner] = True
+    for pair in pairs(d, primed):
+        mask[np.ix_(pair, pair)] = True
+    top = corner(d, primed)
+    if top is not None:
+        mask[top, top] = True
     return mask

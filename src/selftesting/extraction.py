@@ -4,9 +4,10 @@ Given any realization whose tables match the reference, this module builds
 the local operators that pull the target state out of the unknown one. The
 stages mirror the proof structure:
 
-1. Block observables. For each block and relevant setting pair, the
-   difference of the two outcome projectors is a two-outcome observable
-   supported on the block; the sum is the block identity.
+1. Block observables. For each block of :func:`selftesting.schmidt.blocks`
+   and each of its settings, the difference of the two outcome projectors
+   is a two-outcome observable supported on the block; the sum is the
+   block identity.
 2. Unitarized block frame. The first party's observables extend to
    reflections by acting as +1 off the block. The second party's tilted
    observables combine into ``(B0 + B1) / (2 cos mu)`` and
@@ -18,9 +19,8 @@ stages mirror the proof structure:
    projectors directly. The second party's projector for outcome k is cut
    from the block frame: with P the orthogonal projector onto the combined
    range of the block identities and Zt the compressed Z, the pair is
-   ``(P + Zt)/2`` and ``(P - Zt)/2``. When d is odd the top outcome is not
-   covered by any unprimed block and is built from the last primed block
-   instead.
+   ``(P + Zt)/2`` and ``(P - Zt)/2``. When d is odd the top outcome is the
+   unprimed corner and is built from the last primed block instead.
 4. Flip chains. Walking the outcome ladder alternates unprimed and primed
    flips: ``X^(2m+1) = X^(2m) X_m`` and ``X^(2m+2) = X^(2m+1) Y_m``, with
    ``X^(0) = identity``. The chain criterion states that the chains steer
@@ -50,14 +50,7 @@ import numpy as np
 from .errors import DegenerateBlockError, IsometryConsistencyError
 from .ideal import Realization
 from .qlinalg import dagger, projector_onto_range, pure_fidelity, sign_unitarize
-from .schmidt import (
-    AngleSchedule,
-    SchmidtCoefficients,
-    angles,
-    primed_pairs,
-    target_state,
-    unprimed_pairs,
-)
+from .schmidt import Block, SchmidtCoefficients, blocks, corner, target_state
 
 __all__ = [
     "BlockOperators",
@@ -86,6 +79,13 @@ MASS_FLOOR = 1e-12
 #: Allowed deviation of the isometry output norm from the input norm.
 NORM_BUDGET = 1e-6
 
+#: Eigenvalue band of `projector_onto_range` when cutting the second
+#: party's outcome projectors from the block identities.
+RANK_TOL = 1e-8
+
+#: Eigenvalues within this of zero are sent to +1 by `sign_unitarize`.
+ZERO_TOL = 1e-10
+
 
 def _alice(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Apply a first-party operator to a state in matrix form."""
@@ -100,15 +100,13 @@ def _bob(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
 class BlockOperators:
     """Per-block two-outcome observables and block identities.
 
-    ``a0/a1`` are the first party's observables for the block's two
-    relevant settings (0 and 1 unprimed, 0 and 2 primed); ``b0/b1`` the
-    second party's (0 and 1 unprimed, 2 and 3 primed). ``ia0`` and friends
-    are the matching block identities (sums instead of differences).
+    ``a0/a1`` are the first party's observables for the block's settings
+    ``block.xs``, ``b0/b1`` the second party's for ``block.ys``. ``ia0``
+    and friends are the matching block identities (sums instead of
+    differences).
     """
 
-    m: int
-    primed: bool
-    pair: tuple[int, int]
+    block: Block
     a0: np.ndarray
     a1: np.ndarray
     b0: np.ndarray
@@ -119,23 +117,13 @@ class BlockOperators:
     ib1: np.ndarray
 
 
-def build_block_operators(
-    r: Realization, m: int, *, primed: bool = False
-) -> BlockOperators:
-    """Block observables of realization `r` for block m of either family."""
-    d = r.n_outcomes
-    if primed:
-        lo, hi = primed_pairs(d)[m]
-        a_settings, b_settings = (0, 2), (2, 3)
-    else:
-        lo, hi = unprimed_pairs(d)[m]
-        a_settings, b_settings = (0, 1), (0, 1)
-    pa = [r.alice[x].projectors for x in a_settings]
-    pb = [r.bob[y].projectors for y in b_settings]
+def build_block_operators(r: Realization, b: Block) -> BlockOperators:
+    """Block observables of realization `r` for block `b`."""
+    pa = [r.alice[x].projectors for x in b.xs]
+    pb = [r.bob[y].projectors for y in b.ys]
+    lo, hi = b.lo, b.hi
     return BlockOperators(
-        m=m,
-        primed=primed,
-        pair=(lo, hi),
+        block=b,
         a0=pa[0][lo] - pa[0][hi],
         a1=pa[1][lo] - pa[1][hi],
         b0=pb[0][lo] - pb[0][hi],
@@ -162,9 +150,7 @@ class BlockIdentityReport:
     mass_residual: float
 
 
-def block_identity_checks(
-    b: BlockOperators, r: Realization, sc: SchmidtCoefficients
-) -> BlockIdentityReport:
+def block_identity_checks(b: BlockOperators, r: Realization) -> BlockIdentityReport:
     """Residuals of the block-identity equalities on the state."""
     mat = r.state_matrix()
     ia = (b.ia0, b.ia1)
@@ -173,14 +159,12 @@ def block_identity_checks(
     for i in range(2):
         for j in range(2):
             cross[i, j] = np.linalg.norm(_alice(ia[i], mat) - _bob(ib[j], mat))
-    lo, hi = b.pair
-    mass = float(sc.c[lo] ** 2 + sc.c[hi] ** 2)
     measured = float(np.linalg.norm(_alice(b.ia0, mat)))
     return BlockIdentityReport(
-        m=b.m,
-        primed=b.primed,
+        m=b.block.m,
+        primed=b.block.primed,
         cross=cross,
-        mass_residual=abs(measured - np.sqrt(mass)),
+        mass_residual=abs(measured - np.sqrt(b.block.mass)),
     )
 
 
@@ -188,8 +172,7 @@ def block_identity_checks(
 class BlockFrame:
     """Unitarized Z/X frame of one block, both parties."""
 
-    m: int
-    primed: bool
+    block: Block
     za: np.ndarray
     xa: np.ndarray
     zb: np.ndarray
@@ -202,27 +185,24 @@ def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
     return np.eye(dim) - identity_block + observable
 
 
-def build_block_frame(
-    b: BlockOperators, schedule: AngleSchedule, *, zero_tol: float = 1e-10
-) -> BlockFrame:
+def build_block_frame(b: BlockOperators) -> BlockFrame:
     """Unitarized block frame from the block observables.
 
     The first party's observables are extended to reflections directly.
     The second party's combinations pick up a zero eigenspace only in
     degenerate realizations; sign-unitarization sends it to +1.
     """
-    mu = float(schedule.mu_primed[b.m] if b.primed else schedule.mu[b.m])
+    mu = b.block.mu
     b0u = _reflect(b.ib0, b.b0)
     b1u = _reflect(b.ib1, b.b1)
     z_star = (b0u + b1u) / (2.0 * np.cos(mu))
     x_star = (b0u - b1u) / (2.0 * np.sin(mu))
     return BlockFrame(
-        m=b.m,
-        primed=b.primed,
+        block=b.block,
         za=_reflect(b.ia0, b.a0),
         xa=_reflect(b.ia1, b.a1),
-        zb=sign_unitarize(z_star, zero_tol),
-        xb=sign_unitarize(x_star, zero_tol),
+        zb=sign_unitarize(z_star, ZERO_TOL),
+        xb=sign_unitarize(x_star, ZERO_TOL),
     )
 
 
@@ -236,34 +216,26 @@ class FrameReport:
     flip_residual: float
 
 
-def frame_identity_checks(
-    ops: BlockFrame,
-    b: BlockOperators,
-    r: Realization,
-    sc: SchmidtCoefficients,
-) -> FrameReport:
+def frame_identity_checks(frame: BlockFrame, b: BlockOperators, r: Realization) -> FrameReport:
     """Check Z agreement and the tan(theta) flip identity for one block.
 
     Both are evaluated on the block state ``1_m^{A_0}|psi>`` normalized by
     the claimed mass, so a realization lying about its coefficients shows
     up here rather than being silently renormalized away.
     """
-    lo, hi = b.pair
-    mass = float(sc.c[lo] ** 2 + sc.c[hi] ** 2)
-    if mass <= MASS_FLOOR:
+    blk = b.block
+    if blk.mass <= MASS_FLOOR:
         raise DegenerateBlockError(
-            f"block ({b.m}, primed={b.primed}) claimed mass {mass:.3e} below floor"
+            f"block ({blk.m}, primed={blk.primed}) claimed mass {blk.mass:.3e} below floor"
         )
-    sched = angles(sc)
-    theta = float(sched.theta_primed[b.m] if b.primed else sched.theta[b.m])
-    mat = _alice(b.ia0, r.state_matrix()) / np.sqrt(mass)
+    mat = _alice(b.ia0, r.state_matrix()) / np.sqrt(blk.mass)
     dim_a = r.dim_a
-    z_res = np.linalg.norm(_alice(ops.za, mat) - _bob(ops.zb, mat))
-    lhs = _alice(ops.xa @ (np.eye(dim_a) - ops.za), mat)
-    rhs = np.tan(theta) * _bob(ops.xb, _alice(np.eye(dim_a) + ops.za, mat))
+    z_res = np.linalg.norm(_alice(frame.za, mat) - _bob(frame.zb, mat))
+    lhs = _alice(frame.xa @ (np.eye(dim_a) - frame.za), mat)
+    rhs = np.tan(blk.theta) * _bob(frame.xb, _alice(np.eye(dim_a) + frame.za, mat))
     return FrameReport(
-        m=b.m,
-        primed=b.primed,
+        m=blk.m,
+        primed=blk.primed,
         z_residual=float(z_res),
         flip_residual=float(np.linalg.norm(lhs - rhs)),
     )
@@ -277,7 +249,7 @@ class CriterionOperators:
     sides; ``x_a[k]`` / ``x_b[k]`` the flip chains; ``z_a`` / ``z_b`` the
     phase operators ``sum_k omega^k P^(k)`` (the second party padded with
     identity off the covered range); `block_ops` and `frame_ops` keep the
-    per-block structures for reuse, keyed by (primed, m).
+    per-block structures for reuse, in :func:`blocks` order.
     """
 
     d: int
@@ -290,63 +262,45 @@ class CriterionOperators:
     x_b: list[np.ndarray]
     z_a: np.ndarray
     z_b: np.ndarray
-    block_ops: dict[tuple[bool, int], BlockOperators] = field(repr=False)
-    frame_ops: dict[tuple[bool, int], BlockFrame] = field(repr=False)
+    block_ops: tuple[BlockOperators, ...] = field(repr=False)
+    frame_ops: tuple[BlockFrame, ...] = field(repr=False)
 
 
-def build_criterion_ops(
-    r: Realization,
-    sc: SchmidtCoefficients,
-    *,
-    rank_tol: float = 1e-8,
-    zero_tol: float = 1e-10,
-) -> CriterionOperators:
+def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOperators:
     """Assemble projector ladders, flip chains, and phase operators.
 
-    The angle schedule comes from the claimed coefficients `sc`, never
-    from the realization's own statistics: an adversarial device gets
-    measured against the state it claims to produce.
+    The block angles come from the claimed coefficients `sc`, never from
+    the realization's own statistics: an adversarial device gets measured
+    against the state it claims to produce.
     """
     d = sc.d
-    sched = angles(sc)
+    block_ops = tuple(build_block_operators(r, blk) for blk in blocks(sc))
+    frame_ops = tuple(build_block_frame(b) for b in block_ops)
     n_blocks = d // 2
-
-    block_ops: dict[tuple[bool, int], BlockOperators] = {}
-    frame_ops: dict[tuple[bool, int], BlockFrame] = {}
-    for primed in (False, True):
-        for m in range(n_blocks):
-            b = build_block_operators(r, m, primed=primed)
-            block_ops[(primed, m)] = b
-            frame_ops[(primed, m)] = build_block_frame(b, sched, zero_tol=zero_tol)
 
     p_a = [r.alice[0].projectors[k].copy() for k in range(d)]
 
-    # Second party's ladder: cut each unprimed block's frame in two.
+    # Second party's ladder: cut each unprimed block's frame in two. For odd
+    # d the unprimed corner is the second outcome of the last primed block.
+    cuts = list(zip(block_ops[:n_blocks], frame_ops[:n_blocks]))
+    if corner(d, primed=False) is not None:
+        cuts.append((block_ops[-1], frame_ops[-1]))
     p_b: list[np.ndarray] = [np.zeros((r.dim_b, r.dim_b), dtype=complex) for _ in range(d)]
-    for m in range(n_blocks):
-        b = block_ops[(False, m)]
-        frame = frame_ops[(False, m)]
-        support = projector_onto_range(b.ib0 + b.ib1, rank_tol)
+    for b, frame in cuts:
+        support = projector_onto_range(b.ib0 + b.ib1, RANK_TOL)
         z_cut = support @ frame.zb @ support
-        lo, hi = b.pair
-        p_b[lo] = (support + z_cut) / 2.0
-        p_b[hi] = (support - z_cut) / 2.0
-    if d % 2:
-        # Top outcome comes from the last primed block's frame.
-        b = block_ops[(True, n_blocks - 1)]
-        frame = frame_ops[(True, n_blocks - 1)]
-        support = projector_onto_range(b.ib0 + b.ib1, rank_tol)
-        z_cut = support @ frame.zb @ support
-        p_b[d - 1] = (support - z_cut) / 2.0
+        if not b.block.primed:
+            p_b[b.block.lo] = (support + z_cut) / 2.0
+        p_b[b.block.hi] = (support - z_cut) / 2.0
 
-    # Flip chains, alternating unprimed and primed flips up the ladder.
+    # Flip chains climb the ladder through unprimed block 0, primed block
+    # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
+    steps = [f for pair in zip(frame_ops[:n_blocks], frame_ops[n_blocks:]) for f in pair]
     x_a: list[np.ndarray] = [np.eye(r.dim_a, dtype=complex)]
     x_b: list[np.ndarray] = [np.eye(r.dim_b, dtype=complex)]
-    for k in range(1, d):
-        m, parity = divmod(k - 1, 2)
-        frame = frame_ops[(bool(parity), m)]
-        x_a.append(x_a[k - 1] @ frame.xa)
-        x_b.append(x_b[k - 1] @ frame.xb)
+    for frame in steps[: d - 1]:
+        x_a.append(x_a[-1] @ frame.xa)
+        x_b.append(x_b[-1] @ frame.xb)
 
     omega = complex(np.exp(2j * np.pi / d))
     phases = omega ** np.arange(d)
@@ -553,12 +507,11 @@ def measurement_equivalence(
 ) -> list[MeasurementResidual]:
     """Transport each block observable through the isometry.
 
-    For every block and relevant setting, compares the isometry image of
-    ``O |psi>`` with the ideal block observable acting on the target state
-    next to the factored junk state. Small residuals certify the
+    For every block and each of its settings, compares the isometry image
+    of ``O |psi>`` with the ideal block observable acting on the target
+    state next to the factored junk state. Small residuals certify the
     measurements themselves, not just the state.
     """
-    sched = angles(sc)
     d = ops.d
     mat = r.state_matrix()
     stack_a = _ladder_stack(ops.z_a, ops.x_a, ops.omega)
@@ -566,35 +519,31 @@ def measurement_equivalence(
     junk = _junk_state(ops, mat)
     tgt = target_state(sc).reshape(d, d)
     out: list[MeasurementResidual] = []
-    for primed in (False, True):
-        a_settings = (0, 2) if primed else (0, 1)
-        b_settings = (2, 3) if primed else (0, 1)
-        mus = sched.mu_primed if primed else sched.mu
-        for m in range(d // 2):
-            b = ops.block_ops[(primed, m)]
-            lo, hi = b.pair
-            cos, sin = np.cos(mus[m]), np.sin(mus[m])
-            rows = (
-                ("A", a_settings[0], _alice(b.a0, mat), _two_level(d, lo, hi, 1.0, 0.0) @ tgt),
-                ("A", a_settings[1], _alice(b.a1, mat), _two_level(d, lo, hi, 0.0, 1.0) @ tgt),
-                ("B", b_settings[0], _bob(b.b0, mat), tgt @ _two_level(d, lo, hi, cos, sin).T),
-                ("B", b_settings[1], _bob(b.b1, mat), tgt @ _two_level(d, lo, hi, cos, -sin).T),
-            )
-            # One image at a time: a batch of images raises peak memory. The
-            # ideal image lives on the (lo, hi) x (lo, hi) ancilla slices only.
-            for side, setting, moved, ideal_target in rows:
-                image = _apply_isometry_matrix(stack_a, stack_b, moved)
-                for k, l in zip(*np.nonzero(ideal_target)):
-                    image[:, :, k, l] -= ideal_target[k, l] * junk
-                out.append(
-                    MeasurementResidual(
-                        side=side,
-                        setting=setting,
-                        m=m,
-                        primed=primed,
-                        residual=float(np.linalg.norm(image)),
-                    )
+    for b in ops.block_ops:
+        blk = b.block
+        lo, hi = blk.pair
+        cos, sin = np.cos(blk.mu), np.sin(blk.mu)
+        rows = (
+            ("A", blk.xs[0], _alice(b.a0, mat), _two_level(d, lo, hi, 1.0, 0.0) @ tgt),
+            ("A", blk.xs[1], _alice(b.a1, mat), _two_level(d, lo, hi, 0.0, 1.0) @ tgt),
+            ("B", blk.ys[0], _bob(b.b0, mat), tgt @ _two_level(d, lo, hi, cos, sin).T),
+            ("B", blk.ys[1], _bob(b.b1, mat), tgt @ _two_level(d, lo, hi, cos, -sin).T),
+        )
+        # One image at a time: a batch of images raises peak memory. The
+        # ideal image lives on the (lo, hi) x (lo, hi) ancilla slices only.
+        for side, setting, moved, ideal_target in rows:
+            image = _apply_isometry_matrix(stack_a, stack_b, moved)
+            for k, l in zip(*np.nonzero(ideal_target)):
+                image[:, :, k, l] -= ideal_target[k, l] * junk
+            out.append(
+                MeasurementResidual(
+                    side=side,
+                    setting=setting,
+                    m=blk.m,
+                    primed=blk.primed,
+                    residual=float(np.linalg.norm(image)),
                 )
+            )
     return out
 
 
@@ -631,15 +580,9 @@ class ExtractionReport:
         )
 
 
-def extraction_report(
-    r: Realization,
-    sc: SchmidtCoefficients,
-    *,
-    rank_tol: float = 1e-8,
-    zero_tol: float = 1e-10,
-) -> ExtractionReport:
+def extraction_report(r: Realization, sc: SchmidtCoefficients) -> ExtractionReport:
     """Run the whole pipeline on a realization and collect every residual."""
-    ops = build_criterion_ops(r, sc, rank_tol=rank_tol, zero_tol=zero_tol)
+    ops = build_criterion_ops(r, sc)
     crit = check_criterion(ops, r, sc)
     _, iso = apply_isometry(ops, r, sc)
     meas = measurement_equivalence(ops, r, sc)

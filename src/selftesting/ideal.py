@@ -1,36 +1,30 @@
 """Ideal reference realization: state plus projective measurements.
 
-The two parties measure a shared d-level pair. Settings and outcome
-conventions:
+The two parties measure a shared d-level pair. Each setting measures one
+two-level observable on every block of its family (see
+:func:`selftesting.schmidt.blocks` for the blocks, their settings and their
+corners):
 
-* First party (3 settings): setting 0 is the computational basis; setting 1
-  measures the two-level flip observable on every unprimed block; setting 2
-  does the same on every primed block. Within a block the +1 eigenvector is
-  assigned to the block's first outcome label and the -1 eigenvector to the
-  second. Leftover corner outcomes keep their computational projector.
-* Second party (4 settings): settings 0 and 1 measure the tilted observables
-  ``cos(mu) Z +/- sin(mu) X`` on the unprimed blocks, settings 2 and 3 the
-  primed analogues with the primed tilt angles. Same outcome convention.
+* first party: the block's first setting measures Z (the computational
+  basis), its second setting the flip observable X;
+* second party: the block's two settings measure the tilted observables
+  ``cos(mu) Z + sin(mu) X`` and ``cos(mu) Z - sin(mu) X``.
 
-All projectors are rank one except corner cases, and each measurement's
-projectors sum to the identity exactly by construction.
+Within a block the +1 eigenvector is assigned to the block's first outcome
+label and the -1 eigenvector to the second. A family's corner outcome keeps
+its computational projector. All projectors are rank one, and each
+measurement's projectors sum to the identity exactly by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, HermiticityError, NormalizationError
-from .schmidt import (
-    AngleSchedule,
-    SchmidtCoefficients,
-    angles,
-    primed_pairs,
-    target_state,
-    unprimed_pairs,
-)
+from .schmidt import Block, SchmidtCoefficients, blocks, corner, target_state
 
 __all__ = [
     "Measurement",
@@ -67,8 +61,9 @@ class Measurement:
     def dim(self) -> int:
         return int(self.projectors.shape[1])
 
-    def validate(self, tol: float = MEASUREMENT_TOL) -> None:
-        """Check finite, Hermitian, idempotent, mutually orthogonal, complete.
+    def validate(self) -> None:
+        """Check finite, Hermitian, idempotent, mutually orthogonal, complete,
+        each within ``MEASUREMENT_TOL``.
 
         Products ``P_j P_k`` for k >= j are formed one outcome row at a
         time, as ``P_j`` against the stack ``[P_j, ..., P_{n-1}]`` laid side
@@ -78,8 +73,8 @@ class Measurement:
         if not np.all(np.isfinite(p)):
             raise ValueError("projectors contain non-finite entries")
         herm = np.max(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))))
-        if herm > tol:
-            raise HermiticityError(f"projector asymmetry {herm:.3e} > {tol:.0e}")
+        if herm > MEASUREMENT_TOL:
+            raise HermiticityError(f"projector asymmetry {herm:.3e} > {MEASUREMENT_TOL:.0e}")
         n, dim = self.n_outcomes, self.dim
         right = p.transpose(1, 0, 2).reshape(dim, n * dim)
         worst = np.zeros((n, n))
@@ -87,14 +82,14 @@ class Measurement:
             row = (p[j] @ right[:, j * dim :]).reshape(dim, n - j, dim)
             row[:, 0] -= p[j]
             worst[j, j:] = np.max(np.abs(row), axis=(0, 2))
-        bad = np.argwhere(worst > tol)
+        bad = np.argwhere(worst > MEASUREMENT_TOL)
         if bad.size:
             j, k = bad[0]
             if j == k:
                 raise ValueError(f"outcome {j} projector not idempotent ({worst[j, j]:.3e})")
             raise ValueError(f"outcomes {j},{k} projectors overlap ({worst[j, k]:.3e})")
         comp = np.max(np.abs(p.sum(axis=0) - np.eye(self.dim)))
-        if comp > tol:
+        if comp > MEASUREMENT_TOL:
             raise ValueError(f"projectors sum off identity by {comp:.3e}")
 
 
@@ -124,7 +119,7 @@ class Realization:
         """The state as a dim_a x dim_b coefficient matrix."""
         return self.state.reshape(self.dim_a, self.dim_b)
 
-    def validate(self, tol: float = MEASUREMENT_TOL) -> None:
+    def validate(self) -> None:
         if self.dim_a < 2 or self.dim_b < 2:
             raise DimensionError(
                 f"local dimensions must be at least 2, got {self.dim_a}, {self.dim_b}"
@@ -136,8 +131,10 @@ class Realization:
         if not np.all(np.isfinite(self.state.view(float))):
             raise ValueError("state contains non-finite entries")
         norm_sq = float(np.real(np.vdot(self.state, self.state)))
-        if abs(norm_sq - 1.0) > tol:
-            raise NormalizationError(f"state squared norm {norm_sq!r} off 1 beyond {tol:.0e}")
+        if abs(norm_sq - 1.0) > MEASUREMENT_TOL:
+            raise NormalizationError(
+                f"state squared norm {norm_sq!r} off 1 beyond {MEASUREMENT_TOL:.0e}"
+            )
         if len(self.alice) != 3 or len(self.bob) != 4:
             raise ValueError(
                 f"need 3 first-party and 4 second-party settings, "
@@ -152,7 +149,7 @@ class Realization:
                     raise ValueError(
                         f"{label} setting {x} has {meas.n_outcomes} outcomes, expected {n}"
                     )
-                meas.validate(tol)
+                meas.validate()
 
 
 def _rank_one(dim: int, vec: np.ndarray) -> np.ndarray:
@@ -165,79 +162,74 @@ def _basis(dim: int, i: int) -> np.ndarray:
     return e
 
 
-def _block_flip_measurement(d: int, pairs: list[tuple[int, int]], corner: int | None) -> Measurement:
-    """Flip-observable eigenbasis on each block: outcomes (lo, hi) get the
-    (+1, -1) eigenvectors (e_lo +/- e_hi)/sqrt(2)."""
-    p = np.zeros((d, d, d), dtype=complex)
-    for lo, hi in pairs:
-        plus = (_basis(d, lo) + _basis(d, hi)) / np.sqrt(2)
-        minus = (_basis(d, lo) - _basis(d, hi)) / np.sqrt(2)
-        p[lo] = _rank_one(d, plus)
-        p[hi] = _rank_one(d, minus)
-    if corner is not None:
-        p[corner] = _rank_one(d, _basis(d, corner))
-    return Measurement(p)
+def _alice_vectors(d: int, b: Block, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors for outcomes (lo, hi): Z for setting i=0, X for i=1."""
+    lo, hi = _basis(d, b.lo), _basis(d, b.hi)
+    if i == 0:
+        return lo, hi
+    return (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
 
 
-def _tilted_measurement(
-    d: int, pairs: list[tuple[int, int]], mus: np.ndarray, sign: float, corner: int | None
-) -> Measurement:
-    """Eigenbasis of cos(mu) Z + sign * sin(mu) X on each block.
+def _bob_vectors(d: int, b: Block, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of cos(mu) Z + sign * sin(mu) X, sign + for i=0 and - for i=1.
 
     Outcome lo gets the +1 eigenvector cos(mu/2) e_lo + sign sin(mu/2) e_hi,
     outcome hi the orthogonal -1 eigenvector.
     """
-    p = np.zeros((d, d, d), dtype=complex)
-    for (lo, hi), mu in zip(pairs, mus):
-        ch, sh = np.cos(mu / 2), np.sin(mu / 2)
-        plus = ch * _basis(d, lo) + sign * sh * _basis(d, hi)
-        minus = -sign * sh * _basis(d, lo) + ch * _basis(d, hi)
-        p[lo] = _rank_one(d, plus)
-        p[hi] = _rank_one(d, minus)
-    if corner is not None:
-        p[corner] = _rank_one(d, _basis(d, corner))
-    return Measurement(p)
+    sign = 1.0 if i == 0 else -1.0
+    ch, sh = np.cos(b.mu / 2), np.sin(b.mu / 2)
+    lo, hi = _basis(d, b.lo), _basis(d, b.hi)
+    return ch * lo + sign * sh * hi, -sign * sh * lo + ch * hi
+
+
+def _measurements(
+    d: int,
+    table: tuple[Block, ...],
+    side: str,
+    vectors: Callable[[int, Block, int], tuple[np.ndarray, np.ndarray]],
+) -> tuple[Measurement, ...]:
+    """One party's measurements, in setting order.
+
+    ``side`` names the block field holding the party's settings ("xs" or
+    "ys"); the i-th of them measures ``vectors(d, b, i)`` on every block b
+    of the family, plus the family's corner. A setting shared by both
+    families (the first party's Z basis) is built from the first.
+    """
+    out: dict[int, Measurement] = {}
+    for primed in (False, True):
+        family = [b for b in table if b.primed == primed]
+        top = corner(d, primed)
+        for i, setting in enumerate(getattr(family[0], side)):
+            if setting in out:
+                continue
+            p = np.zeros((d, d, d), dtype=complex)
+            for b in family:
+                plus, minus = vectors(d, b, i)
+                p[b.lo] = _rank_one(d, plus)
+                p[b.hi] = _rank_one(d, minus)
+            if top is not None:
+                p[top] = _rank_one(d, _basis(d, top))
+            out[setting] = Measurement(p)
+    return tuple(out[x] for x in sorted(out))
 
 
 def ideal_alice(sc: SchmidtCoefficients) -> tuple[Measurement, ...]:
     """The first party's three ideal measurements."""
-    d = sc.d
-    computational = Measurement(
-        np.stack([_rank_one(d, _basis(d, i)) for i in range(d)])
-    )
-    unprimed_corner = d - 1 if d % 2 else None
-    primed_corner = 0 if d % 2 else None
-    return (
-        computational,
-        _block_flip_measurement(d, unprimed_pairs(d), unprimed_corner),
-        _block_flip_measurement(d, primed_pairs(d), primed_corner),
-    )
+    return _measurements(sc.d, blocks(sc), "xs", _alice_vectors)
 
 
-def ideal_bob(sc: SchmidtCoefficients, schedule: AngleSchedule | None = None) -> tuple[Measurement, ...]:
+def ideal_bob(sc: SchmidtCoefficients) -> tuple[Measurement, ...]:
     """The second party's four ideal tilted measurements."""
-    d = sc.d
-    sched = angles(sc) if schedule is None else schedule
-    unprimed_corner = d - 1 if d % 2 else None
-    primed_corner = 0 if d % 2 else None
-    unp = unprimed_pairs(d)
-    pri = primed_pairs(d)
-    return (
-        _tilted_measurement(d, unp, sched.mu, +1.0, unprimed_corner),
-        _tilted_measurement(d, unp, sched.mu, -1.0, unprimed_corner),
-        _tilted_measurement(d, pri, sched.mu_primed, +1.0, primed_corner),
-        _tilted_measurement(d, pri, sched.mu_primed, -1.0, primed_corner),
-    )
+    return _measurements(sc.d, blocks(sc), "ys", _bob_vectors)
 
 
 def ideal_realization(sc: SchmidtCoefficients) -> Realization:
     """Target state plus ideal measurements on both sides."""
-    d = sc.d
-    r = Realization(
-        dim_a=d,
-        dim_b=d,
+    table = blocks(sc)
+    return Realization(
+        dim_a=sc.d,
+        dim_b=sc.d,
         state=target_state(sc),
-        alice=ideal_alice(sc),
-        bob=ideal_bob(sc),
+        alice=_measurements(sc.d, table, "xs", _alice_vectors),
+        bob=_measurements(sc.d, table, "ys", _bob_vectors),
     )
-    return r

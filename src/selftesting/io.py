@@ -10,11 +10,12 @@ Formats (all plain JSON):
   state is row-major over (first, second) party indices, each setting is a
   list of per-outcome matrices, and every matrix entry is an [re, im] pair.
 
-Malformed documents raise :class:`ParseError` with the offending field, and
-so do tables with non-finite entries and realizations whose validation
-fails with a ``ValueError`` (non-finite state, broken projectors); domain
-violations with their own type (bad normalization, non-Hermitian
-projectors) surface as that type.
+Malformed documents raise :class:`ParseError` with the offending field
+(including non-numeric entries and ragged matrices), and so do tables with
+non-finite entries and realizations whose validation fails with a
+``ValueError`` (non-finite state, broken projectors); domain violations
+with their own type (bad normalization, non-Hermitian projectors) surface
+as that type.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def _field(doc: Any, name: str, path: str | Path) -> Any:
     return doc[name]
 
 
+def _float_array(value: Any, path: str | Path, where: str) -> np.ndarray:
+    """A JSON value as a float array; non-numeric or ragged data is a ParseError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: {where}: {e}") from None
+
+
 def load_coefficients(path: str | Path) -> SchmidtCoefficients:
     doc = _read_json(path)
     d = _field(doc, "d", path)
@@ -94,7 +103,7 @@ def load_tables(path: str | Path) -> CorrelationTables:
         if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
             raise ParseError(f"{path}: table key {key!r} is not of the form 'x,y'")
         x, y = int(parts[0]), int(parts[1])
-        arr = np.asarray(rows, dtype=float)
+        arr = _float_array(rows, path, f"table {key!r}")
         if arr.shape != (d, d):
             raise ParseError(f"{path}: table {key!r} has shape {arr.shape}, expected ({d}, {d})")
         tables[(x, y)] = arr
@@ -113,7 +122,7 @@ def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def _pairs_to_matrix(rows: Any, dim: int, where: str, path: str | Path) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    arr = _float_array(rows, path, where)
     if arr.shape != (dim, dim, 2):
         raise ParseError(
             f"{path}: {where} must be a {dim}x{dim} matrix of [re, im] pairs, got shape {arr.shape}"
@@ -139,13 +148,14 @@ def save_realization(r: Realization, path: str | Path) -> None:
     Path(path).write_text(json.dumps(realization_to_doc(r)) + "\n")
 
 
-def load_realization(path: str | Path, *, validate: bool = True) -> Realization:
+def load_realization(path: str | Path) -> Realization:
+    """Read and validate a realization."""
     doc = _read_json(path)
     dim_a = _field(doc, "dimA", path)
     dim_b = _field(doc, "dimB", path)
     if not isinstance(dim_a, int) or not isinstance(dim_b, int):
         raise ParseError(f"{path}: 'dimA' and 'dimB' must be integers")
-    state_raw = np.asarray(_field(doc, "state", path), dtype=float)
+    state_raw = _float_array(_field(doc, "state", path), path, "'state'")
     if state_raw.shape != (dim_a * dim_b, 2):
         raise ParseError(
             f"{path}: 'state' must be a list of dimA*dimB [re, im] pairs, got shape {state_raw.shape}"
@@ -176,9 +186,8 @@ def load_realization(path: str | Path, *, validate: bool = True) -> Realization:
         alice=read_side("alice", 3, dim_a),
         bob=read_side("bob", 4, dim_b),
     )
-    if validate:
-        try:
-            r.validate()
-        except ValueError as e:
-            raise ParseError(f"{path}: {e}") from None
+    try:
+        r.validate()
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
     return r

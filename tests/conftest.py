@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import selftesting
 from selftesting import SchmidtCoefficients
 from selftesting.harness import haar_unitary
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a subprocess that must import this same package:
+    its source directory goes first on PYTHONPATH."""
+    src = str(Path(selftesting.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_coefficients(d: int, seed: int) -> SchmidtCoefficients:

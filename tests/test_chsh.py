@@ -10,6 +10,7 @@ from selftesting import (
     block_correlators,
     block_scores,
     block_violation,
+    blocks,
     compute_tables,
     embed_realization,
     ideal_realization,
@@ -23,33 +24,37 @@ BETA_D4_M0 = 20 / np.sqrt(41) * 0.8
 BETA_D4_M0_PRIMED = TWO_SQRT_TWO * 0.32
 
 
+def _block(sc, m, primed=False):
+    return next(b for b in blocks(sc) if (b.m, b.primed) == (m, primed))
+
+
 def test_maximal_d2_correlators_and_score():
     sc = SchmidtCoefficients(np.array([1.0, 1.0]) / np.sqrt(2))
     t = reference_tables(sc)
-    corr = block_correlators(t, 2, 0)
+    corr = block_correlators(t, _block(sc, 0))
     assert abs(corr.a0) < 1e-14
     assert abs(corr.a0b0 - 1 / np.sqrt(2)) < 1e-14
     assert abs(corr.a0b1 - 1 / np.sqrt(2)) < 1e-14
     assert abs(corr.a1b0 - 1 / np.sqrt(2)) < 1e-14
     assert abs(corr.a1b1 + 1 / np.sqrt(2)) < 1e-14
-    score = block_violation(t, sc, 0)
+    score = block_violation(t, _block(sc, 0))
     assert abs(score.beta - TWO_SQRT_TWO) < 1e-10
     assert abs(score.residual) < 1e-12
 
 
 def test_marginal_correlator_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
-    corr = block_correlators(reference_tables(sc), 2, 0)
+    corr = block_correlators(reference_tables(sc), _block(sc, 0))
     assert abs(corr.a0 - (0.64 - 0.36)) < 1e-14
 
 
 def test_frozen_d4_block_values():
     sc = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
     t = reference_tables(sc)
-    unprimed = block_violation(t, sc, 0)
+    unprimed = block_violation(t, _block(sc, 0))
     assert abs(unprimed.beta - BETA_D4_M0) < 1e-12
     assert abs(unprimed.target - BETA_D4_M0) < 1e-12
-    primed = block_violation(t, sc, 0, primed=True)
+    primed = block_violation(t, _block(sc, 0, primed=True))
     assert abs(primed.beta - BETA_D4_M0_PRIMED) < 1e-12
     # the equal-coefficient primed block carries no tilt
     assert abs(primed.alpha) < 1e-14
@@ -66,13 +71,13 @@ def test_violation_identity_all_blocks():
 
 
 def test_block_scores_match_block_violation():
-    # one schedule per call must give exactly the per-block scores, also on
-    # sampled tables that meet no identity
+    # one block table per call must give exactly the per-block scores, also
+    # on sampled tables that meet no identity
     for d in (2, 3, 6, 9):
         sc = random_coefficients(d, seed=720 + d)
         r = embed_realization(ideal_realization(sc), EmbeddingSpec(extra_a=1, seed=d))
         for t in (compute_tables(r), sample_tables(r, 500, seed=d).estimated):
-            want = [block_violation(t, sc, m, primed=p) for p in (False, True) for m in range(d // 2)]
+            want = [block_violation(t, b) for b in blocks(sc)]
             assert block_scores(t, sc) == want
 
 
@@ -130,7 +135,7 @@ def test_quantum_bound_holds_on_rotated_realizations():
     # even d pairs outcome d-1 with outcome 0 in the primed family
     sc = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
     t = reference_tables(sc)
-    wrap = block_violation(t, sc, 1, primed=True)
+    wrap = block_violation(t, _block(sc, 1, primed=True))
     assert wrap.pair == (3, 0)
     assert abs(wrap.alpha - (-30 / np.sqrt(353))) < 1e-13
     assert abs(wrap.residual) < 1e-12

@@ -1,15 +1,13 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import selftesting
+from conftest import package_env
 from selftesting.cli import main
 
 
@@ -185,18 +183,48 @@ def test_coeffs_file_input(capsys, tmp_path):
     assert json.loads(out)["d"] == 2
 
 
-def test_module_entry_point():
-    # the subprocess imports the same package this test imported
-    src = str(Path(selftesting.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "selftesting", "generate", "--coeffs", "0.8,0.6"],
+def _module(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m selftesting`` on the package this test imported."""
+    return subprocess.run(
+        [sys.executable, "-m", "selftesting", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
     )
+
+
+def test_module_entry_point():
+    proc = _module("generate", "--coeffs", "0.8,0.6")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, keys, value",
+    [
+        ("verify", ("tables", "0,0", 0, 0), "abc"),
+        ("verify", ("tables", "0,0", 1), [0.5]),
+        ("extract", ("state", 0), ["abc", 0.0]),
+        ("extract", ("alice", 0, 0, 0, 0), ["abc", 0.0]),
+    ],
+    ids=["table-entry", "ragged-table-row", "state-entry", "projector-entry"],
+)
+def test_malformed_numbers_are_input_errors(capsys, tmp_path, command, keys, value):
+    # a non-numeric or ragged matrix is unusable input (exit 2), not a crash
+    path = tmp_path / "in.json"
+    source = "generate" if command == "verify" else "ideal"
+    run_cli(capsys, source, "--coeffs", "0.8,0.6", "-o", str(path))
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    proc = _module(command, str(path), "--coeffs", "0.8,0.6")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {path}:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_coefficients_is_usage_error(capsys, tmp_path):

@@ -114,6 +114,19 @@ def test_tables_reject_nonfinite_entries():
         CorrelationTables(d=2, tables=tables)
 
 
+def test_checks_propagate_nan_written_after_construction():
+    # the arrays stay mutable, so a NaN can still reach the residual folds,
+    # where a builtin max would drop it
+    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
+    for pair in constrained_pairs():
+        t = reference_tables(sc)
+        t.tables[pair][1, 1] = np.nan
+        rep = verify_tables(t, sc)
+        assert not rep.passed, pair
+        assert np.isnan(rep.block_residual) and np.isnan(rep.sum_residual), pair
+        assert np.isnan(no_signaling_check(t)), pair
+
+
 def test_two_routes_agree():
     for d in range(2, 10):
         for seed in range(3):

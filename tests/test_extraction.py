@@ -12,6 +12,7 @@ from selftesting import (
     angles,
     apply_isometry,
     block_identity_checks,
+    blocks,
     build_block_operators,
     build_criterion_ops,
     build_block_frame,
@@ -31,7 +32,7 @@ from selftesting.qlinalg import SIGMA_X, SIGMA_Z, dagger
 def test_block_operators_d2_are_paulis():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
-    b = build_block_operators(r, 0)
+    b = build_block_operators(r, blocks(sc)[0])
     assert np.allclose(b.a0, SIGMA_Z, atol=1e-14)
     assert np.allclose(b.a1, SIGMA_X, atol=1e-14)
     assert np.allclose(b.ia0, np.eye(2), atol=1e-14)
@@ -46,19 +47,18 @@ def test_block_identity_checks_ideal():
     for d in (2, 3, 4, 5):
         sc = random_coefficients(d, seed=900 + d)
         r = ideal_realization(sc)
-        for primed in (False, True):
-            for m in range(d // 2):
-                b = build_block_operators(r, m, primed=primed)
-                rep = block_identity_checks(b, r, sc)
-                assert np.max(rep.cross) < 1e-12
-                assert rep.mass_residual < 1e-12
+        for blk in blocks(sc):
+            b = build_block_operators(r, blk)
+            rep = block_identity_checks(b, r)
+            assert np.max(rep.cross) < 1e-12
+            assert rep.mass_residual < 1e-12
 
 
 def test_block_frame_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
-    b = build_block_operators(r, 0)
-    frame = build_block_frame(b, angles(sc))
+    b = build_block_operators(r, blocks(sc)[0])
+    frame = build_block_frame(b)
     assert np.allclose(frame.za, SIGMA_Z, atol=1e-12)
     assert np.allclose(frame.xa, SIGMA_X, atol=1e-12)
     assert np.allclose(frame.zb, SIGMA_Z, atol=1e-12)
@@ -69,14 +69,12 @@ def test_frame_identity_checks_ideal():
     for d in (2, 3, 4, 6):
         sc = random_coefficients(d, seed=950 + d)
         r = ideal_realization(sc)
-        sched = angles(sc)
-        for primed in (False, True):
-            for m in range(d // 2):
-                b = build_block_operators(r, m, primed=primed)
-                frame = build_block_frame(b, sched)
-                rep = frame_identity_checks(frame, b, r, sc)
-                assert rep.z_residual < 1e-12
-                assert rep.flip_residual < 1e-12
+        for blk in blocks(sc):
+            b = build_block_operators(r, blk)
+            frame = build_block_frame(b)
+            rep = frame_identity_checks(frame, b, r)
+            assert rep.z_residual < 1e-12
+            assert rep.flip_residual < 1e-12
 
 
 def test_frame_rejects_vanishing_claimed_mass():
@@ -84,10 +82,11 @@ def test_frame_rejects_vanishing_claimed_mass():
     c = np.array([np.sqrt(1 - 2 * eps**2), eps, eps])
     sc = SchmidtCoefficients(c)
     r = ideal_realization(sc)
-    b = build_block_operators(r, 0, primed=True)
-    frame = build_block_frame(b, angles(sc))
+    # the only primed block, pairing (1, 2)
+    b = build_block_operators(r, blocks(sc)[-1])
+    frame = build_block_frame(b)
     with pytest.raises(DegenerateBlockError):
-        frame_identity_checks(frame, b, r, sc)
+        frame_identity_checks(frame, b, r)
 
 
 def test_criterion_ops_ideal_structure():
@@ -152,7 +151,7 @@ def test_block_frames_hermitian_unitary_embedded():
         ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=1, seed=7)
     )
     ops = build_criterion_ops(r, sc)
-    for frame in ops.frame_ops.values():
+    for frame in ops.frame_ops:
         for u in (frame.za, frame.xa, frame.zb, frame.xb):
             assert np.max(np.abs(u - dagger(u))) < 1e-9
             assert np.max(np.abs(u @ u - np.eye(u.shape[0]))) < 1e-9
@@ -163,9 +162,10 @@ def test_flip_chain_products():
     sc = random_coefficients(4, seed=15)
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    xa_u0 = ops.frame_ops[(False, 0)].xa
-    xa_p0 = ops.frame_ops[(True, 0)].xa
-    xa_u1 = ops.frame_ops[(False, 1)].xa
+    # frame_ops follow blocks(sc): unprimed 0, unprimed 1, primed 0, primed 1
+    xa_u0 = ops.frame_ops[0].xa
+    xa_p0 = ops.frame_ops[2].xa
+    xa_u1 = ops.frame_ops[1].xa
     assert np.allclose(ops.x_a[0], np.eye(4), atol=1e-14)
     assert np.allclose(ops.x_a[1], xa_u0, atol=1e-13)
     assert np.allclose(ops.x_a[2], xa_u0 @ xa_p0, atol=1e-13)

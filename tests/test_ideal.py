@@ -7,7 +7,6 @@ from conftest import projector_stack, random_coefficients, random_ranges
 from selftesting import (
     Measurement,
     SchmidtCoefficients,
-    angles,
     ideal_alice,
     ideal_bob,
     ideal_realization,
@@ -170,15 +169,6 @@ def test_bob_tilt_signs_mirror():
     off0 = p0 - np.diag(np.diag(p0))
     off1 = p1 - np.diag(np.diag(p1))
     assert np.allclose(off0, -off1, atol=1e-14)
-
-
-def test_bob_schedule_override_consistent():
-    sc = random_coefficients(3, seed=4)
-    sched = angles(sc)
-    explicit = ideal_bob(sc, sched)
-    implicit = ideal_bob(sc)
-    for me, mi in zip(explicit, implicit):
-        assert np.allclose(me.projectors, mi.projectors)
 
 
 def test_realization_state_is_target():

@@ -96,6 +96,3 @@ def test_load_realization_validates_by_default(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(Exception):
         load_realization(path)
-    # opting out defers the judgement to the caller
-    loaded = load_realization(path, validate=False)
-    assert loaded.state[0] == 5.0

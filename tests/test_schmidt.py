@@ -7,9 +7,12 @@ from conftest import random_coefficients
 from selftesting import (
     SchmidtCoefficients,
     angles,
-    primed_pairs,
+    block_scores,
+    blocks,
+    corner,
+    pairs,
+    reference_tables,
     target_state,
-    unprimed_pairs,
 )
 from selftesting.errors import (
     CoefficientRangeError,
@@ -58,28 +61,50 @@ def test_no_sorting_no_renormalizing():
     assert sc.c[0] == 0.6 and sc.c[1] == 0.8
 
 
-def test_pair_structure_even():
-    assert unprimed_pairs(2) == [(0, 1)]
-    assert primed_pairs(2) == [(1, 0)]
-    assert unprimed_pairs(4) == [(0, 1), (2, 3)]
-    assert primed_pairs(4) == [(1, 2), (3, 0)]
-    assert unprimed_pairs(6) == [(0, 1), (2, 3), (4, 5)]
-    assert primed_pairs(6) == [(1, 2), (3, 4), (5, 0)]
+# d: (unprimed pairs, primed pairs, unprimed corner, primed corner)
+BLOCK_TABLE = {
+    2: ([(0, 1)], [(1, 0)], None, None),
+    3: ([(0, 1)], [(1, 2)], 2, 0),
+    4: ([(0, 1), (2, 3)], [(1, 2), (3, 0)], None, None),
+    5: ([(0, 1), (2, 3)], [(1, 2), (3, 4)], 4, 0),
+    6: ([(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4), (5, 0)], None, None),
+    7: ([(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4), (5, 6)], 6, 0),
+}
+SETTINGS = {False: ((0, 1), (0, 1)), True: ((0, 2), (2, 3))}
 
 
-def test_pair_structure_odd():
-    # odd d: outcome d-1 has no unprimed home, outcome 0 no primed home
-    assert unprimed_pairs(3) == [(0, 1)]
-    assert primed_pairs(3) == [(1, 2)]
-    assert unprimed_pairs(5) == [(0, 1), (2, 3)]
-    assert primed_pairs(5) == [(1, 2), (3, 4)]
+def test_block_table():
+    # even d: the last primed block wraps to (d-1, 0); odd d: outcome d-1
+    # has no unprimed home and outcome 0 no primed home
+    for d, (unprimed, primed, corner_u, corner_p) in BLOCK_TABLE.items():
+        sc = random_coefficients(d, seed=20 + d)
+        table = blocks(sc)
+        want = [
+            (fam, m, lo, hi, *SETTINGS[fam])
+            for fam, fam_pairs in ((False, unprimed), (True, primed))
+            for m, (lo, hi) in enumerate(fam_pairs)
+        ]
+        assert [(b.primed, b.m, b.lo, b.hi, b.xs, b.ys) for b in table] == want
+        assert pairs(d, False) == unprimed and pairs(d, True) == primed
+        assert corner(d, False) == corner_u and corner(d, True) == corner_p
+        for b in table:
+            assert b.pair == (b.lo, b.hi)
+            assert b.mass == sc.c[b.lo] ** 2 + sc.c[b.hi] ** 2
+        # angles() is a view of the table, family by family in order m
+        sched = angles(sc)
+        for name in ("theta", "mu", "alpha"):
+            got = np.concatenate([getattr(sched, name), getattr(sched, name + "_primed")])
+            assert np.array_equal(got, [getattr(b, name) for b in table])
+        # block_scores lists its blocks in table order
+        scores = block_scores(reference_tables(sc), sc)
+        assert [(s.primed, s.m, s.pair) for s in scores] == [(b.primed, b.m, b.pair) for b in table]
 
 
 def test_pair_structure_rejects_small_d():
     with pytest.raises(DimensionError):
-        unprimed_pairs(1)
+        pairs(1, False)
     with pytest.raises(DimensionError):
-        primed_pairs(0)
+        pairs(0, True)
 
 
 def test_angles_d2():
@@ -126,14 +151,9 @@ def test_angle_identity_tan_mu():
 def test_alpha_range_and_sign():
     for d in range(2, 10):
         sc = random_coefficients(d, seed=60 + d)
-        sched = angles(sc)
-        for pairs, al in (
-            (unprimed_pairs(d), sched.alpha),
-            (primed_pairs(d), sched.alpha_primed),
-        ):
-            for (lo, hi), a in zip(pairs, al):
-                assert -2.0 < a < 2.0
-                assert np.sign(a) == np.sign(sc.c[lo] - sc.c[hi]) or a == 0.0
+        for b in blocks(sc):
+            assert -2.0 < b.alpha < 2.0
+            assert np.sign(b.alpha) == np.sign(sc.c[b.lo] - sc.c[b.hi]) or b.alpha == 0.0
 
 
 def test_target_state():
