@@ -73,6 +73,23 @@ BLOCK_TABLE = {
 SETTINGS = {False: ((0, 1), (0, 1)), True: ((0, 2), (2, 3))}
 
 
+def test_pair_structure_even():
+    assert pairs(2, False) == [(0, 1)]
+    assert pairs(2, True) == [(1, 0)]
+    assert pairs(4, False) == [(0, 1), (2, 3)]
+    assert pairs(4, True) == [(1, 2), (3, 0)]
+    assert pairs(6, False) == [(0, 1), (2, 3), (4, 5)]
+    assert pairs(6, True) == [(1, 2), (3, 4), (5, 0)]
+
+
+def test_pair_structure_odd():
+    # odd d: outcome d-1 has no unprimed home, outcome 0 no primed home
+    assert pairs(3, False) == [(0, 1)]
+    assert pairs(3, True) == [(1, 2)]
+    assert pairs(5, False) == [(0, 1), (2, 3)]
+    assert pairs(5, True) == [(1, 2), (3, 4)]
+
+
 def test_block_table():
     # even d: the last primed block wraps to (d-1, 0); odd d: outcome d-1
     # has no unprimed home and outcome 0 no primed home
