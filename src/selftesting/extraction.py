@@ -560,17 +560,18 @@ class ExtractionReport:
     product_overlap: float
     measurement_residuals: list[MeasurementResidual]
 
+    # Fold with numpy, which propagates a NaN that the builtin max would drop.
     def max_criterion_residual(self) -> float:
         return float(
-            max(
-                np.max(self.projector_residuals),
-                np.max(self.chain_residuals),
-                np.max(self.chain_adjoint_residuals),
+            np.max(
+                np.concatenate(
+                    (self.projector_residuals, self.chain_residuals, self.chain_adjoint_residuals)
+                )
             )
         )
 
     def max_measurement_residual(self) -> float:
-        return max(v.residual for v in self.measurement_residuals)
+        return float(np.max([v.residual for v in self.measurement_residuals]))
 
     def passes(self, *, fidelity_min: float = 1 - 1e-6, residual_tol: float = 1e-6) -> bool:
         return (

@@ -14,6 +14,9 @@ Within a block the +1 eigenvector is assigned to the block's first outcome
 label and the -1 eigenvector to the second. A family's corner outcome keeps
 its computational projector. All projectors are rank one, and each
 measurement's projectors sum to the identity exactly by construction.
+
+Every ideal projector and the target state are real, so an ideal
+realization is stored, and multiplied, as float64 (see :func:`_real_or_complex`).
 """
 
 from __future__ import annotations
@@ -37,18 +40,34 @@ __all__ = [
 MEASUREMENT_TOL = 1e-10
 
 
+def _real_or_complex(a: np.ndarray) -> np.ndarray:
+    """`a` as float64 if no entry has a nonzero imaginary part, else complex128.
+
+    An imaginary part that is NaN or inf counts as nonzero, so such an entry
+    stays complex and the finiteness checks still see it. Real data goes
+    through the real BLAS paths, about four times cheaper than complex ones.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        if np.any(a.imag != 0):
+            return a.astype(complex, copy=False)
+        a = a.real
+    return np.ascontiguousarray(a, dtype=float)
+
+
 @dataclass(frozen=True)
 class Measurement:
     """A projective measurement as a stack of projectors.
 
     ``projectors[k]`` is the (possibly zero) projector of outcome k; the
-    stack has shape (n_outcomes, dim, dim).
+    stack has shape (n_outcomes, dim, dim). It is float64 when no entry has
+    a nonzero imaginary part, complex128 otherwise.
     """
 
     projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.projectors, dtype=complex)
+        p = _real_or_complex(self.projectors)
         if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise ValueError(f"projector stack must be (n, dim, dim), got {p.shape}")
         object.__setattr__(self, "projectors", p)
@@ -97,9 +116,10 @@ class Measurement:
 class Realization:
     """A concrete state and measurement assignment for both parties.
 
-    `state` is a flat vector on the product space, index ``i * dim_b + j``.
-    `alice` holds 3 measurements on the first factor, `bob` 4 on the second,
-    all with the same number of outcomes.
+    `state` is a flat vector on the product space, index ``i * dim_b + j``,
+    float64 when no entry has a nonzero imaginary part, complex128
+    otherwise. `alice` holds 3 measurements on the first factor, `bob` 4 on
+    the second, all with the same number of outcomes.
     """
 
     dim_a: int
@@ -109,7 +129,7 @@ class Realization:
     bob: tuple[Measurement, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=complex).reshape(-1))
+        object.__setattr__(self, "state", _real_or_complex(self.state).reshape(-1))
 
     @property
     def n_outcomes(self) -> int:
@@ -128,7 +148,7 @@ class Realization:
             raise ValueError(
                 f"state length {self.state.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
-        if not np.all(np.isfinite(self.state.view(float))):
+        if not np.all(np.isfinite(self.state)):
             raise ValueError("state contains non-finite entries")
         norm_sq = float(np.real(np.vdot(self.state, self.state)))
         if abs(norm_sq - 1.0) > MEASUREMENT_TOL:
@@ -152,12 +172,17 @@ class Realization:
                 meas.validate()
 
 
-def _rank_one(dim: int, vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
+def _rank_one(vec: np.ndarray) -> np.ndarray:
+    """Projector onto the real unit vector `vec`.
+
+    Adding 0.0 turns each -0.0 (a negative entry times a zero) into 0.0, so
+    a saved ideal realization holds no signed zeros.
+    """
+    return np.outer(vec, vec) + 0.0
 
 
 def _basis(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
+    e = np.zeros(dim)
     e[i] = 1.0
     return e
 
@@ -202,13 +227,13 @@ def _measurements(
         for i, setting in enumerate(getattr(family[0], side)):
             if setting in out:
                 continue
-            p = np.zeros((d, d, d), dtype=complex)
+            p = np.zeros((d, d, d))
             for b in family:
                 plus, minus = vectors(d, b, i)
-                p[b.lo] = _rank_one(d, plus)
-                p[b.hi] = _rank_one(d, minus)
+                p[b.lo] = _rank_one(plus)
+                p[b.hi] = _rank_one(minus)
             if top is not None:
-                p[top] = _rank_one(d, _basis(d, top))
+                p[top] = _rank_one(_basis(d, top))
             out[setting] = Measurement(p)
     return tuple(out[x] for x in sorted(out))
 

@@ -210,12 +210,12 @@ def angles(sc: SchmidtCoefficients) -> AngleSchedule:
 
 
 def target_state(sc: SchmidtCoefficients) -> np.ndarray:
-    """The diagonal two-party state sum_i c_i |ii> as a flat d*d vector.
+    """The diagonal two-party state sum_i c_i |ii> as a flat real d*d vector.
 
     No renormalization is applied; the norm inherits whatever residue the
     coefficient normalization check admitted.
     """
     d = sc.d
-    state = np.zeros(d * d, dtype=complex)
+    state = np.zeros(d * d)
     state[np.arange(d) * d + np.arange(d)] = sc.c
     return state

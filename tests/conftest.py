@@ -25,13 +25,16 @@ def random_coefficients(d: int, seed: int) -> SchmidtCoefficients:
     return SchmidtCoefficients(c / np.linalg.norm(c))
 
 
-def random_ranges(n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+def random_ranges(
+    n: int, dim: int, rng: np.random.Generator, real: bool = False
+) -> list[np.ndarray]:
     """Orthonormal bases of n mutually orthogonal subspaces spanning C^dim.
 
-    Each subspace gets at least one column of a Haar unitary and the
-    remaining dim - n columns go to random owners, so ranks vary.
+    Each subspace gets at least one column of a Haar unitary (with `real`,
+    of the orthogonal Q factor of a real Gaussian matrix) and the remaining
+    dim - n columns go to random owners, so ranks vary.
     """
-    u = haar_unitary(dim, rng)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)))[0] if real else haar_unitary(dim, rng)
     owner = np.concatenate([np.arange(n), rng.integers(0, n, dim - n)])
     return [u[:, owner == k] for k in range(n)]
 

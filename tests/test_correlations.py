@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -271,9 +273,36 @@ def test_no_signaling_detects_built_signaling():
     assert abs(res - 0.1) < 1e-12
 
 
+def _complex_copy(r: Realization) -> Realization:
+    """`r` with every array stored as complex128. The constructors store
+    such arrays as float64, so the complex copies are set afterwards."""
+
+    def as_complex(meas: Measurement) -> Measurement:
+        out = Measurement(meas.projectors)
+        object.__setattr__(out, "projectors", meas.projectors.astype(complex))
+        return out
+
+    out = replace(r, alice=tuple(map(as_complex, r.alice)), bob=tuple(map(as_complex, r.bob)))
+    object.__setattr__(out, "state", r.state.astype(complex))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 32])
+def test_real_device_tables_match_complex_arithmetic(d):
+    r = ideal_realization(random_coefficients(d, seed=500 + d))
+    rc = _complex_copy(r)
+    assert r.state.dtype == np.float64 and rc.state.dtype == np.complex128
+    assert rc.alice[0].projectors.dtype == np.complex128
+    real, cplx = compute_tables(r), compute_tables(rc)
+    for pair in real.pairs():
+        assert np.max(np.abs(real.table(*pair) - cplx.table(*pair))) <= 1e-15
+
+
 def test_compute_tables_rejects_nonhermitian_projectors():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
-    r.alice[0].projectors[0, 0, 1] += 1e-3j
+    stack = r.alice[0].projectors.astype(complex)
+    stack[0, 0, 1] += 1e-3j
+    r = replace(r, alice=(Measurement(stack), *r.alice[1:]))
     with pytest.raises(HermiticityError, match=r"pair \(0,0\)"):
         compute_tables(r)

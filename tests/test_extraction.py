@@ -24,7 +24,12 @@ from selftesting import (
     measurement_equivalence,
 )
 from selftesting.errors import DegenerateBlockError, IsometryConsistencyError
-from selftesting.extraction import _apply_isometry_matrix, _ladder_stack
+from selftesting.extraction import (
+    ExtractionReport,
+    MeasurementResidual,
+    _apply_isometry_matrix,
+    _ladder_stack,
+)
 from selftesting.ideal import Measurement, Realization
 from selftesting.qlinalg import SIGMA_X, SIGMA_Z, dagger
 
@@ -400,4 +405,25 @@ def test_extraction_fails_on_wrong_claim():
     sc_claim = SchmidtCoefficients(np.array([0.6, 0.8]))
     r = ideal_realization(sc_true)
     rep = extraction_report(r, sc_claim)
+    assert not rep.passes()
+
+
+def test_report_verdict_propagates_nan_residuals():
+    # a NaN after the first value must fail the verdict, not be skipped
+    nan = float("nan")
+    rep = ExtractionReport(
+        projector_residuals=np.zeros(2),
+        chain_residuals=np.array([0.0, nan]),
+        chain_adjoint_residuals=np.zeros(2),
+        pb_orthogonality_sum=0.0,
+        output_norm=1.0,
+        fidelity=1.0,
+        product_overlap=1.0,
+        measurement_residuals=[
+            MeasurementResidual(side="A", setting=0, m=0, primed=False, residual=r)
+            for r in (0.0, nan)
+        ],
+    )
+    assert np.isnan(rep.max_criterion_residual())
+    assert np.isnan(rep.max_measurement_residual())
     assert not rep.passes()

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import projector_stack, random_coefficients, random_ranges
 from selftesting import (
+    EmbeddingSpec,
     Measurement,
+    Realization,
     SchmidtCoefficients,
+    embed_realization,
     ideal_alice,
     ideal_bob,
     ideal_realization,
@@ -53,23 +56,25 @@ def _verdict(check) -> tuple[type, str] | None:
     return None
 
 
-def _perturbed_stack(seed: int) -> tuple[str, np.ndarray]:
+def _perturbed_stack(seed: int, real: bool = False) -> tuple[str, np.ndarray]:
     """Random projective measurement with one seeded defect of size eps.
 
     The defect is one of: nothing, a non-Hermitian entry, a scaled
     projector (idempotency), a vector leaning into another outcome's range
-    (overlap), or a dropped outcome (completeness).
+    (overlap), or a dropped outcome (completeness). With `real` the bases
+    are real orthogonal and the non-Hermitian entry is a real asymmetry,
+    so the stack stays real.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     dim = n + int(rng.integers(0, 4))
-    ranges = random_ranges(n, dim, rng)
+    ranges = random_ranges(n, dim, rng, real)
     p = projector_stack(ranges)
     kind = ("none", "hermiticity", "idempotency", "overlap", "completeness")[seed % 5]
     eps = 10.0 ** rng.uniform(-12, -3)
     j, k = (int(v) for v in rng.choice(n, size=2, replace=False))
     if kind == "hermiticity":
-        p[j, 0, dim - 1] += eps * 1j
+        p[j, 0, dim - 1] += eps if real else eps * 1j
     elif kind == "idempotency":
         p[j] *= 1 + eps
     elif kind == "overlap":
@@ -81,17 +86,27 @@ def _perturbed_stack(seed: int) -> tuple[str, np.ndarray]:
     return kind, p
 
 
-def test_validate_matches_pairwise_loop():
+def _assert_validate_matches_loop(real: bool) -> None:
     first_words = set()
     for seed in range(400):
-        kind, stack = _perturbed_stack(seed)
+        kind, stack = _perturbed_stack(seed, real)
         meas = Measurement(stack)
+        assert meas.projectors.dtype == (float if real else complex), (seed, kind)
         want = _verdict(lambda: _validate_loop(meas))
         assert _verdict(meas.validate) == want, (seed, kind)
         if want is not None:
             first_words.add(want[1].split()[0])
     # every failure kind was reached: asymmetry, idempotency, overlap, completeness
     assert first_words == {"projector", "outcome", "outcomes", "projectors"}
+
+
+def test_validate_matches_pairwise_loop():
+    _assert_validate_matches_loop(real=False)
+
+
+def test_validate_matches_pairwise_loop_real():
+    # the float64 path is exactly as strict as the complex one
+    _assert_validate_matches_loop(real=True)
 
 
 def test_validate_rejects_nonfinite_projectors():
@@ -103,6 +118,51 @@ def test_validate_rejects_nonfinite_projectors():
     stack[1, 0, 1] = complex(0.0, np.inf)
     with pytest.raises(ValueError, match="non-finite"):
         Measurement(stack).validate()
+
+
+def test_ideal_realization_is_real():
+    for d in (2, 3, 5, 32):
+        r = ideal_realization(random_coefficients(d, seed=400 + d))
+        assert r.state.dtype == np.float64
+        for meas in (*r.alice, *r.bob):
+            assert meas.projectors.dtype == np.float64
+
+
+def test_seeded_embedding_is_complex():
+    r = embed_realization(
+        ideal_realization(random_coefficients(3, seed=404)), EmbeddingSpec(1, 2, seed=7)
+    )
+    assert r.state.dtype == np.complex128
+    for meas in (*r.alice, *r.bob):
+        assert meas.projectors.dtype == np.complex128
+
+
+def test_zero_imaginary_parts_are_stored_real():
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    meas = Measurement(stack)
+    assert meas.projectors.dtype == np.float64
+    assert np.array_equal(meas.projectors, stack.real)
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    r = Realization(r.dim_a, r.dim_b, r.state.astype(complex), r.alice, r.bob)
+    assert r.state.dtype == np.float64
+    r.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_imaginary_parts_stay_complex(bad):
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    stack[1, 0, 1] = complex(0.0, bad)
+    meas = Measurement(stack)
+    assert meas.projectors.dtype == np.complex128
+    with pytest.raises(ValueError, match="non-finite"):
+        meas.validate()
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    state = r.state.astype(complex)
+    state[1] = complex(0.0, bad)
+    r = Realization(r.dim_a, r.dim_b, state, r.alice, r.bob)
+    assert r.state.dtype == np.complex128
+    with pytest.raises(ValueError, match="non-finite"):
+        r.validate()
 
 
 def test_ideal_measurements_are_valid_projective():

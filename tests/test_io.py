@@ -44,6 +44,10 @@ def test_realization_roundtrip(tmp_path):
     back = load_realization(path)
     assert back.dim_a == r.dim_a and back.dim_b == r.dim_b
     assert np.max(np.abs(back.state - r.state)) < 1e-15
+    # a real device comes back real and equal
+    assert back.state.dtype == np.float64 and np.array_equal(back.state, r.state)
+    for a, b in zip((*r.alice, *r.bob), (*back.alice, *back.bob)):
+        assert b.projectors.dtype == np.float64 and np.array_equal(a.projectors, b.projectors)
     t0 = compute_tables(r)
     t1 = compute_tables(back)
     for pair in t0.pairs():
