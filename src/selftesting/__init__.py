@@ -29,7 +29,6 @@ from .errors import (
     IsometryConsistencyError,
     NormalizationError,
     ParseError,
-    RankError,
     SelfTestingError,
 )
 from .extraction import (

@@ -159,7 +159,7 @@ def _run(args: argparse.Namespace) -> int:
             "projector_residuals": report.projector_residuals.tolist(),
             "chain_residuals": report.chain_residuals.tolist(),
             "chain_adjoint_residuals": report.chain_adjoint_residuals.tolist(),
-            "pb_orthogonality_sum": report.pb_orthogonality_sum,
+            "ladder_rounding": report.ladder_rounding,
             "output_norm": report.output_norm,
             "fidelity": report.fidelity,
             "product_overlap": report.product_overlap,

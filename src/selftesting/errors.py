@@ -17,7 +17,6 @@ __all__ = [
     "AngleRangeError",
     "CoverageError",
     "DegenerateBlockError",
-    "RankError",
     "IsometryConsistencyError",
     "ParseError",
 ]
@@ -53,10 +52,6 @@ class CoverageError(SelfTestingError):
 
 class DegenerateBlockError(SelfTestingError):
     """A 2x2 block carries too little state mass to be processed."""
-
-
-class RankError(SelfTestingError):
-    """Rank detection hit an eigenvalue inside the ambiguity band."""
 
 
 class IsometryConsistencyError(SelfTestingError):

@@ -16,29 +16,35 @@ stages mirror the proof structure:
    two anchor identities: Z agreement across parties, and the flip
    identity with slope tan(theta).
 3. Outcome projector ladder. The first party uses its computational
-   projectors directly. The second party's projector for outcome k is cut
-   from the block frame: with P the orthogonal projector onto the combined
-   range of the block identities and Zt the compressed Z, the pair is
-   ``(P + Zt)/2`` and ``(P - Zt)/2``. When d is odd the top outcome is the
-   unprimed corner and is built from the last primed block instead.
+   projectors directly. The second party's ladder is first cut from the
+   block frame: with P the orthogonal projector onto the eigenvectors of
+   the combined block identity ``1_m^{B_0} + 1_m^{B_1}`` with eigenvalue
+   above 1, and Zt the compressed Z, the cut pair is ``(P + Zt)/2`` and
+   ``(P - Zt)/2``. When d is odd the top outcome is the unprimed corner
+   and is cut from the last primed block instead. The cut ladder is
+   orthogonal only for exact inputs, so it is rounded: each eigenvector of
+   the Hermitian part of the label operator ``L = sum_k k P_cut^(k)`` gets
+   the nearest label in 0..d-1, and ``P^(k)`` projects onto the
+   eigenvectors labelled k. These are orthogonal and complete by
+   construction; the range no block covers has label 0. The on-state
+   rounding displacement ``sum_k ||(P^(k) - P_cut^(k))|psi>||^2`` is
+   reported and vanishes for exact inputs.
 4. Flip chains. Walking the outcome ladder alternates unprimed and primed
    flips: ``X^(2m+1) = X^(2m) X_m`` and ``X^(2m+2) = X^(2m+1) Y_m``, with
    ``X^(0) = identity``. The chain criterion states that the chains steer
    every outcome's weight onto outcome 0 with ratio c_k / c_0.
 5. The extraction isometry deposits the target state on an ancilla pair,
    with the leftover state factored out. The paper writes it as a circuit
-   on each side: ancilla Fourier F, controlled phase powers Z^j, inverse
-   Fourier, controlled flip chains X^(k). Its first three stages,
-   ``F^dagger diag(Z^j) F``, send ``|psi>|0>`` to
-   ``(1/d) sum_{j,k} omega^(-jk) Z^j|psi>|k> = sum_k Pi^(k)|psi>|k>`` with
-   ``Pi^(k) = (1/d) sum_j omega^(-jk) Z^j``; the flip stage then applies
-   ``X^(k)`` next to ancilla k. On both sides this is the closed form
-   ``V|psi> = sum_{k,l} (X_A^(k) Pi_A^(k) (x) X_B^(l) Pi_B^(l))|psi>|k,l>``,
-   computed as one contraction against two stacks of d operators.
-
-Orthogonalizing the second party's outcome projectors globally (rather
-than on the state) is out of scope; the on-state orthogonality sum is
-reported instead and vanishes for exact inputs.
+   on each side: ancilla Fourier F, controlled phase powers Z^j with
+   ``Z = sum_k omega^k P^(k)``, inverse Fourier, controlled flip chains
+   X^(k). For exact projectors its first three stages send ``|psi>|0>`` to
+   ``sum_k P^(k)|psi>|k>``, and the flip stage then applies ``X^(k)`` next
+   to ancilla k. So on each side ``V = sum_k X^(k) P^(k) (x) |k>``, and
+   on both sides
+   ``V|psi> = sum_{k,l} (X_A^(k) P_A^(k) (x) X_B^(l) P_B^(l))|psi>|k,l>``,
+   computed as one contraction against two stacks of d operators. The
+   ladders are projective and the flips unitary, so V is an isometry on
+   every valid realization, not only on exact ones.
 """
 
 from __future__ import annotations
@@ -47,9 +53,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBlockError, IsometryConsistencyError
+from .errors import (
+    DegenerateBlockError,
+    HermiticityError,
+    IsometryConsistencyError,
+    NormalizationError,
+)
 from .ideal import Realization
-from .qlinalg import dagger, projector_onto_range, pure_fidelity, sign_unitarize
 from .schmidt import Block, SchmidtCoefficients, blocks, corner, target_state
 
 __all__ = [
@@ -79,12 +89,55 @@ MASS_FLOOR = 1e-12
 #: Allowed deviation of the isometry output norm from the input norm.
 NORM_BUDGET = 1e-6
 
-#: Eigenvalue band of `projector_onto_range` when cutting the second
-#: party's outcome projectors from the block identities.
-RANK_TOL = 1e-8
-
 #: Eigenvalues within this of zero are sent to +1 by `sign_unitarize`.
 ZERO_TOL = 1e-10
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return a.conj().T
+
+
+def sign_unitarize(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Sign function of the Hermitian part of `h`, zero eigenspace sent to +1.
+
+    Eigenvalues below ``-zero_tol`` map to -1; everything else, including
+    the band around zero, maps to +1. The result is Hermitian and unitary,
+    and commutes with ``(h + h^dagger) / 2``.
+    """
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    signs = np.where(w < -zero_tol, -1.0, 1.0)
+    return (v * signs) @ dagger(v)
+
+
+def pure_fidelity(
+    rho: np.ndarray, target: np.ndarray, *, trace_tol: float = 1e-8
+) -> float:
+    """Fidelity of a density matrix against a pure target state.
+
+    Equals ``<target| rho |target>``. `rho` must be Hermitian with unit
+    trace within `trace_tol`; `target` must be a unit vector.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"rho must be a square matrix, got shape {rho.shape}")
+    target = np.asarray(target, dtype=complex).reshape(-1)
+    if target.size != rho.shape[0]:
+        raise ValueError(
+            f"target length {target.size} does not match rho dimension {rho.shape[0]}"
+        )
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > trace_tol:
+        raise NormalizationError(f"rho trace {tr} deviates from 1 beyond {trace_tol:.1e}")
+    dev = np.max(np.abs(rho - dagger(rho)))
+    if dev > trace_tol:
+        raise HermiticityError(f"rho deviates from Hermitian by {dev:.3e}")
+    nrm = np.linalg.norm(target)
+    if abs(nrm - 1.0) > 1e-12:
+        raise NormalizationError(f"target norm {nrm} deviates from 1 beyond 1e-12")
+    val = float(np.real(dagger(target) @ rho @ target))
+    # PSD rho keeps this in [0, 1]; trim float dust only.
+    return min(max(val, 0.0), 1.0)
 
 
 def _alice(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -246,28 +299,26 @@ class CriterionOperators:
     """Everything the chain criterion and the isometry consume.
 
     ``p_a[k]`` and ``p_b[k]`` are the outcome-k projectors on the two
-    sides; ``x_a[k]`` / ``x_b[k]`` the flip chains; ``z_a`` / ``z_b`` the
-    phase operators ``sum_k omega^k P^(k)`` (the second party padded with
-    identity off the covered range); `block_ops` and `frame_ops` keep the
-    per-block structures for reuse, in :func:`blocks` order.
+    sides, each ladder orthogonal and complete; ``p_cut[k]`` is the second
+    party's ladder as cut from the block frames, before rounding;
+    ``x_a[k]`` / ``x_b[k]`` the flip chains; `block_ops` and `frame_ops`
+    keep the per-block structures for reuse, in :func:`blocks` order.
     """
 
     d: int
     dim_a: int
     dim_b: int
-    omega: complex
     p_a: list[np.ndarray]
     p_b: list[np.ndarray]
+    p_cut: list[np.ndarray]
     x_a: list[np.ndarray]
     x_b: list[np.ndarray]
-    z_a: np.ndarray
-    z_b: np.ndarray
     block_ops: tuple[BlockOperators, ...] = field(repr=False)
     frame_ops: tuple[BlockFrame, ...] = field(repr=False)
 
 
 def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOperators:
-    """Assemble projector ladders, flip chains, and phase operators.
+    """Assemble the projector ladders and the flip chains.
 
     The block angles come from the claimed coefficients `sc`, never from
     the realization's own statistics: an adversarial device gets measured
@@ -285,13 +336,23 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     cuts = list(zip(block_ops[:n_blocks], frame_ops[:n_blocks]))
     if corner(d, primed=False) is not None:
         cuts.append((block_ops[-1], frame_ops[-1]))
-    p_b: list[np.ndarray] = [np.zeros((r.dim_b, r.dim_b), dtype=complex) for _ in range(d)]
+    p_cut: list[np.ndarray] = [np.zeros((r.dim_b, r.dim_b)) for _ in range(d)]
     for b, frame in cuts:
-        support = projector_onto_range(b.ib0 + b.ib1, RANK_TOL)
+        # Exact block identities have eigenvalues 0 and 2 only.
+        w, v = np.linalg.eigh(b.ib0 + b.ib1)
+        keep = v[:, w > 1.0]
+        support = keep @ dagger(keep)
         z_cut = support @ frame.zb @ support
         if not b.block.primed:
-            p_b[b.block.lo] = (support + z_cut) / 2.0
-        p_b[b.block.hi] = (support - z_cut) / 2.0
+            p_cut[b.block.lo] = (support + z_cut) / 2.0
+        p_cut[b.block.hi] = (support - z_cut) / 2.0
+
+    # Round the cut ladder to a projective one: the eigenvectors of the
+    # label operator, grouped by their nearest label.
+    label = sum(k * p for k, p in enumerate(p_cut))
+    w, v = np.linalg.eigh((label + dagger(label)) / 2)
+    labels = np.clip(np.rint(w), 0, d - 1)
+    p_b = [u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]
 
     # Flip chains climb the ladder through unprimed block 0, primed block
     # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
@@ -302,23 +363,15 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
         x_a.append(x_a[-1] @ frame.xa)
         x_b.append(x_b[-1] @ frame.xb)
 
-    omega = complex(np.exp(2j * np.pi / d))
-    phases = omega ** np.arange(d)
-    z_a = sum(phases[k] * p_a[k] for k in range(d))
-    covered = sum(p_b)
-    z_b = sum(phases[k] * p_b[k] for k in range(d)) + np.eye(r.dim_b) - covered
-
     return CriterionOperators(
         d=d,
         dim_a=r.dim_a,
         dim_b=r.dim_b,
-        omega=omega,
         p_a=p_a,
         p_b=p_b,
+        p_cut=p_cut,
         x_a=x_a,
         x_b=x_b,
-        z_a=z_a,
-        z_b=z_b,
         block_ops=block_ops,
         frame_ops=frame_ops,
     )
@@ -334,14 +387,14 @@ class CriterionReport:
     ``chain_map_adjoint[k]`` the equivalent single-sided form with the second
     party's chain moved to the other side as an adjoint; both are reported
     because they differ in how they consume the projector agreement.
-    ``pb_orthogonality_sum`` is ``sum_{i != j} ||P_B^(i) P_B^(j)|psi>||^2``,
-    the on-state surrogate for globally orthogonalized projectors.
+    ``ladder_rounding`` is ``sum_k ||(P_B^(k) - P_cut^(k))|psi>||^2``, how far
+    rounding the cut ladder to a projective one moved the state.
     """
 
     projector_match: np.ndarray
     chain_map: np.ndarray
     chain_map_adjoint: np.ndarray
-    pb_orthogonality_sum: float
+    ladder_rounding: float
 
 
 def check_criterion(
@@ -362,35 +415,15 @@ def check_criterion(
         chain_map[k] = np.linalg.norm(lhs - ratio * extra)
         lhs_adj = _alice(ops.x_a[k] @ ops.p_a[k], mat)
         chain_adj[k] = np.linalg.norm(lhs_adj - ratio * _bob(dagger(ops.x_b[k]), extra))
-    ortho = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                ortho += np.linalg.norm(_bob(ops.p_b[i] @ ops.p_b[j], mat)) ** 2
+    rounding = sum(
+        np.linalg.norm(_bob(p - p_cut, mat)) ** 2 for p, p_cut in zip(ops.p_b, ops.p_cut)
+    )
     return CriterionReport(
         projector_match=projector_match,
         chain_map=chain_map,
         chain_map_adjoint=chain_adj,
-        pb_orthogonality_sum=float(ortho),
+        ladder_rounding=float(rounding),
     )
-
-
-def _ladder_stack(z: np.ndarray, x: list[np.ndarray], omega: complex) -> np.ndarray:
-    """The stack ``X^(k) Pi^(k)`` of one party, shape ``(d, dim, dim)``.
-
-    ``Pi^(k) = (1/d) sum_j omega^(-jk) Z^j``, with the powers of Z taken by
-    repeated products, as the controlled phase stage of the circuit takes
-    them. For an exactly unitary Z with spectrum in the d-th roots of unity,
-    ``Pi^(k)`` is the projector onto its omega^k eigenspace.
-    """
-    d = len(x)
-    powers = np.empty((d, *z.shape), dtype=complex)
-    powers[0] = np.eye(z.shape[0])
-    for j in range(1, d):
-        powers[j] = powers[j - 1] @ z
-    grid = np.arange(d)
-    pi = np.tensordot(omega ** -np.outer(grid, grid) / d, powers, axes=1)
-    return np.stack(x) @ pi
 
 
 def _apply_isometry_matrix(
@@ -398,10 +431,10 @@ def _apply_isometry_matrix(
 ) -> np.ndarray:
     """Apply the extraction isometry to an arbitrary two-party vector.
 
-    `stack_a` and `stack_b` are the two parties' ``X^(k) Pi^(k)`` stacks
-    from `_ladder_stack`. Returns the amplitude tensor over (first party,
-    second party, first ancilla, second ancilla):
-    ``V|psi> = sum_{k,l} (X_A^(k) Pi_A^(k) (x) X_B^(l) Pi_B^(l))|psi>|k,l>``.
+    `stack_a` and `stack_b` are the two parties' ``X^(k) P^(k)`` stacks.
+    Returns the amplitude tensor over (first party, second party, first
+    ancilla, second ancilla):
+    ``V|psi> = sum_{k,l} (X_A^(k) P_A^(k) (x) X_B^(l) P_B^(l))|psi>|k,l>``.
 
     This is the contraction ``"kia,ab,ljb->ijkl"``, done as two matrix
     products because einsum's path search costs more than the products
@@ -449,9 +482,7 @@ def apply_isometry(
     """
     mat = r.state_matrix()
     psi = _apply_isometry_matrix(
-        _ladder_stack(ops.z_a, ops.x_a, ops.omega),
-        _ladder_stack(ops.z_b, ops.x_b, ops.omega),
-        mat,
+        np.stack(ops.x_a) @ np.stack(ops.p_a), np.stack(ops.x_b) @ np.stack(ops.p_b), mat
     )
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_BUDGET:
@@ -514,8 +545,8 @@ def measurement_equivalence(
     """
     d = ops.d
     mat = r.state_matrix()
-    stack_a = _ladder_stack(ops.z_a, ops.x_a, ops.omega)
-    stack_b = _ladder_stack(ops.z_b, ops.x_b, ops.omega)
+    stack_a = np.stack(ops.x_a) @ np.stack(ops.p_a)
+    stack_b = np.stack(ops.x_b) @ np.stack(ops.p_b)
     junk = _junk_state(ops, mat)
     tgt = target_state(sc).reshape(d, d)
     out: list[MeasurementResidual] = []
@@ -554,7 +585,7 @@ class ExtractionReport:
     projector_residuals: np.ndarray
     chain_residuals: np.ndarray
     chain_adjoint_residuals: np.ndarray
-    pb_orthogonality_sum: float
+    ladder_rounding: float
     output_norm: float
     fidelity: float
     product_overlap: float
@@ -591,7 +622,7 @@ def extraction_report(r: Realization, sc: SchmidtCoefficients) -> ExtractionRepo
         projector_residuals=crit.projector_match,
         chain_residuals=crit.chain_map,
         chain_adjoint_residuals=crit.chain_map_adjoint,
-        pb_orthogonality_sum=crit.pb_orthogonality_sum,
+        ladder_rounding=crit.ladder_rounding,
         output_norm=iso.output_norm,
         fidelity=iso.fidelity,
         product_overlap=iso.product_overlap,

@@ -4,10 +4,16 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 import selftesting
 from selftesting import SchmidtCoefficients
 from selftesting.harness import haar_unitary
+from selftesting.ideal import Measurement, Realization
+
+# Property tests draw the same examples on every run.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 def package_env() -> dict[str, str]:
@@ -23,6 +29,28 @@ def random_coefficients(d: int, seed: int) -> SchmidtCoefficients:
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.2, 1.0, size=d)
     return SchmidtCoefficients(c / np.linalg.norm(c))
+
+
+def perturbed_realization(r: Realization, eps: float, seed: int) -> Realization:
+    """`r` with Gaussian noise on its state and each measurement rotated by exp(i eps H)."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((2, r.state.size))
+    state = r.state + eps * (noise[0] + 1j * noise[1])
+
+    def rotate(meas):
+        h = rng.standard_normal((2, meas.dim, meas.dim))
+        h = h[0] + 1j * h[1]
+        w, v = np.linalg.eigh(h + h.conj().T)
+        u = (v * np.exp(0.5j * eps * w)) @ v.conj().T
+        return Measurement(u @ meas.projectors @ u.conj().T)
+
+    return Realization(
+        r.dim_a,
+        r.dim_b,
+        state / np.linalg.norm(state),
+        tuple(map(rotate, r.alice)),
+        tuple(map(rotate, r.bob)),
+    )
 
 
 def random_ranges(

@@ -124,6 +124,16 @@ def test_ideal_extract_pipeline(capsys, tmp_path):
     assert max(doc["projector_residuals"]) < 1e-9
 
 
+def test_extract_reports_ladder_rounding(capsys, tmp_path):
+    real = tmp_path / "r.json"
+    run_cli(capsys, "ideal", "--coeffs", "0.8,0.48,0.36", "-o", str(real))
+    code, out, _ = run_cli(capsys, "extract", str(real), "--coeffs", "0.8,0.48,0.36")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ladder_rounding"] == 0.0
+    assert "pb_orthogonality_sum" not in doc
+
+
 def test_extract_fails_on_wrong_claim(capsys, tmp_path):
     real = tmp_path / "r.json"
     run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_coefficients
+from conftest import perturbed_realization, random_coefficients
 from selftesting import (
     EmbeddingSpec,
     SchmidtCoefficients,
@@ -28,10 +28,12 @@ from selftesting.extraction import (
     ExtractionReport,
     MeasurementResidual,
     _apply_isometry_matrix,
-    _ladder_stack,
+    dagger,
 )
-from selftesting.ideal import Measurement, Realization
-from selftesting.qlinalg import SIGMA_X, SIGMA_Z, dagger
+from selftesting.ideal import Measurement
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.diag([1.0, -1.0])
 
 
 def test_block_operators_d2_are_paulis():
@@ -104,10 +106,8 @@ def test_criterion_ops_ideal_structure():
         e[k] = 1.0
         assert np.allclose(ops.p_a[k], np.outer(e, e), atol=1e-12)
         assert np.allclose(ops.p_b[k], np.outer(e, e), atol=1e-10)
-    # phase operators are the diagonal root-of-unity ladder
-    want = np.diag(ops.omega ** np.arange(d))
-    assert np.allclose(ops.z_a, want, atol=1e-12)
-    assert np.allclose(ops.z_b, want, atol=1e-10)
+        # an exact cut ladder is already projective
+        assert np.allclose(ops.p_cut[k], np.outer(e, e), atol=1e-10)
 
 
 def test_criterion_ops_odd_d_top_outcome():
@@ -136,18 +136,27 @@ def test_criterion_operator_invariants_embedded():
     r = embed_realization(
         ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=2, seed=6)
     )
-    ops = build_criterion_ops(r, sc)
-    total = np.zeros((r.dim_a, r.dim_a), dtype=complex)
-    for p in ops.p_a:
-        assert np.max(np.abs(p - dagger(p))) < 1e-10
-        assert np.max(np.abs(p @ p - p)) < 1e-10
-        total = total + p
-    assert np.max(np.abs(total - np.eye(r.dim_a))) < 1e-10
-    for p in ops.p_b:
-        assert np.max(np.abs(p - dagger(p))) < 1e-10
-        assert np.max(np.abs(p @ p - p)) < 1e-9
-    for u in (ops.z_a, ops.z_b, *ops.x_a, *ops.x_b):
-        assert np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) < 1e-9
+    cases = [(sc, r)]
+    for d in (3, 8):
+        sc_noisy = random_coefficients(d, seed=100 + d)
+        cases.append((sc_noisy, perturbed_realization(ideal_realization(sc_noisy), 1e-2, seed=1)))
+    for sc, r in cases:
+        ops = build_criterion_ops(r, sc)
+        total = np.zeros((r.dim_a, r.dim_a), dtype=complex)
+        for p in ops.p_a:
+            assert np.max(np.abs(p - dagger(p))) < 1e-10
+            assert np.max(np.abs(p @ p - p)) < 1e-10
+            total = total + p
+        assert np.max(np.abs(total - np.eye(r.dim_a))) < 1e-10
+        for p in ops.p_b:
+            assert np.max(np.abs(p - dagger(p))) < 1e-10
+            assert np.max(np.abs(p @ p - p)) < 1e-9
+        assert np.max(np.abs(sum(ops.p_b) - np.eye(r.dim_b))) < 1e-12
+        for i, p in enumerate(ops.p_b):
+            for q in ops.p_b[i + 1 :]:
+                assert np.max(np.abs(p @ q)) < 1e-12
+        for u in (*ops.x_a, *ops.x_b):
+            assert np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) < 1e-9
 
 
 def test_block_frames_hermitian_unitary_embedded():
@@ -191,7 +200,7 @@ def test_criterion_residuals_ideal():
         assert np.max(rep.projector_match) < 1e-12
         assert np.max(rep.chain_map) < 1e-12
         assert np.max(rep.chain_map_adjoint) < 1e-12
-        assert rep.pb_orthogonality_sum < 1e-20
+        assert rep.ladder_rounding < 1e-20
         # k=0 uses identity chains on both sides: exactly zero
         assert rep.chain_map[0] == 0.0
         assert rep.chain_map_adjoint[0] == 0.0
@@ -209,33 +218,34 @@ def test_chain_norms_telescope():
 
 
 def _stacks(ops):
-    return (
-        _ladder_stack(ops.z_a, ops.x_a, ops.omega),
-        _ladder_stack(ops.z_b, ops.x_b, ops.omega),
-    )
+    return np.stack(ops.x_a) @ np.stack(ops.p_a), np.stack(ops.x_b) @ np.stack(ops.p_b)
 
 
-def _circuit(ops, mat):
-    """Reference: the paper's four-stage circuit, stage by stage.
+def _controlled(psi, ops_a, ops_b):
+    """Apply ``ops_a[k]`` next to first-ancilla value k, ``ops_b[l]`` next to second-ancilla l."""
+    psi = psi.copy()
+    for k in range(1, psi.shape[2]):
+        psi[:, :, k, :] = np.einsum("ia,abl->ibl", ops_a[k], psi[:, :, k, :])
+        psi[:, :, :, k] = np.einsum("jb,abk->ajk", ops_b[k], psi[:, :, :, k])
+    return psi
 
-    Ancilla Fourier, controlled phase powers, inverse Fourier, controlled
-    flip chains, each applied to both ancillas.
+
+def _pre_flip_circuit(ops, mat):
+    """Reference: the paper's circuit up to its flip stage, stage by stage.
+
+    Ancilla Fourier, controlled powers of ``Z = sum_k omega^k P^(k)``,
+    inverse Fourier, each applied to both ancillas.
     """
     d = ops.d
     grid = np.arange(d)
-    f = ops.omega ** np.outer(grid, grid) / np.sqrt(d)
+    omega = np.exp(2j * np.pi / d)
+    f = omega ** np.outer(grid, grid) / np.sqrt(d)
 
     def fourier(psi, f):
         return np.einsum("kj,lm,abjm->abkl", f, f, psi)
 
-    def controlled(psi, ops_a, ops_b):
-        psi = psi.copy()
-        for k in range(1, d):
-            psi[:, :, k, :] = np.einsum("ia,abl->ibl", ops_a[k], psi[:, :, k, :])
-            psi[:, :, :, k] = np.einsum("jb,abk->ajk", ops_b[k], psi[:, :, :, k])
-        return psi
-
-    def powers(z):
+    def powers(p):
+        z = sum(omega**k * pk for k, pk in enumerate(p))
         out = [np.eye(z.shape[0], dtype=complex)]
         for _ in range(1, d):
             out.append(out[-1] @ z)
@@ -244,9 +254,13 @@ def _circuit(ops, mat):
     psi = np.zeros((*mat.shape, d, d), dtype=complex)
     psi[:, :, 0, 0] = mat
     psi = fourier(psi, f)
-    psi = controlled(psi, powers(ops.z_a), powers(ops.z_b))
-    psi = fourier(psi, dagger(f))
-    return controlled(psi, ops.x_a, ops.x_b)
+    psi = _controlled(psi, powers(ops.p_a), powers(ops.p_b))
+    return fourier(psi, dagger(f))
+
+
+def _circuit(ops, mat):
+    """Reference: the paper's four-stage circuit, ending in the controlled flip chains."""
+    return _controlled(_pre_flip_circuit(ops, mat), ops.x_a, ops.x_b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -255,7 +269,8 @@ def test_closed_form_matches_circuit(d):
     sc = random_coefficients(d, seed=40 + d)
     ideal = ideal_realization(sc)
     embedded = embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=1, seed=d))
-    for r in (ideal, embedded):
+    noisy = perturbed_realization(ideal, 1e-2, seed=d)
+    for r in (ideal, embedded, noisy):
         ops = build_criterion_ops(r, sc)
         stack_a, stack_b = _stacks(ops)
         noise = rng.standard_normal((2, r.dim_a, r.dim_b))
@@ -265,17 +280,12 @@ def test_closed_form_matches_circuit(d):
 
 
 def test_pre_flip_state_ideal():
-    # identity flips stop the isometry before its flip stage:
-    # Pi_A^(k) (x) Pi_B^(l) |psi> = delta_kl c_k |kk>
+    # the circuit stopped before its flip stage:
+    # P_A^(k) (x) P_B^(l) |psi> = delta_kl c_k |kk>
     sc = random_coefficients(3, seed=17)
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    no_flip = [np.eye(3)] * 3
-    psi = _apply_isometry_matrix(
-        _ladder_stack(ops.z_a, no_flip, ops.omega),
-        _ladder_stack(ops.z_b, no_flip, ops.omega),
-        r.state_matrix(),
-    )
+    psi = _pre_flip_circuit(ops, r.state_matrix())
     assert psi.shape == (3, 3, 3, 3)
     want = np.zeros((3, 3, 3, 3), dtype=complex)
     for i in range(3):
@@ -284,14 +294,20 @@ def test_pre_flip_state_ideal():
 
 
 def test_isometry_preserves_arbitrary_vectors():
-    # the circuit is built from unitaries, so it preserves norm on any
-    # input, not just the realization's state
+    # a projective ladder and unitary flips make an isometry on any input,
+    # not just the realization's state, and on noisy devices too
     rng = np.random.default_rng(23)
+    cases = []
     for d, extra in ((2, 0), (3, 2)):
         sc = random_coefficients(d, seed=30 + d)
         r = ideal_realization(sc)
         if extra:
             r = embed_realization(r, EmbeddingSpec(extra_a=extra, extra_b=extra, seed=8))
+        cases.append((sc, r))
+    for d in (3, 8):
+        sc = random_coefficients(d, seed=30 + d)
+        cases.append((sc, perturbed_realization(ideal_realization(sc), 1e-2, seed=1)))
+    for sc, r in cases:
         stack_a, stack_b = _stacks(build_criterion_ops(r, sc))
         for _ in range(3):
             mat = rng.standard_normal((r.dim_a, r.dim_b)) + 1j * rng.standard_normal(
@@ -332,26 +348,22 @@ def test_isometry_rejects_norm_drift():
         apply_isometry(ops, r, sc)
 
 
-def _perturbed(r, eps, seed):
-    """`r` with Gaussian noise on its state and each measurement rotated by exp(i eps H)."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((2, r.state.size))
-    state = r.state + eps * (noise[0] + 1j * noise[1])
-
-    def rotate(meas):
-        h = rng.standard_normal((2, meas.dim, meas.dim))
-        h = h[0] + 1j * h[1]
-        w, v = np.linalg.eigh(h + dagger(h))
-        u = (v * np.exp(0.5j * eps * w)) @ dagger(v)
-        return Measurement(u @ meas.projectors @ dagger(u))
-
-    return Realization(
-        r.dim_a,
-        r.dim_b,
-        state / np.linalg.norm(state),
-        tuple(map(rotate, r.alice)),
-        tuple(map(rotate, r.bob)),
-    )
+@pytest.mark.parametrize("c0", [0.8, 0.95, 0.99])
+def test_report_on_oblique_projectors_that_pass_validation(c0):
+    # exactly idempotent second-party projectors, oblique by 0.9e-10, pass
+    # validation; a Hermiticity check of (B0 - B1) / (2 sin mu) at the same
+    # tolerance rejected them, since it divides their asymmetry by sin mu
+    sc = SchmidtCoefficients(np.array([c0, np.sqrt(1 - c0**2)]))
+    r = ideal_realization(sc)
+    bob = list(r.bob)
+    for y in blocks(sc)[0].ys:
+        p0, p1 = r.bob[y].projectors
+        _, u = np.linalg.eigh(p1)
+        shift = 0.9e-10 * np.outer(u[:, 0], u[:, 1].conj())
+        bob[y] = Measurement(np.stack([p0 - shift, p1 + shift]))
+    r = replace(r, bob=tuple(bob))
+    r.validate()
+    assert extraction_report(r, sc).passes()
 
 
 def test_product_overlap_bounded_by_fidelity():
@@ -361,7 +373,7 @@ def test_product_overlap_bounded_by_fidelity():
     # to 1 by float dust
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     ideal = ideal_realization(sc)
-    noisy = _perturbed(ideal, 0.05, seed=2)
+    noisy = perturbed_realization(ideal, 0.05, seed=2)
     embedded = embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=3, seed=2))
     for r in (noisy, embedded):
         _, rep = apply_isometry(build_criterion_ops(r, sc), r, sc)
@@ -415,7 +427,7 @@ def test_report_verdict_propagates_nan_residuals():
         projector_residuals=np.zeros(2),
         chain_residuals=np.array([0.0, nan]),
         chain_adjoint_residuals=np.zeros(2),
-        pb_orthogonality_sum=0.0,
+        ladder_rounding=0.0,
         output_norm=1.0,
         fidelity=1.0,
         product_overlap=1.0,
