@@ -44,6 +44,17 @@ def _coefficients_from_args(args: argparse.Namespace) -> SchmidtCoefficients:
     return SchmidtCoefficients(np.array(values))
 
 
+def _number(text: str) -> float:
+    """A float option value; NaN is refused, since no comparison with it holds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
+
+
 def _add_coeff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-d", type=int, default=None, help="number of coefficients (cross-check)")
     p.add_argument("--coeffs", default=None, help="comma-separated Schmidt coefficients")
@@ -74,19 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a table file against the reference")
     p.add_argument("tables", help="tables JSON file")
     _add_coeff_args(p)
-    p.add_argument("--tol", type=float, default=1e-8, help="entrywise tolerance")
+    p.add_argument("--tol", type=_number, default=1e-8, help="entrywise tolerance")
 
     p = sub.add_parser("chsh", help="per-block tilted-CHSH scores of a table file")
     p.add_argument("tables", help="tables JSON file")
     _add_coeff_args(p)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_number, default=None,
                    help="if set, fail when any |beta - target| exceeds this")
 
     p = sub.add_parser("extract", help="run the certification pipeline on a realization")
     p.add_argument("realization", help="realization JSON file")
     _add_coeff_args(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    p.add_argument("--fidelity-threshold", type=float, default=1 - 1e-6,
+    p.add_argument("--tol", type=_number, default=1e-6, help="residual tolerance")
+    p.add_argument("--fidelity-threshold", type=_number, default=1 - 1e-6,
                    help="minimum acceptable extraction fidelity")
 
     p = sub.add_parser("embed", help="pad and rotate a realization")

@@ -45,6 +45,26 @@ stages mirror the proof structure:
    computed as one contraction against two stacks of d operators. The
    ladders are projective and the flips unitary, so V is an isometry on
    every valid realization, not only on exact ones.
+6. Measurement equivalence. A block observable O moves the state to M,
+   ``O|psi>`` in matrix form, whose image has slice ``(k, l)`` equal to
+   ``A_k M B_l^T`` with ``A_k = X_A^(k) P_A^(k)`` and
+   ``B_l = X_B^(l) P_B^(l)``. The ideal image is ``t_kl J``: t is the ideal
+   observable on the target state, nonzero only for k and l in the block's
+   pair K, and J is the junk state. The residual is summed from slice
+   norms, without the d^2 slices:
+   ``residual^2 = sum_{k not in K} ||A_k M||^2
+   + sum_{k in K} ||A_k M conj(U_notK)||^2
+   + sum_{k,l in K} ||A_k M B_l^T - t_kl J||^2``,
+   where the columns of ``U_notK`` are the eigenvectors of L labelled
+   outside K. The second party's side may be collapsed because it is an
+   isometry by construction: ``P_B^(l) = U_l U_l^dagger`` and every
+   ``X_B^(l)`` is a product of sign-unitarized operators, so the slice
+   norms over l outside K sum to ``||A_k M conj(U_notK)||^2``, and over
+   every l to ``||A_k M||^2``. The first party's side may not: its
+   projectors are the device's own, valid only to a tolerance, so
+   ``X_A^(k) P_A^(k)`` is applied as it is. Each term is a sum of
+   squares, never a difference, so the float error stays at
+   ``eps ||M||``.
 """
 
 from __future__ import annotations
@@ -118,10 +138,10 @@ def pure_fidelity(
     Equals ``<target| rho |target>``. `rho` must be Hermitian with unit
     trace within `trace_tol`; `target` must be a unit vector.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"rho must be a square matrix, got shape {rho.shape}")
-    target = np.asarray(target, dtype=complex).reshape(-1)
+    target = np.asarray(target).reshape(-1)
     if target.size != rho.shape[0]:
         raise ValueError(
             f"target length {target.size} does not match rho dimension {rho.shape[0]}"
@@ -299,8 +319,10 @@ class CriterionOperators:
     """Everything the chain criterion and the isometry consume.
 
     ``p_a[k]`` and ``p_b[k]`` are the outcome-k projectors on the two
-    sides, each ladder orthogonal and complete; ``p_cut[k]`` is the second
-    party's ladder as cut from the block frames, before rounding;
+    sides, each ladder orthogonal and complete; ``u_b[k]`` holds the
+    orthonormal columns with ``p_b[k] = u_b[k] u_b[k]^dagger``;
+    ``p_cut[k]`` is the second party's ladder as cut from the block frames,
+    before rounding;
     ``x_a[k]`` / ``x_b[k]`` the flip chains; `block_ops` and `frame_ops`
     keep the per-block structures for reuse, in :func:`blocks` order.
     """
@@ -310,11 +332,20 @@ class CriterionOperators:
     dim_b: int
     p_a: list[np.ndarray]
     p_b: list[np.ndarray]
+    u_b: list[np.ndarray]
     p_cut: list[np.ndarray]
     x_a: list[np.ndarray]
     x_b: list[np.ndarray]
     block_ops: tuple[BlockOperators, ...] = field(repr=False)
     frame_ops: tuple[BlockFrame, ...] = field(repr=False)
+
+
+def _chain(flips: list[np.ndarray]) -> list[np.ndarray]:
+    """Running products ``1, F_0, F_0 F_1, ...`` in the flips' common dtype."""
+    out = [np.eye(flips[0].shape[0], dtype=np.result_type(*flips))]
+    for f in flips:
+        out.append(out[-1] @ f)
+    return out
 
 
 def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOperators:
@@ -352,26 +383,22 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     label = sum(k * p for k, p in enumerate(p_cut))
     w, v = np.linalg.eigh((label + dagger(label)) / 2)
     labels = np.clip(np.rint(w), 0, d - 1)
-    p_b = [u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]
+    u_b = [v[:, labels == k] for k in range(d)]
 
     # Flip chains climb the ladder through unprimed block 0, primed block
     # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
     steps = [f for pair in zip(frame_ops[:n_blocks], frame_ops[n_blocks:]) for f in pair]
-    x_a: list[np.ndarray] = [np.eye(r.dim_a, dtype=complex)]
-    x_b: list[np.ndarray] = [np.eye(r.dim_b, dtype=complex)]
-    for frame in steps[: d - 1]:
-        x_a.append(x_a[-1] @ frame.xa)
-        x_b.append(x_b[-1] @ frame.xb)
 
     return CriterionOperators(
         d=d,
         dim_a=r.dim_a,
         dim_b=r.dim_b,
         p_a=p_a,
-        p_b=p_b,
+        p_b=[u @ dagger(u) for u in u_b],
+        u_b=u_b,
         p_cut=p_cut,
-        x_a=x_a,
-        x_b=x_b,
+        x_a=_chain([f.xa for f in steps[: d - 1]]),
+        x_b=_chain([f.xb for f in steps[: d - 1]]),
         block_ops=block_ops,
         frame_ops=frame_ops,
     )
@@ -447,6 +474,11 @@ def _apply_isometry_matrix(
     return out.reshape(d, dim_a, d, dim_b).transpose(1, 3, 0, 2)
 
 
+def _stacks(ops: CriterionOperators) -> tuple[np.ndarray, np.ndarray]:
+    """The two parties' ``X^(k) P^(k)`` stacks, each of shape (d, dim, dim)."""
+    return np.stack(ops.x_a) @ np.stack(ops.p_a), np.stack(ops.x_b) @ np.stack(ops.p_b)
+
+
 def _junk_state(ops: CriterionOperators, mat: np.ndarray) -> np.ndarray:
     """Predicted leftover state: ``P_A^(0)|psi>`` normalized by its own norm."""
     junk = _alice(ops.p_a[0], mat)
@@ -481,9 +513,7 @@ def apply_isometry(
     operators fed in were far from unitary and the run is rejected.
     """
     mat = r.state_matrix()
-    psi = _apply_isometry_matrix(
-        np.stack(ops.x_a) @ np.stack(ops.p_a), np.stack(ops.x_b) @ np.stack(ops.p_b), mat
-    )
+    psi = _apply_isometry_matrix(*_stacks(ops), mat)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_BUDGET:
         raise IsometryConsistencyError(
@@ -491,17 +521,11 @@ def apply_isometry(
         )
     d = ops.d
     flat = psi.reshape(ops.dim_a * ops.dim_b, d * d)
-    rho = np.einsum("ax,ay->xy", flat, flat.conj(), optimize=True)
+    rho = flat.T @ flat.conj()
     target = target_state(sc)
     target /= np.linalg.norm(target)
     fid = pure_fidelity(rho, target, trace_tol=2 * NORM_BUDGET)
-    amp = np.einsum(
-        "ab,kl,abkl->",
-        _junk_state(ops, mat).conj(),
-        target.reshape(d, d).conj(),
-        psi,
-        optimize=True,
-    )
+    amp = _junk_state(ops, mat).conj().ravel() @ flat @ target.conj()
     return psi.reshape(-1), IsometryReport(
         output_norm=norm,
         fidelity=float(fid),
@@ -523,14 +547,15 @@ class MeasurementResidual:
     residual: float
 
 
-def _two_level(d: int, lo: int, hi: int, zz: float, xx: float) -> np.ndarray:
-    """The operator zz * Z + xx * X on the (lo, hi) two-level subspace."""
-    op = np.zeros((d, d), dtype=complex)
-    op[lo, lo] = zz
-    op[hi, hi] = -zz
-    op[lo, hi] = xx
-    op[hi, lo] = xx
-    return op
+def _two_level(zz: float, xx: float) -> np.ndarray:
+    """The operator zz * Z + xx * X on a block's (lo, hi) two-level subspace."""
+    return np.array([[zz, xx], [xx, -zz]])
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each entry of a stack, taken over all its other axes."""
+    x = x.reshape(len(x), -1)
+    return np.einsum("ij,ij->i", x, x.conj()).real
 
 
 def measurement_equivalence(
@@ -542,39 +567,56 @@ def measurement_equivalence(
     of ``O |psi>`` with the ideal block observable acting on the target
     state next to the factored junk state. Small residuals certify the
     measurements themselves, not just the state.
+
+    The image is never built whole: each residual is summed from slice
+    norms as in step 6 of the module docstring, with exact slices only on
+    the block's own pair of ancilla values.
     """
-    d = ops.d
+    d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
     mat = r.state_matrix()
-    stack_a = np.stack(ops.x_a) @ np.stack(ops.p_a)
-    stack_b = np.stack(ops.x_b) @ np.stack(ops.p_b)
+    stack_a, stack_b = _stacks(ops)
     junk = _junk_state(ops, mat)
-    tgt = target_state(sc).reshape(d, d)
+    # The second party's ladder basis, conjugated, and each column's label.
+    basis = np.concatenate(ops.u_b, axis=1).conj()
+    owner = np.repeat(np.arange(d), [u.shape[1] for u in ops.u_b])
     out: list[MeasurementResidual] = []
     for b in ops.block_ops:
         blk = b.block
-        lo, hi = blk.pair
+        pair = list(blk.pair)
         cos, sin = np.cos(blk.mu), np.sin(blk.mu)
+        # Each observable with its ideal image, on the pair x pair slices
+        # where that image lives: the target there is diag(c), so the first
+        # party's Z or X gives Z diag(c) or X diag(c), and the second
+        # party's symmetric B gives diag(c) B.
+        c = sc.c[pair]
         rows = (
-            ("A", blk.xs[0], _alice(b.a0, mat), _two_level(d, lo, hi, 1.0, 0.0) @ tgt),
-            ("A", blk.xs[1], _alice(b.a1, mat), _two_level(d, lo, hi, 0.0, 1.0) @ tgt),
-            ("B", blk.ys[0], _bob(b.b0, mat), tgt @ _two_level(d, lo, hi, cos, sin).T),
-            ("B", blk.ys[1], _bob(b.b1, mat), tgt @ _two_level(d, lo, hi, cos, -sin).T),
+            ("A", blk.xs[0], _alice(b.a0, mat), _two_level(1.0, 0.0) * c),
+            ("A", blk.xs[1], _alice(b.a1, mat), _two_level(0.0, 1.0) * c),
+            ("B", blk.ys[0], _bob(b.b0, mat), c[:, None] * _two_level(cos, sin)),
+            ("B", blk.ys[1], _bob(b.b1, mat), c[:, None] * _two_level(cos, -sin)),
         )
-        # One image at a time: a batch of images raises peak memory. The
-        # ideal image lives on the (lo, hi) x (lo, hi) ancilla slices only.
-        for side, setting, moved, ideal_target in rows:
-            image = _apply_isometry_matrix(stack_a, stack_b, moved)
-            for k, l in zip(*np.nonzero(ideal_target)):
-                image[:, :, k, l] -= ideal_target[k, l] * junk
-            out.append(
-                MeasurementResidual(
-                    side=side,
-                    setting=setting,
-                    m=blk.m,
-                    primed=blk.primed,
-                    residual=float(np.linalg.norm(image)),
-                )
+        sides, settings, moved, ideal = zip(*rows)
+        moved = np.array(moved)
+        rest = np.ones(d, dtype=bool)
+        rest[pair] = False
+        # X_A^(k) P_A^(k) O |psi> for each observable O, k on the pair and
+        # off it, each as one product against the stacked rows.
+        inside = stack_a[pair].reshape(2 * dim_a, dim_a) @ moved
+        outside = stack_a[rest].reshape(-1, dim_a) @ moved
+        # Image slices (k, l) with both on the pair, less the ideal image,
+        # indexed (observable, k, first party, l, second party).
+        slices = inside.reshape(8 * dim_a, dim_b) @ stack_b[pair].reshape(2 * dim_b, dim_b).T
+        slices = slices.reshape(4, 2, dim_a, 2, dim_b)
+        slices -= np.array(ideal)[:, :, None, :, None] * junk[:, None]
+        # The three terms of step 6: k off the pair; k on it and l off it;
+        # both on it.
+        sq = _sq_norms(outside) + _sq_norms(inside @ basis[:, rest[owner]]) + _sq_norms(slices)
+        out.extend(
+            MeasurementResidual(
+                side=side, setting=setting, m=blk.m, primed=blk.primed, residual=float(np.sqrt(s))
             )
+            for side, setting, s in zip(sides, settings, sq)
+        )
     return out
 
 

@@ -112,6 +112,24 @@ def test_chsh_tol_flags_wrong_claim(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("verify", "--tol"), ("chsh", "--tol"), ("extract", "--tol"),
+     ("extract", "--fidelity-threshold")],
+)
+def test_nan_option_is_usage_error(capsys, tmp_path, command, option):
+    # every comparison with NaN is False, so `chsh --tol nan` passed any table
+    path = tmp_path / "in.json"
+    source = "ideal" if command == "extract" else "generate"
+    run_cli(capsys, source, "--coeffs", "0.8,0.6", "-o", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), "--coeffs", "0.6,0.8", option, "nan"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: 'nan' is not a number" in captured.err
+
+
 def test_ideal_extract_pipeline(capsys, tmp_path):
     real = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "ideal", "--coeffs", "0.6,0.8", "-o", str(real))

@@ -22,12 +22,17 @@ from selftesting import (
     ideal_realization,
     frame_identity_checks,
     measurement_equivalence,
+    target_state,
 )
 from selftesting.errors import DegenerateBlockError, IsometryConsistencyError
 from selftesting.extraction import (
     ExtractionReport,
     MeasurementResidual,
+    _alice,
     _apply_isometry_matrix,
+    _bob,
+    _junk_state,
+    _stacks,
     dagger,
 )
 from selftesting.ideal import Measurement
@@ -217,10 +222,6 @@ def test_chain_norms_telescope():
         assert abs(np.linalg.norm(vec) - sc.c[k]) < 1e-12
 
 
-def _stacks(ops):
-    return np.stack(ops.x_a) @ np.stack(ops.p_a), np.stack(ops.x_b) @ np.stack(ops.p_b)
-
-
 def _controlled(psi, ops_a, ops_b):
     """Apply ``ops_a[k]`` next to first-ancilla value k, ``ops_b[l]`` next to second-ancilla l."""
     psi = psi.copy()
@@ -348,11 +349,9 @@ def test_isometry_rejects_norm_drift():
         apply_isometry(ops, r, sc)
 
 
-@pytest.mark.parametrize("c0", [0.8, 0.95, 0.99])
-def test_report_on_oblique_projectors_that_pass_validation(c0):
-    # exactly idempotent second-party projectors, oblique by 0.9e-10, pass
-    # validation; a Hermiticity check of (B0 - B1) / (2 sin mu) at the same
-    # tolerance rejected them, since it divides their asymmetry by sin mu
+def _oblique_device(c0):
+    """d=2 device whose tilted second-party projectors are exactly idempotent
+    but oblique by 0.9e-10, which validation accepts."""
     sc = SchmidtCoefficients(np.array([c0, np.sqrt(1 - c0**2)]))
     r = ideal_realization(sc)
     bob = list(r.bob)
@@ -361,7 +360,15 @@ def test_report_on_oblique_projectors_that_pass_validation(c0):
         _, u = np.linalg.eigh(p1)
         shift = 0.9e-10 * np.outer(u[:, 0], u[:, 1].conj())
         bob[y] = Measurement(np.stack([p0 - shift, p1 + shift]))
-    r = replace(r, bob=tuple(bob))
+    return sc, replace(r, bob=tuple(bob))
+
+
+@pytest.mark.parametrize("c0", [0.8, 0.95, 0.99])
+def test_report_on_oblique_projectors_that_pass_validation(c0):
+    # a Hermiticity check of (B0 - B1) / (2 sin mu) at the validation
+    # tolerance rejected these devices, since it divides their asymmetry
+    # by sin mu
+    sc, r = _oblique_device(c0)
     r.validate()
     assert extraction_report(r, sc).passes()
 
@@ -399,6 +406,69 @@ def test_measurement_equivalence_ideal():
         assert max(v.residual for v in rows) < 1e-12
         sides = {(v.side, v.setting) for v in rows}
         assert sides == {("A", 0), ("A", 1), ("A", 2), ("B", 0), ("B", 1), ("B", 2), ("B", 3)}
+
+
+def _full_image_residuals(ops, r, sc):
+    """Reference: each observable's whole ``(dim_a, dim_b, d, d)`` isometry
+    image, built one at a time, minus its ideal image next to the junk state."""
+    d = ops.d
+    mat = r.state_matrix()
+    stack_a, stack_b = _stacks(ops)
+    junk = _junk_state(ops, mat)
+    tgt = target_state(sc).reshape(d, d)
+
+    def two_level(lo, hi, zz, xx):
+        op = np.zeros((d, d))
+        op[lo, lo], op[hi, hi], op[lo, hi], op[hi, lo] = zz, -zz, xx, xx
+        return op
+
+    out = []
+    for b in ops.block_ops:
+        lo, hi = b.block.pair
+        cos, sin = np.cos(b.block.mu), np.sin(b.block.mu)
+        rows = (
+            (_alice(b.a0, mat), two_level(lo, hi, 1.0, 0.0) @ tgt),
+            (_alice(b.a1, mat), two_level(lo, hi, 0.0, 1.0) @ tgt),
+            (_bob(b.b0, mat), tgt @ two_level(lo, hi, cos, sin).T),
+            (_bob(b.b1, mat), tgt @ two_level(lo, hi, cos, -sin).T),
+        )
+        for moved, ideal_target in rows:
+            image = _apply_isometry_matrix(stack_a, stack_b, moved)
+            for k, l in zip(*np.nonzero(ideal_target)):
+                image[:, :, k, l] -= ideal_target[k, l] * junk
+            out.append(np.linalg.norm(image))
+    return np.array(out)
+
+
+def _devices(d):
+    """Ideal, embedded and noisy devices of seeded coefficients."""
+    sc = random_coefficients(d, seed=1300 + d)
+    ideal = ideal_realization(sc)
+    embedded = embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=1, seed=7))
+    return sc, (ideal, embedded, perturbed_realization(ideal, 1e-2, seed=1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_measurement_residuals_match_full_image(d):
+    # even d covers the primed pair (d-1, 0) that wraps around
+    sc, devices = _devices(d)
+    cases = [(sc, r) for r in devices]
+    if d == 2:
+        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
+    for sc, r in cases:
+        ops = build_criterion_ops(r, sc)
+        got = [v.residual for v in measurement_equivalence(ops, r, sc)]
+        assert np.max(np.abs(got - _full_image_residuals(ops, r, sc))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_real_devices_stay_real_through_extraction(d):
+    sc, (ideal, embedded, _) = _devices(d)
+    for r, dtype in ((ideal, np.float64), (embedded, np.complex128)):
+        ops = build_criterion_ops(r, sc)
+        _, rep = apply_isometry(ops, r, sc)
+        for a in (*ops.x_a, *ops.x_b, *ops.p_b, *_stacks(ops), rep.rho_ancilla):
+            assert a.dtype == dtype
 
 
 def test_extraction_report_roundup():
