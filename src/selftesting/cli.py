@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,6 +53,21 @@ def _number(text: str) -> float:
     if np.isnan(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     return value
+
+
+def _integer(low: int) -> Callable[[str], int]:
+    """An integer option value of at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {low}")
+        return value
+
+    return parse
 
 
 def _add_coeff_args(p: argparse.ArgumentParser) -> None:
@@ -102,16 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="pad and rotate a realization")
     p.add_argument("realization", help="realization JSON file")
-    p.add_argument("--extra-a", type=int, default=0, help="extra dimensions, first party")
-    p.add_argument("--extra-b", type=int, default=0, help="extra dimensions, second party")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--extra-a", type=_integer(0), default=0, help="extra dimensions, first party")
+    p.add_argument("--extra-b", type=_integer(0), default=0,
+                   help="extra dimensions, second party")
+    p.add_argument("--seed", type=_integer(0), default=None,
                    help="rotation seed (omit for identity rotations)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("sample", help="finite-shot tables from a realization")
     p.add_argument("realization", help="realization JSON file")
-    p.add_argument("--shots", type=int, default=10000, help="shots per setting pair")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--shots", type=_integer(1), default=10000, help="shots per setting pair")
+    p.add_argument("--seed", type=_integer(0), default=0, help="sampling seed")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     return parser
@@ -181,8 +197,11 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if passed else 1
 
     if args.command == "embed":
+        try:
+            spec = EmbeddingSpec(extra_a=args.extra_a, extra_b=args.extra_b, seed=args.seed)
+        except ValueError as e:
+            raise ParseError(str(e)) from None
         r = io.load_realization(args.realization)
-        spec = EmbeddingSpec(extra_a=args.extra_a, extra_b=args.extra_b, seed=args.seed)
         _emit(io.realization_to_doc(embed_realization(r, spec)), args.output)
         return 0
 

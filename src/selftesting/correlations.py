@@ -119,29 +119,46 @@ def compute_tables(r: Realization) -> CorrelationTables:
     return CorrelationTables(d=r.n_outcomes, tables=out)
 
 
-def _block_2x2(x_eff: int, y_eff: int, c_lo: float, c_hi: float, mu: float) -> np.ndarray:
-    """Closed-form 2x2 block of the constrained tables.
+def _block_2x2(
+    x_eff: int, y_eff: int, c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
+    """Closed-form 2x2 blocks of the constrained tables, shape (2, 2, n).
 
+    ``c_lo``, ``c_hi`` and ``mu`` hold one entry per block of a family.
     ``x_eff`` and ``y_eff`` index the block's settings ``xs`` and ``ys``:
     ``x_eff`` 0 means the computational-basis setting, 1 the flip setting;
     ``y_eff`` 0 means tilt ``+mu``, 1 tilt ``-mu``.
+
+    Squares are taken with ``np.float_power``, libm ``pow`` on every entry,
+    so a block's values do not depend on how many blocks are evaluated at
+    once: ``**`` squares a scalar with ``pow`` but an array by multiplying,
+    and the two differ in the last bit for about one entry in a thousand.
     """
     ch, sh = np.cos(mu / 2), np.sin(mu / 2)
     if x_eff == 0:
         # Same for both tilts: the tilt sign cancels in squared overlaps.
-        return np.array(
-            [
-                [c_lo**2 * ch**2, c_lo**2 * sh**2],
-                [c_hi**2 * sh**2, c_hi**2 * ch**2],
-            ]
+        return np.float_power([[c_lo, c_lo], [c_hi, c_hi]], 2) * np.float_power(
+            [[ch, sh], [sh, ch]], 2
         )
     s = 1.0 if y_eff == 0 else -1.0
-    return 0.5 * np.array(
+    return 0.5 * np.float_power(
         [
-            [(c_lo * ch + s * c_hi * sh) ** 2, (c_hi * ch - s * c_lo * sh) ** 2],
-            [(c_lo * ch - s * c_hi * sh) ** 2, (c_hi * ch + s * c_lo * sh) ** 2],
-        ]
+            [c_lo * ch + s * c_hi * sh, c_hi * ch - s * c_lo * sh],
+            [c_lo * ch - s * c_hi * sh, c_hi * ch + s * c_lo * sh],
+        ],
+        2,
     )
+
+
+def _block_cells(d: int, primed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of one family's block entries, each (4, n).
+
+    Rows ``[lo, lo, hi, hi]`` against columns ``[lo, hi, lo, hi]``: the
+    entries (lo, lo), (lo, hi), (hi, lo), (hi, hi) of every block, in the
+    row-major order of :func:`_block_2x2`.
+    """
+    lo, hi = np.array(pairs(d, primed)).T
+    return np.array([lo, lo, hi, hi]), np.array([lo, hi, lo, hi])
 
 
 def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
@@ -149,20 +166,21 @@ def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
 
     Each pair of a family's settings is block diagonal over that family's
     blocks, with the family's corner (k, k) carrying its full coefficient
-    weight when d is odd.
+    weight when d is odd. All blocks of a family are evaluated at once and
+    written with one index assignment per table.
     """
     d = sc.d
     c = sc.c
     table = blocks(sc)
     out: dict[tuple[int, int], np.ndarray] = {}
     for primed, (xs, ys) in SETTINGS.items():
-        family = [b for b in table if b.primed == primed]
+        rows, cols = _block_cells(d, primed)
+        mu = np.array([b.mu for b in table if b.primed == primed])
         top = corner(d, primed)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 tab = np.zeros((d, d))
-                for b in family:
-                    tab[np.ix_(b.pair, b.pair)] = _block_2x2(i, j, c[b.lo], c[b.hi], b.mu)
+                tab[rows, cols] = _block_2x2(i, j, c[rows[0]], c[rows[2]], mu).reshape(4, -1)
                 if top is not None:
                     tab[top, top] = c[top] ** 2
                 out[(x, y)] = tab
@@ -243,8 +261,7 @@ def verify_tables(
 def _constrained_mask(d: int, primed: bool) -> np.ndarray:
     """Boolean mask of positions carrying block (or corner) weight."""
     mask = np.zeros((d, d), dtype=bool)
-    for pair in pairs(d, primed):
-        mask[np.ix_(pair, pair)] = True
+    mask[_block_cells(d, primed)] = True
     top = corner(d, primed)
     if top is not None:
         mask[top, top] = True

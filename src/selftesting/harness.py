@@ -95,8 +95,7 @@ def embed_realization(r: Realization, spec: EmbeddingSpec) -> Realization:
     mat = u_a @ mat @ u_b.T
 
     def conjugate(stack: np.ndarray, u: np.ndarray, extra: int) -> Measurement:
-        padded = _pad_projectors(stack, extra)
-        return Measurement(np.einsum("ij,ajk,lk->ail", u, padded, u.conj(), optimize=True))
+        return Measurement(u @ _pad_projectors(stack, extra) @ u.conj().T)
 
     alice = tuple(conjugate(m.projectors, u_a, spec.extra_a) for m in r.alice)
     bob = tuple(conjugate(m.projectors, u_b, spec.extra_b) for m in r.bob)

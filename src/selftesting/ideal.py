@@ -85,8 +85,11 @@ class Measurement:
         each within ``MEASUREMENT_TOL``.
 
         Products ``P_j P_k`` for k >= j are formed one outcome row at a
-        time, as ``P_j`` against the stack ``[P_j, ..., P_{n-1}]`` laid side
-        by side; the first failing pair in (j, k) order is reported.
+        time, as ``P_j @ P[j:]``: a stack of ``n - j`` separate
+        ``dim x dim`` products, the same per pair as one ``P_j @ P_k``.
+        Each product is contiguous, so its largest entry is one reduction
+        along its flattened row. The first failing pair in (j, k) order is
+        reported.
         """
         p = self.projectors
         if not np.all(np.isfinite(p)):
@@ -94,13 +97,12 @@ class Measurement:
         herm = np.max(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))))
         if herm > MEASUREMENT_TOL:
             raise HermiticityError(f"projector asymmetry {herm:.3e} > {MEASUREMENT_TOL:.0e}")
-        n, dim = self.n_outcomes, self.dim
-        right = p.transpose(1, 0, 2).reshape(dim, n * dim)
+        n = self.n_outcomes
         worst = np.zeros((n, n))
         for j in range(n):
-            row = (p[j] @ right[:, j * dim :]).reshape(dim, n - j, dim)
-            row[:, 0] -= p[j]
-            worst[j, j:] = np.max(np.abs(row), axis=(0, 2))
+            row = p[j] @ p[j:]
+            row[0] -= p[j]
+            worst[j, j:] = np.max(np.abs(row).reshape(n - j, -1), axis=1)
         bad = np.argwhere(worst > MEASUREMENT_TOL)
         if bad.size:
             j, k = bad[0]

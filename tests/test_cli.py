@@ -130,6 +130,32 @@ def test_nan_option_is_usage_error(capsys, tmp_path, command, option):
     assert f"argument {option}: 'nan' is not a number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("sample", "--shots", "0", "argument --shots: '0' is below 1"),
+        ("sample", "--seed", "-1", "argument --seed: '-1' is below 0"),
+        ("embed", "--seed", "-1", "argument --seed: '-1' is below 0"),
+        ("embed", "--extra-a", "-1", "argument --extra-a: '-1' is below 0"),
+        ("embed", "--extra-a", "40", "error: at most 32 extra dimensions per side"),
+    ],
+    ids=["sample-shots-0", "sample-seed-neg", "embed-seed-neg", "embed-extra-neg",
+         "embed-extra-40"],
+)
+def test_bad_integer_option_is_usage_error(capsys, tmp_path, command, option, value, message):
+    # a bad count, seed or padding is a usage error (exit 2), not a traceback
+    real = tmp_path / "r.json"
+    run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))
+    try:
+        code = main([command, str(real), option, value])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_ideal_extract_pipeline(capsys, tmp_path):
     real = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "ideal", "--coeffs", "0.6,0.8", "-o", str(real))

@@ -19,8 +19,9 @@ from selftesting import (
     reference_tables,
     verify_tables,
 )
-from selftesting.correlations import constrained_pairs
+from selftesting.correlations import _block_2x2, _constrained_mask, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
+from selftesting.schmidt import SETTINGS, blocks, corner, pairs
 
 # c=(0.8, 0.6): T_{0,0}[0,0] = 0.64 cos^2(mu/2)
 T00_86 = 0.64 * 0.8606936605154758
@@ -61,6 +62,43 @@ def test_reference_frozen_entries():
     tm = reference_tables(scm)
     assert abs(tm.table(1, 0)[0, 0] - T10_MAX_DIAG) < 1e-14
     assert abs(tm.table(1, 0)[0, 1] - T10_MAX_OFF) < 1e-14
+
+
+def _reference_loop(sc: SchmidtCoefficients) -> dict[tuple[int, int], np.ndarray]:
+    """Reference closed form: each block written on its own, one ``np.ix_`` per
+    block per setting pair."""
+    d, c = sc.d, sc.c
+    out = {}
+    for primed, (xs, ys) in SETTINGS.items():
+        family = [b for b in blocks(sc) if b.primed == primed]
+        top = corner(d, primed)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                tab = np.zeros((d, d))
+                for b in family:
+                    tab[np.ix_(b.pair, b.pair)] = _block_2x2(i, j, c[b.lo], c[b.hi], b.mu)
+                if top is not None:
+                    tab[top, top] = c[top] ** 2
+                out[(x, y)] = tab
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 34))
+def test_reference_tables_match_block_loop(d):
+    sc = random_coefficients(d, seed=d)
+    got = reference_tables(sc)
+    want = _reference_loop(sc)
+    assert got.pairs() == sorted(want)
+    for pair, tab in want.items():
+        assert np.array_equal(got.table(*pair), tab), pair
+    for primed in (False, True):
+        mask = np.zeros((d, d), dtype=bool)
+        for pair in pairs(d, primed):
+            mask[np.ix_(pair, pair)] = True
+        top = corner(d, primed)
+        if top is not None:
+            mask[top, top] = True
+        assert np.array_equal(_constrained_mask(d, primed), mask)
 
 
 def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:

@@ -109,6 +109,40 @@ def test_validate_matches_pairwise_loop_real():
     _assert_validate_matches_loop(real=True)
 
 
+def _unit_vector(q: np.ndarray) -> np.ndarray:
+    """A unit vector spanning the real rank-one projector `q`."""
+    i = np.argmax(np.diagonal(q))
+    return q[:, i] / np.sqrt(q[i, i])
+
+
+def _planted_overlap(p: np.ndarray, j: int, k: int, eps: float) -> np.ndarray:
+    """Real rank-one stack `p` with outcome k's vector leaned by `eps` into outcome j's."""
+    a, b = _unit_vector(p[k]), _unit_vector(p[j])
+    v = (a + eps * b) / np.sqrt(1 + eps * eps)
+    out = p.copy()
+    out[k] = np.outer(v, v)
+    return out
+
+
+def test_validate_reports_overlap_deep_in_stack():
+    # a pair far from the diagonal of a long outcome row
+    r = ideal_realization(random_coefficients(32, seed=32))
+    for meas in r.alice + r.bob:
+        bad = Measurement(_planted_overlap(meas.projectors, 3, 30, 1e-9))
+        want = _verdict(lambda: _validate_loop(bad))
+        assert want is not None and want[1].startswith("outcomes 3,30 projectors overlap")
+        assert _verdict(bad.validate) == want
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_validate_passes_ideal_and_embedded_many_outcomes(d):
+    r = ideal_realization(random_coefficients(d, seed=d))
+    hidden = embed_realization(r, EmbeddingSpec(2, 1, 7))
+    for meas in r.alice + r.bob + hidden.alice + hidden.bob:
+        assert _verdict(meas.validate) is None
+        assert _verdict(lambda: _validate_loop(meas)) is None
+
+
 def test_validate_rejects_nonfinite_projectors():
     stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     stack[0, 0, 0] = np.nan
