@@ -77,7 +77,7 @@ def _add_coeff_args(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(doc: Any, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -157,22 +157,11 @@ def _run(args: argparse.Namespace) -> int:
         sc = _coefficients_from_args(args)
         t = io.load_tables(args.tables)
         scores = block_scores(t, sc)
-        doc = {
-            "blocks": [
-                {
-                    "m": s.m,
-                    "primed": s.primed,
-                    "pair": list(s.pair),
-                    "mass": s.mass,
-                    "alpha": s.alpha,
-                    "beta": s.beta,
-                    "target": s.target,
-                    "residual": s.residual,
-                }
-                for s in scores
-            ]
-        }
-        _emit(doc, None)
+        blocks = [
+            {**{k: v for k, v in asdict(s).items() if k != "correlators"}, "residual": s.residual}
+            for s in scores
+        ]
+        _emit({"blocks": blocks}, None)
         if args.tol is not None and any(abs(s.residual) > args.tol for s in scores):
             return 1
         return 0
@@ -182,18 +171,7 @@ def _run(args: argparse.Namespace) -> int:
         r = io.load_realization(args.realization)
         report = extraction_report(r, sc)
         passed = report.passes(fidelity_min=args.fidelity_threshold, residual_tol=args.tol)
-        doc = {
-            "projector_residuals": report.projector_residuals.tolist(),
-            "chain_residuals": report.chain_residuals.tolist(),
-            "chain_adjoint_residuals": report.chain_adjoint_residuals.tolist(),
-            "ladder_rounding": report.ladder_rounding,
-            "output_norm": report.output_norm,
-            "fidelity": report.fidelity,
-            "product_overlap": report.product_overlap,
-            "measurement_residuals": [asdict(v) for v in report.measurement_residuals],
-            "pass": passed,
-        }
-        _emit(doc, None)
+        _emit({**asdict(report), "pass": passed}, None)
         return 0 if passed else 1
 
     if args.command == "embed":

@@ -65,6 +65,11 @@ stages mirror the proof structure:
    ``X_A^(k) P_A^(k)`` is applied as it is. Each term is a sum of
    squares, never a difference, so the float error stays at
    ``eps ||M||``.
+
+Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack indexed
+by the outcome k (:class:`CriterionOperators`). The criterion residuals are
+batched expressions over k, and the stacks ``X^(k) P^(k)`` of steps 5 and 6
+are one stacked product per side.
 """
 
 from __future__ import annotations
@@ -114,8 +119,8 @@ ZERO_TOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def sign_unitarize(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
@@ -155,18 +160,25 @@ def pure_fidelity(
     nrm = np.linalg.norm(target)
     if abs(nrm - 1.0) > 1e-12:
         raise NormalizationError(f"target norm {nrm} deviates from 1 beyond 1e-12")
-    val = float(np.real(dagger(target) @ rho @ target))
+    val = float(np.real(target.conj() @ rho @ target))
     # PSD rho keeps this in [0, 1]; trim float dust only.
     return min(max(val, 0.0), 1.0)
 
 
 def _alice(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply a first-party operator to a state in matrix form."""
+    """Apply a first-party operator, or each of a stack, to a state in matrix form."""
     return op @ mat
 
+
 def _bob(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply a second-party operator to a state in matrix form."""
-    return mat @ op.T
+    """Apply a second-party operator, or each of a stack, to a state in matrix form."""
+    return mat @ np.swapaxes(op, -1, -2)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each entry of a stack, taken over all its other axes."""
+    x = x.reshape(len(x), -1)
+    return np.einsum("ij,ij->i", x, x.conj()).real
 
 
 @dataclass(frozen=True)
@@ -318,34 +330,37 @@ def frame_identity_checks(frame: BlockFrame, b: BlockOperators, r: Realization) 
 class CriterionOperators:
     """Everything the chain criterion and the isometry consume.
 
-    ``p_a[k]`` and ``p_b[k]`` are the outcome-k projectors on the two
-    sides, each ladder orthogonal and complete; ``u_b[k]`` holds the
-    orthonormal columns with ``p_b[k] = u_b[k] u_b[k]^dagger``;
-    ``p_cut[k]`` is the second party's ladder as cut from the block frames,
-    before rounding;
-    ``x_a[k]`` / ``x_b[k]`` the flip chains; `block_ops` and `frame_ops`
-    keep the per-block structures for reuse, in :func:`blocks` order.
+    Each ladder and chain is one ``(d, dim, dim)`` stack indexed by
+    outcome k. ``p_a[k]`` and ``p_b[k]`` are the outcome-k projectors on
+    the two sides, each ladder orthogonal and complete; ``p_cut[k]`` is the
+    second party's ladder as cut from the block frames, before rounding;
+    ``x_a[k]`` / ``x_b[k]`` the flip chains. The columns of ``v_b`` are the
+    eigenvectors of the label operator and ``label_b`` holds each column's
+    label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``. `block_ops`
+    and `frame_ops` keep the per-block structures for reuse, in
+    :func:`blocks` order.
     """
 
     d: int
     dim_a: int
     dim_b: int
-    p_a: list[np.ndarray]
-    p_b: list[np.ndarray]
-    u_b: list[np.ndarray]
-    p_cut: list[np.ndarray]
-    x_a: list[np.ndarray]
-    x_b: list[np.ndarray]
+    p_a: np.ndarray
+    p_b: np.ndarray
+    v_b: np.ndarray
+    label_b: np.ndarray
+    p_cut: np.ndarray
+    x_a: np.ndarray
+    x_b: np.ndarray
     block_ops: tuple[BlockOperators, ...] = field(repr=False)
     frame_ops: tuple[BlockFrame, ...] = field(repr=False)
 
 
-def _chain(flips: list[np.ndarray]) -> list[np.ndarray]:
-    """Running products ``1, F_0, F_0 F_1, ...`` in the flips' common dtype."""
+def _chain(flips: list[np.ndarray]) -> np.ndarray:
+    """Stack of the running products ``1, F_0, F_0 F_1, ...`` in the flips' common dtype."""
     out = [np.eye(flips[0].shape[0], dtype=np.result_type(*flips))]
     for f in flips:
         out.append(out[-1] @ f)
-    return out
+    return np.stack(out)
 
 
 def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOperators:
@@ -359,8 +374,6 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     block_ops = tuple(build_block_operators(r, blk) for blk in blocks(sc))
     frame_ops = tuple(build_block_frame(b) for b in block_ops)
     n_blocks = d // 2
-
-    p_a = [r.alice[0].projectors[k].copy() for k in range(d)]
 
     # Second party's ladder: cut each unprimed block's frame in two. For odd
     # d the unprimed corner is the second outcome of the last primed block.
@@ -382,8 +395,7 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     # label operator, grouped by their nearest label.
     label = sum(k * p for k, p in enumerate(p_cut))
     w, v = np.linalg.eigh((label + dagger(label)) / 2)
-    labels = np.clip(np.rint(w), 0, d - 1)
-    u_b = [v[:, labels == k] for k in range(d)]
+    labels = np.clip(np.rint(w), 0, d - 1).astype(int)
 
     # Flip chains climb the ladder through unprimed block 0, primed block
     # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
@@ -393,10 +405,11 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
         d=d,
         dim_a=r.dim_a,
         dim_b=r.dim_b,
-        p_a=p_a,
-        p_b=[u @ dagger(u) for u in u_b],
-        u_b=u_b,
-        p_cut=p_cut,
+        p_a=r.alice[0].projectors.copy(),
+        p_b=np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
+        v_b=v,
+        label_b=labels,
+        p_cut=np.stack(p_cut),
         x_a=_chain([f.xa for f in steps[: d - 1]]),
         x_b=_chain([f.xb for f in steps[: d - 1]]),
         block_ops=block_ops,
@@ -429,27 +442,15 @@ def check_criterion(
 ) -> CriterionReport:
     """Evaluate the chain criterion residuals on the realization."""
     mat = r.state_matrix()
-    c = sc.c
-    d = ops.d
-    projector_match = np.zeros(d)
-    chain_map = np.zeros(d)
-    chain_adj = np.zeros(d)
+    ratio = (sc.c / sc.c[0])[:, None, None]
     extra = _alice(ops.p_a[0], mat)
-    for k in range(d):
-        ratio = c[k] / c[0]
-        projector_match[k] = np.linalg.norm(_alice(ops.p_a[k], mat) - _bob(ops.p_b[k], mat))
-        lhs = _alice(ops.x_a[k], _bob(ops.x_b[k] @ ops.p_b[k], mat))
-        chain_map[k] = np.linalg.norm(lhs - ratio * extra)
-        lhs_adj = _alice(ops.x_a[k] @ ops.p_a[k], mat)
-        chain_adj[k] = np.linalg.norm(lhs_adj - ratio * _bob(dagger(ops.x_b[k]), extra))
-    rounding = sum(
-        np.linalg.norm(_bob(p - p_cut, mat)) ** 2 for p, p_cut in zip(ops.p_b, ops.p_cut)
-    )
+    lhs = _alice(ops.x_a, _bob(ops.x_b @ ops.p_b, mat))
+    lhs_adj = _alice(ops.x_a @ ops.p_a, mat)
     return CriterionReport(
-        projector_match=projector_match,
-        chain_map=chain_map,
-        chain_map_adjoint=chain_adj,
-        ladder_rounding=float(rounding),
+        projector_match=np.sqrt(_sq_norms(_alice(ops.p_a, mat) - _bob(ops.p_b, mat))),
+        chain_map=np.sqrt(_sq_norms(lhs - ratio * extra)),
+        chain_map_adjoint=np.sqrt(_sq_norms(lhs_adj - ratio * _bob(dagger(ops.x_b), extra))),
+        ladder_rounding=float(np.sum(_sq_norms(_bob(ops.p_b - ops.p_cut, mat)))),
     )
 
 
@@ -472,11 +473,6 @@ def _apply_isometry_matrix(
     half = (stack_a @ mat).reshape(d * dim_a, dim_b)
     out = half @ stack_b.reshape(d * dim_b, dim_b).T
     return out.reshape(d, dim_a, d, dim_b).transpose(1, 3, 0, 2)
-
-
-def _stacks(ops: CriterionOperators) -> tuple[np.ndarray, np.ndarray]:
-    """The two parties' ``X^(k) P^(k)`` stacks, each of shape (d, dim, dim)."""
-    return np.stack(ops.x_a) @ np.stack(ops.p_a), np.stack(ops.x_b) @ np.stack(ops.p_b)
 
 
 def _junk_state(ops: CriterionOperators, mat: np.ndarray) -> np.ndarray:
@@ -513,7 +509,7 @@ def apply_isometry(
     operators fed in were far from unitary and the run is rejected.
     """
     mat = r.state_matrix()
-    psi = _apply_isometry_matrix(*_stacks(ops), mat)
+    psi = _apply_isometry_matrix(ops.x_a @ ops.p_a, ops.x_b @ ops.p_b, mat)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_BUDGET:
         raise IsometryConsistencyError(
@@ -552,12 +548,6 @@ def _two_level(zz: float, xx: float) -> np.ndarray:
     return np.array([[zz, xx], [xx, -zz]])
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each entry of a stack, taken over all its other axes."""
-    x = x.reshape(len(x), -1)
-    return np.einsum("ij,ij->i", x, x.conj()).real
-
-
 def measurement_equivalence(
     ops: CriterionOperators, r: Realization, sc: SchmidtCoefficients
 ) -> list[MeasurementResidual]:
@@ -574,11 +564,9 @@ def measurement_equivalence(
     """
     d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
     mat = r.state_matrix()
-    stack_a, stack_b = _stacks(ops)
+    stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
     junk = _junk_state(ops, mat)
-    # The second party's ladder basis, conjugated, and each column's label.
-    basis = np.concatenate(ops.u_b, axis=1).conj()
-    owner = np.repeat(np.arange(d), [u.shape[1] for u in ops.u_b])
+    basis = ops.v_b.conj()
     out: list[MeasurementResidual] = []
     for b in ops.block_ops:
         blk = b.block
@@ -610,7 +598,8 @@ def measurement_equivalence(
         slices -= np.array(ideal)[:, :, None, :, None] * junk[:, None]
         # The three terms of step 6: k off the pair; k on it and l off it;
         # both on it.
-        sq = _sq_norms(outside) + _sq_norms(inside @ basis[:, rest[owner]]) + _sq_norms(slices)
+        off_pair = inside @ basis[:, rest[ops.label_b]]
+        sq = _sq_norms(outside) + _sq_norms(off_pair) + _sq_norms(slices)
         out.extend(
             MeasurementResidual(
                 side=side, setting=setting, m=blk.m, primed=blk.primed, residual=float(np.sqrt(s))

@@ -47,6 +47,8 @@ class EmbeddingSpec:
             raise ValueError("extra dimensions must be non-negative")
         if self.extra_a > 32 or self.extra_b > 32:
             raise ValueError("at most 32 extra dimensions per side")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,6 +130,8 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     exact = compute_tables(r)
     estimated: dict[tuple[int, int], np.ndarray] = {}
     stderr_max = 0.0

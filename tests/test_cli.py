@@ -178,6 +178,37 @@ def test_extract_reports_ladder_rounding(capsys, tmp_path):
     assert "pb_orthogonality_sum" not in doc
 
 
+def test_chsh_and_extract_key_order(capsys, tmp_path):
+    # the documents are the report dataclasses in field order, so a field
+    # added or moved there shows up here
+    tables = tmp_path / "t.json"
+    real = tmp_path / "r.json"
+    run_cli(capsys, "generate", "--coeffs", "0.8,0.6", "-o", str(tables))
+    run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))
+    _, out, _ = run_cli(capsys, "chsh", str(tables), "--coeffs", "0.8,0.6")
+    doc = json.loads(out)
+    assert list(doc) == ["blocks"]
+    for block in doc["blocks"]:
+        assert list(block) == [
+            "m", "primed", "pair", "mass", "alpha", "beta", "target", "residual"
+        ]
+    _, out, _ = run_cli(capsys, "extract", str(real), "--coeffs", "0.8,0.6")
+    doc = json.loads(out)
+    assert list(doc) == [
+        "projector_residuals",
+        "chain_residuals",
+        "chain_adjoint_residuals",
+        "ladder_rounding",
+        "output_norm",
+        "fidelity",
+        "product_overlap",
+        "measurement_residuals",
+        "pass",
+    ]
+    for row in doc["measurement_residuals"]:
+        assert list(row) == ["side", "setting", "m", "primed", "residual"]
+
+
 def test_extract_fails_on_wrong_claim(capsys, tmp_path):
     real = tmp_path / "r.json"
     run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))

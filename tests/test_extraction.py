@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,21 +24,64 @@ from selftesting import (
     measurement_equivalence,
     target_state,
 )
-from selftesting.errors import DegenerateBlockError, IsometryConsistencyError
+from selftesting.errors import (
+    DegenerateBlockError,
+    HermiticityError,
+    IsometryConsistencyError,
+    NormalizationError,
+)
 from selftesting.extraction import (
+    CriterionReport,
     ExtractionReport,
     MeasurementResidual,
     _alice,
     _apply_isometry_matrix,
     _bob,
     _junk_state,
-    _stacks,
     dagger,
+    pure_fidelity,
+    sign_unitarize,
 )
 from selftesting.ideal import Measurement
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def test_dagger():
+    a = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    assert np.array_equal(dagger(a), a.conj().T)
+    # a stack is transposed matrix by matrix, not along all three axes
+    stack = np.arange(12).reshape(3, 2, 2) * (1 + 1j)
+    assert np.array_equal(dagger(stack), np.array([m.conj().T for m in stack]))
+
+
+def test_sign_unitarize():
+    h = np.diag([2.0, 0.0, -3.0])
+    u = sign_unitarize(h)
+    assert np.allclose(u, np.diag([1.0, 1.0, -1.0]))
+    # result is always a Hermitian involution
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((4, 4))
+    u = sign_unitarize(g + g.T)
+    assert np.allclose(u @ u, np.eye(4), atol=1e-12)
+    assert np.allclose(u, dagger(u), atol=1e-12)
+
+
+def test_pure_fidelity_half():
+    target = np.array([1.0, 0.0])
+    rho = np.eye(2) / 2
+    assert abs(pure_fidelity(rho, target) - 0.5) < 1e-14
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    assert abs(pure_fidelity(np.diag([0.64, 0.36]), plus) - 0.5) < 1e-14
+
+
+def test_pure_fidelity_gates():
+    target = np.array([1.0, 0.0])
+    with pytest.raises(NormalizationError):
+        pure_fidelity(np.eye(2), target)
+    with pytest.raises(HermiticityError):
+        pure_fidelity(np.array([[0.5, 0.5], [0.0, 0.5]]), target)
 
 
 def test_block_operators_d2_are_paulis():
@@ -273,7 +316,7 @@ def test_closed_form_matches_circuit(d):
     noisy = perturbed_realization(ideal, 1e-2, seed=d)
     for r in (ideal, embedded, noisy):
         ops = build_criterion_ops(r, sc)
-        stack_a, stack_b = _stacks(ops)
+        stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
         noise = rng.standard_normal((2, r.dim_a, r.dim_b))
         for mat in (r.state_matrix(), noise[0] + 1j * noise[1]):
             got = _apply_isometry_matrix(stack_a, stack_b, mat)
@@ -309,7 +352,8 @@ def test_isometry_preserves_arbitrary_vectors():
         sc = random_coefficients(d, seed=30 + d)
         cases.append((sc, perturbed_realization(ideal_realization(sc), 1e-2, seed=1)))
     for sc, r in cases:
-        stack_a, stack_b = _stacks(build_criterion_ops(r, sc))
+        ops = build_criterion_ops(r, sc)
+        stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
         for _ in range(3):
             mat = rng.standard_normal((r.dim_a, r.dim_b)) + 1j * rng.standard_normal(
                 (r.dim_a, r.dim_b)
@@ -413,7 +457,7 @@ def _full_image_residuals(ops, r, sc):
     image, built one at a time, minus its ideal image next to the junk state."""
     d = ops.d
     mat = r.state_matrix()
-    stack_a, stack_b = _stacks(ops)
+    stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
     junk = _junk_state(ops, mat)
     tgt = target_state(sc).reshape(d, d)
 
@@ -461,13 +505,56 @@ def test_measurement_residuals_match_full_image(d):
         assert np.max(np.abs(got - _full_image_residuals(ops, r, sc))) <= 1e-14
 
 
+def _criterion_loop(ops, r, sc):
+    """Reference: the chain criterion evaluated one outcome at a time."""
+    mat = r.state_matrix()
+    c = sc.c
+    projector_match, chain_map, chain_adj = np.zeros((3, ops.d))
+    extra = _alice(ops.p_a[0], mat)
+    for k in range(ops.d):
+        ratio = c[k] / c[0]
+        projector_match[k] = np.linalg.norm(_alice(ops.p_a[k], mat) - _bob(ops.p_b[k], mat))
+        lhs = _alice(ops.x_a[k], _bob(ops.x_b[k] @ ops.p_b[k], mat))
+        chain_map[k] = np.linalg.norm(lhs - ratio * extra)
+        lhs_adj = _alice(ops.x_a[k] @ ops.p_a[k], mat)
+        chain_adj[k] = np.linalg.norm(lhs_adj - ratio * _bob(dagger(ops.x_b[k]), extra))
+    rounding = sum(
+        np.linalg.norm(_bob(p - p_cut, mat)) ** 2 for p, p_cut in zip(ops.p_b, ops.p_cut)
+    )
+    return CriterionReport(
+        projector_match=projector_match,
+        chain_map=chain_map,
+        chain_map_adjoint=chain_adj,
+        ladder_rounding=float(rounding),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_criterion_matches_outcome_loop(d):
+    sc, devices = _devices(d)
+    cases = [(sc, r) for r in devices]
+    if d == 2:
+        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
+    for sc, r in cases:
+        ops = build_criterion_ops(r, sc)
+        got = check_criterion(ops, r, sc)
+        want = _criterion_loop(ops, r, sc)
+        for f in fields(CriterionReport):
+            assert np.max(np.abs(getattr(got, f.name) - getattr(want, f.name))) <= 1e-15
+        # each rounded projector is onto the eigenvectors of its label
+        for k in range(ops.d):
+            u = ops.v_b[:, ops.label_b == k]
+            assert np.max(np.abs(ops.p_b[k] - u @ dagger(u))) <= 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_real_devices_stay_real_through_extraction(d):
     sc, (ideal, embedded, _) = _devices(d)
     for r, dtype in ((ideal, np.float64), (embedded, np.complex128)):
         ops = build_criterion_ops(r, sc)
         _, rep = apply_isometry(ops, r, sc)
-        for a in (*ops.x_a, *ops.x_b, *ops.p_b, *_stacks(ops), rep.rho_ancilla):
+        stacks = (ops.x_a @ ops.p_a, ops.x_b @ ops.p_b)
+        for a in (*ops.x_a, *ops.x_b, *ops.p_b, *stacks, rep.rho_ancilla):
             assert a.dtype == dtype
 
 

@@ -23,6 +23,18 @@ def test_embedding_spec_rejects_negative_padding():
     EmbeddingSpec(extra_a=32, extra_b=32)
 
 
+def test_embedding_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        EmbeddingSpec(extra_a=1, extra_b=0, seed=-1)
+    EmbeddingSpec(seed=0)
+
+
+def test_sample_tables_rejects_negative_seed():
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    with pytest.raises(ValueError, match="seed"):
+        sample_tables(r, 10, -1)
+
+
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(19)
     for dim in (2, 3, 7):
