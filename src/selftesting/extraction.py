@@ -14,7 +14,11 @@ stages mirror the proof structure:
    ``(B0 - B1) / (2 sin mu)``, whose sign-unitarizations play the roles of
    Z and X on that side. On the normalized block state these satisfy the
    two anchor identities: Z agreement across parties, and the flip
-   identity with slope tan(theta).
+   identity with slope tan(theta). The extraction reads the second
+   party's Z only on the blocks that cut the ladder (step 3) and its X
+   only on the d - 1 steps of the flip chains (step 4), so it unitarizes
+   just those, all in one stacked call; :func:`build_block_frame` gives a
+   block's whole frame for the identity checks.
 3. Outcome projector ladder. The first party uses its computational
    projectors directly. The second party's ladder is first cut from the
    block frame: with P the orthogonal projector onto the eigenvectors of
@@ -67,9 +71,11 @@ stages mirror the proof structure:
    ``eps ||M||``.
 
 Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack indexed
-by the outcome k (:class:`CriterionOperators`). The criterion residuals are
-batched expressions over k, and the stacks ``X^(k) P^(k)`` of steps 5 and 6
-are one stacked product per side.
+by the outcome k (:class:`CriterionOperators`). Building them takes three
+stacked eigendecompositions whatever d is: the unitarized frames of step 2,
+the cut supports of step 3 and the label operator. The criterion residuals
+are batched expressions over k, and the stacks ``X^(k) P^(k)`` of steps 5
+and 6 are one stacked product per side.
 """
 
 from __future__ import annotations
@@ -124,7 +130,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def sign_unitarize(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Sign function of the Hermitian part of `h`, zero eigenspace sent to +1.
+    """Sign function of the Hermitian part of `h`, or of each matrix of a stack.
 
     Eigenvalues below ``-zero_tol`` map to -1; everything else, including
     the band around zero, maps to +1. The result is Hermitian and unitary,
@@ -132,7 +138,7 @@ def sign_unitarize(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
     """
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
     signs = np.where(w < -zero_tol, -1.0, 1.0)
-    return (v * signs) @ dagger(v)
+    return (v * signs[..., None, :]) @ dagger(v)
 
 
 def pure_fidelity(
@@ -270,6 +276,14 @@ def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
     return np.eye(dim) - identity_block + observable
 
 
+def _tilted(b: BlockOperators) -> tuple[np.ndarray, np.ndarray]:
+    """The second party's tilted combinations ``z_star`` and ``x_star`` of one block."""
+    mu = b.block.mu
+    b0u = _reflect(b.ib0, b.b0)
+    b1u = _reflect(b.ib1, b.b1)
+    return (b0u + b1u) / (2.0 * np.cos(mu)), (b0u - b1u) / (2.0 * np.sin(mu))
+
+
 def build_block_frame(b: BlockOperators) -> BlockFrame:
     """Unitarized block frame from the block observables.
 
@@ -277,17 +291,13 @@ def build_block_frame(b: BlockOperators) -> BlockFrame:
     The second party's combinations pick up a zero eigenspace only in
     degenerate realizations; sign-unitarization sends it to +1.
     """
-    mu = b.block.mu
-    b0u = _reflect(b.ib0, b.b0)
-    b1u = _reflect(b.ib1, b.b1)
-    z_star = (b0u + b1u) / (2.0 * np.cos(mu))
-    x_star = (b0u - b1u) / (2.0 * np.sin(mu))
+    zb, xb = sign_unitarize(np.stack(_tilted(b)), ZERO_TOL)
     return BlockFrame(
         block=b.block,
         za=_reflect(b.ia0, b.a0),
         xa=_reflect(b.ia1, b.a1),
-        zb=sign_unitarize(z_star, ZERO_TOL),
-        xb=sign_unitarize(x_star, ZERO_TOL),
+        zb=zb,
+        xb=xb,
     )
 
 
@@ -336,8 +346,8 @@ class CriterionOperators:
     second party's ladder as cut from the block frames, before rounding;
     ``x_a[k]`` / ``x_b[k]`` the flip chains. The columns of ``v_b`` are the
     eigenvectors of the label operator and ``label_b`` holds each column's
-    label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``. `block_ops`
-    and `frame_ops` keep the per-block structures for reuse, in
+    label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``.
+    `block_ops` keeps the per-block observables for reuse, in
     :func:`blocks` order.
     """
 
@@ -352,7 +362,6 @@ class CriterionOperators:
     x_a: np.ndarray
     x_b: np.ndarray
     block_ops: tuple[BlockOperators, ...] = field(repr=False)
-    frame_ops: tuple[BlockFrame, ...] = field(repr=False)
 
 
 def _chain(flips: list[np.ndarray]) -> np.ndarray:
@@ -372,34 +381,42 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     """
     d = sc.d
     block_ops = tuple(build_block_operators(r, blk) for blk in blocks(sc))
-    frame_ops = tuple(build_block_frame(b) for b in block_ops)
     n_blocks = d // 2
 
     # Second party's ladder: cut each unprimed block's frame in two. For odd
     # d the unprimed corner is the second outcome of the last primed block.
-    cuts = list(zip(block_ops[:n_blocks], frame_ops[:n_blocks]))
+    cut_at = list(range(n_blocks))
     if corner(d, primed=False) is not None:
-        cuts.append((block_ops[-1], frame_ops[-1]))
-    p_cut: list[np.ndarray] = [np.zeros((r.dim_b, r.dim_b)) for _ in range(d)]
-    for b, frame in cuts:
-        # Exact block identities have eigenvalues 0 and 2 only.
-        w, v = np.linalg.eigh(b.ib0 + b.ib1)
-        keep = v[:, w > 1.0]
-        support = keep @ dagger(keep)
-        z_cut = support @ frame.zb @ support
-        if not b.block.primed:
-            p_cut[b.block.lo] = (support + z_cut) / 2.0
-        p_cut[b.block.hi] = (support - z_cut) / 2.0
+        cut_at.append(len(block_ops) - 1)
+    # Flip chains climb the ladder through unprimed block 0, primed block
+    # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
+    step_at = [i for pair in zip(range(n_blocks), range(n_blocks, len(block_ops))) for i in pair]
+    step_at = step_at[: d - 1]
+    cuts = [block_ops[i] for i in cut_at]
+    steps = [block_ops[i] for i in step_at]
+
+    # Only the cuts' Z and the steps' X are read: tilt each block they use
+    # once and unitarize all of them in one stacked call.
+    tilted = {i: _tilted(block_ops[i]) for i in {*cut_at, *step_at}}
+    frames = sign_unitarize(
+        np.stack([tilted[i][0] for i in cut_at] + [tilted[i][1] for i in step_at]), ZERO_TOL
+    )
+    zb, xb = frames[: len(cuts)], frames[len(cuts) :]
+    # Exact block identities have eigenvalues 0 and 2 only.
+    w, v = np.linalg.eigh(np.stack([b.ib0 + b.ib1 for b in cuts]))
+    support = (v * (w > 1.0)[..., None, :]) @ dagger(v)
+    z_cut = support @ zb @ support
+    # The unprimed cuts, the first n_blocks, give both outcomes of their
+    # pair; the odd-d corner cut gives only its hi.
+    p_cut = np.zeros((d, r.dim_b, r.dim_b), dtype=z_cut.dtype)
+    p_cut[[b.block.lo for b in cuts[:n_blocks]]] = (support + z_cut)[:n_blocks] / 2.0
+    p_cut[[b.block.hi for b in cuts]] = (support - z_cut) / 2.0
 
     # Round the cut ladder to a projective one: the eigenvectors of the
     # label operator, grouped by their nearest label.
     label = sum(k * p for k, p in enumerate(p_cut))
     w, v = np.linalg.eigh((label + dagger(label)) / 2)
     labels = np.clip(np.rint(w), 0, d - 1).astype(int)
-
-    # Flip chains climb the ladder through unprimed block 0, primed block
-    # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
-    steps = [f for pair in zip(frame_ops[:n_blocks], frame_ops[n_blocks:]) for f in pair]
 
     return CriterionOperators(
         d=d,
@@ -409,11 +426,10 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
         p_b=np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
         v_b=v,
         label_b=labels,
-        p_cut=np.stack(p_cut),
-        x_a=_chain([f.xa for f in steps[: d - 1]]),
-        x_b=_chain([f.xb for f in steps[: d - 1]]),
+        p_cut=p_cut,
+        x_a=_chain([_reflect(b.ia1, b.a1) for b in steps]),
+        x_b=_chain(list(xb)),
         block_ops=block_ops,
-        frame_ops=frame_ops,
     )
 
 

@@ -4,18 +4,19 @@ Formats (all plain JSON):
 
 * coefficients: ``{"d": int, "c": [float, ...]}``
 * tables: ``{"d": int, "tables": {"x,y": [[float, ...], ...], ...}}``;
-  keys are comma-joined setting pairs, absent keys mean unconstrained.
+  keys are comma-joined setting pairs in ASCII digits, each pair named at
+  most once; absent keys mean unconstrained.
 * realization: ``{"dimA": int, "dimB": int, "state": [[re, im], ...],
   "alice": [[matrix, ...], ...], "bob": [[matrix, ...], ...]}`` where the
   state is row-major over (first, second) party indices, each setting is a
   list of per-outcome matrices, and every matrix entry is an [re, im] pair.
 
 Malformed documents raise :class:`ParseError` with the offending field
-(including non-numeric entries and ragged matrices), and so do tables with
-non-finite entries and realizations whose validation fails with a
-``ValueError`` (non-finite state, broken projectors); domain violations
-with their own type (bad normalization, non-Hermitian projectors) surface
-as that type.
+(including non-numeric entries, ragged matrices and a key repeated within
+one object), and so do tables with non-finite entries and realizations
+whose validation fails with a ``ValueError`` (non-finite state, broken
+projectors); domain violations with their own type (bad normalization,
+non-Hermitian projectors) surface as that type.
 """
 
 from __future__ import annotations
@@ -44,9 +45,18 @@ __all__ = [
 
 
 def _read_json(path: str | Path) -> Any:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        # Plain json.loads keeps only the last value of a repeated key.
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            raise ParseError(f"{path}: keys {repeated} repeated within one object")
+        return obj
+
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
 
@@ -98,15 +108,22 @@ def load_tables(path: str | Path) -> CorrelationTables:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: field 'tables' must be an object")
     tables: dict[tuple[int, int], np.ndarray] = {}
+    keys: dict[tuple[int, int], str] = {}
     for key, rows in raw.items():
-        parts = key.split(",")
-        if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+        parts = [p.strip() for p in key.split(",")]
+        # str.isdigit also accepts digits such as '²' that int() rejects.
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ParseError(f"{path}: table key {key!r} is not of the form 'x,y'")
-        x, y = int(parts[0]), int(parts[1])
+        pair = (int(parts[0]), int(parts[1]))
+        if pair in keys:
+            raise ParseError(
+                f"{path}: table keys {keys[pair]!r} and {key!r} name the same pair {pair}"
+            )
+        keys[pair] = key
         arr = _float_array(rows, path, f"table {key!r}")
         if arr.shape != (d, d):
             raise ParseError(f"{path}: table {key!r} has shape {arr.shape}, expected ({d}, {d})")
-        tables[(x, y)] = arr
+        tables[pair] = arr
     try:
         return CorrelationTables(d=d, tables=tables)
     except ValueError as e:

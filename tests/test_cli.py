@@ -312,6 +312,19 @@ def test_malformed_numbers_are_input_errors(capsys, tmp_path, command, keys, val
     assert "Traceback" not in proc.stderr
 
 
+def test_non_ascii_digit_table_key_is_input_error(tmp_path):
+    # '²' passes str.isdigit, and int() then raised a bare ValueError
+    tables = tmp_path / "bad.json"
+    tables.write_text('{"d": 2, "tables": {"\u00b2,0": [[0.5, 0.0], [0.0, 0.5]]}}')
+    cfile = tmp_path / "c.json"
+    cfile.write_text('{"d": 2, "c": [0.8, 0.6]}')
+    proc = _module("verify", str(tables), "--coeffs-file", str(cfile))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {tables}:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_coefficients_is_usage_error(capsys, tmp_path):
     tables = tmp_path / "t.json"
     run_cli(capsys, "generate", "--coeffs", "0.8,0.6", "-o", str(tables))

@@ -31,18 +31,21 @@ from selftesting.errors import (
     NormalizationError,
 )
 from selftesting.extraction import (
+    ZERO_TOL,
     CriterionReport,
     ExtractionReport,
     MeasurementResidual,
     _alice,
     _apply_isometry_matrix,
     _bob,
+    _chain,
     _junk_state,
     dagger,
     pure_fidelity,
     sign_unitarize,
 )
 from selftesting.ideal import Measurement
+from selftesting.schmidt import corner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -66,6 +69,18 @@ def test_sign_unitarize():
     u = sign_unitarize(g + g.T)
     assert np.allclose(u @ u, np.eye(4), atol=1e-12)
     assert np.allclose(u, dagger(u), atol=1e-12)
+    # a stack is unitarized matrix by matrix, exactly as one at a time; the
+    # middle matrix has an eigenvalue inside the ZERO_TOL band, sent to +1
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    near_zero = (q * np.array([2.0, 0.5 * ZERO_TOL, -0.5 * ZERO_TOL, -1.0])) @ dagger(q)
+    g = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    stack = np.stack([g[0], near_zero, g[1]])
+    got = sign_unitarize(stack)
+    assert got.shape == (3, 4, 4)
+    for h, u in zip(stack, got):
+        assert np.array_equal(u, sign_unitarize(h))
+    w = np.linalg.eigvalsh(got[1])
+    assert np.allclose(w, [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_pure_fidelity_half():
@@ -212,8 +227,9 @@ def test_block_frames_hermitian_unitary_embedded():
     r = embed_realization(
         ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=1, seed=7)
     )
-    ops = build_criterion_ops(r, sc)
-    for frame in ops.frame_ops:
+    frames = [build_block_frame(build_block_operators(r, blk)) for blk in blocks(sc)]
+    assert len(frames) == len(blocks(sc))
+    for frame in frames:
         for u in (frame.za, frame.xa, frame.zb, frame.xb):
             assert np.max(np.abs(u - dagger(u))) < 1e-9
             assert np.max(np.abs(u @ u - np.eye(u.shape[0]))) < 1e-9
@@ -224,10 +240,12 @@ def test_flip_chain_products():
     sc = random_coefficients(4, seed=15)
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    # frame_ops follow blocks(sc): unprimed 0, unprimed 1, primed 0, primed 1
-    xa_u0 = ops.frame_ops[0].xa
-    xa_p0 = ops.frame_ops[2].xa
-    xa_u1 = ops.frame_ops[1].xa
+    frames = [build_block_frame(build_block_operators(r, blk)) for blk in blocks(sc)]
+    assert len(frames) == len(blocks(sc))
+    # frames follow blocks(sc): unprimed 0, unprimed 1, primed 0, primed 1
+    xa_u0 = frames[0].xa
+    xa_p0 = frames[2].xa
+    xa_u1 = frames[1].xa
     assert np.allclose(ops.x_a[0], np.eye(4), atol=1e-14)
     assert np.allclose(ops.x_a[1], xa_u0, atol=1e-13)
     assert np.allclose(ops.x_a[2], xa_u0 @ xa_p0, atol=1e-13)
@@ -545,6 +563,70 @@ def test_criterion_matches_outcome_loop(d):
         for k in range(ops.d):
             u = ops.v_b[:, ops.label_b == k]
             assert np.max(np.abs(ops.p_b[k] - u @ dagger(u))) <= 1e-15
+
+
+def _criterion_ops_loop(r, sc):
+    """Reference: the ladders and chains built from a whole frame per block,
+    one eigendecomposition at a time."""
+    d = sc.d
+    block_ops = tuple(build_block_operators(r, blk) for blk in blocks(sc))
+    frame_ops = tuple(build_block_frame(b) for b in block_ops)
+    n_blocks = d // 2
+    cuts = list(zip(block_ops[:n_blocks], frame_ops[:n_blocks]))
+    if corner(d, primed=False) is not None:
+        cuts.append((block_ops[-1], frame_ops[-1]))
+    p_cut = [np.zeros((r.dim_b, r.dim_b)) for _ in range(d)]
+    for b, frame in cuts:
+        w, v = np.linalg.eigh(b.ib0 + b.ib1)
+        keep = v[:, w > 1.0]
+        support = keep @ dagger(keep)
+        z_cut = support @ frame.zb @ support
+        if not b.block.primed:
+            p_cut[b.block.lo] = (support + z_cut) / 2.0
+        p_cut[b.block.hi] = (support - z_cut) / 2.0
+    label = sum(k * p for k, p in enumerate(p_cut))
+    w, v = np.linalg.eigh((label + dagger(label)) / 2)
+    labels = np.clip(np.rint(w), 0, d - 1).astype(int)
+    steps = [f for pair in zip(frame_ops[:n_blocks], frame_ops[n_blocks:]) for f in pair]
+    return {
+        "p_b": np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
+        "p_cut": np.stack(p_cut),
+        "x_a": _chain([f.xa for f in steps[: d - 1]]),
+        "x_b": _chain([f.xb for f in steps[: d - 1]]),
+        "label_b": labels,
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_criterion_ops_match_block_loop(d):
+    sc, devices = _devices(d)
+    cases = [(sc, r) for r in devices]
+    if d == 2:
+        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
+    for sc, r in cases:
+        ops = build_criterion_ops(r, sc)
+        for name, want in _criterion_ops_loop(r, sc).items():
+            got = getattr(ops, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_criterion_ops_three_eigendecompositions(d, monkeypatch):
+    # the cut frames and the chain steps share one stacked call, the cut
+    # supports another, the label operator the third, whatever d is
+    sc = random_coefficients(d, seed=1400 + d)
+    r = embed_realization(ideal_realization(sc), EmbeddingSpec(extra_a=1, extra_b=2, seed=3))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    build_criterion_ops(r, sc)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])

@@ -88,6 +88,33 @@ def test_load_tables_rejects_bad_key_and_shape(tmp_path):
         load_tables(path2)
 
 
+def test_load_tables_rejects_non_ascii_digit_key(tmp_path):
+    # '²' passes str.isdigit but not int()
+    path = tmp_path / "t.json"
+    path.write_text('{"d": 2, "tables": {"\u00b2,0": [[0.5, 0.0], [0.0, 0.5]]}}')
+    with pytest.raises(ParseError) as err:
+        load_tables(path)
+    assert "'²,0'" in str(err.value)
+
+
+def test_load_tables_rejects_repeated_pair(tmp_path):
+    # two spellings of one setting pair must not overwrite each other
+    path = tmp_path / "t.json"
+    path.write_text(
+        '{"d": 2, "tables": {"0,1": [[0.5, 0.0], [0.0, 0.5]], "0, 1": [[0.0, 0.5], [0.5, 0.0]]}}'
+    )
+    with pytest.raises(ParseError) as err:
+        load_tables(path)
+    assert "'0,1'" in str(err.value) and "'0, 1'" in str(err.value)
+    # the same spelling twice, which json.loads alone resolves to the last
+    path.write_text(
+        '{"d": 2, "tables": {"0,1": [[0.5, 0.0], [0.0, 0.5]], "0,1": [[0.0, 0.5], [0.5, 0.0]]}}'
+    )
+    with pytest.raises(ParseError) as err:
+        load_tables(path)
+    assert "'0,1'" in str(err.value)
+
+
 def test_load_realization_validates_by_default(tmp_path):
     sc = random_coefficients(2, seed=32)
     r = ideal_realization(sc)
