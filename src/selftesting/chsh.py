@@ -110,5 +110,9 @@ def block_violation(t: CorrelationTables, b: Block) -> BlockScore:
 
 
 def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockScore]:
-    """Scores for every block of both families, in :func:`blocks` order."""
+    """Scores for every block of both families, in :func:`blocks` order.
+
+    Tables of another d than `sc` raise :class:`DimensionError`.
+    """
+    t.require_d(sc.d)
     return [block_violation(t, b) for b in blocks(sc)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, HermiticityError
+from .errors import CoverageError, DimensionError, HermiticityError
 from .ideal import Realization
 from .schmidt import SETTINGS, SchmidtCoefficients, blocks, corner, pairs
 
@@ -90,6 +90,11 @@ class CorrelationTables:
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.tables)
+
+    def require_d(self, d: int) -> None:
+        """Raise :class:`DimensionError` unless these tables have `d` outcomes."""
+        if self.d != d:
+            raise DimensionError(f"tables have d = {self.d}, but the coefficients give d = {d}")
 
 
 def compute_tables(r: Realization) -> CorrelationTables:
@@ -231,8 +236,10 @@ def verify_tables(
     Every constrained pair must be present in `t` (else
     :class:`CoverageError`); pairs beyond the constrained eight are
     ignored for the entrywise match but still participate in the
-    no-signaling and sum-to-one checks.
+    no-signaling and sum-to-one checks. Tables of another d than `sc`
+    raise :class:`DimensionError`.
     """
+    t.require_d(sc.d)
     ref = reference_tables(sc)
     gaps: list[float] = []
     masses: list[float] = []

@@ -17,8 +17,8 @@ stages mirror the proof structure:
    identity with slope tan(theta). The extraction reads the second
    party's Z only on the blocks that cut the ladder (step 3) and its X
    only on the d - 1 steps of the flip chains (step 4), so it unitarizes
-   just those, all in one stacked call; :func:`build_block_frame` gives a
-   block's whole frame for the identity checks.
+   just those, all in one stacked call; :func:`build_block_frame` gives
+   every block's whole frame for the identity checks.
 3. Outcome projector ladder. The first party uses its computational
    projectors directly. The second party's ladder is first cut from the
    block frame: with P the orthogonal projector onto the eigenvectors of
@@ -70,12 +70,17 @@ stages mirror the proof structure:
    squares, never a difference, so the float error stays at
    ``eps ||M||``.
 
-Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack indexed
-by the outcome k (:class:`CriterionOperators`). Building them takes three
-stacked eigendecompositions whatever d is: the unitarized frames of step 2,
-the cut supports of step 3 and the label operator. The criterion residuals
-are batched expressions over k, and the stacks ``X^(k) P^(k)`` of steps 5
-and 6 are one stacked product per side.
+The block observables of step 1 are ``(n_blocks, 2, dim, dim)`` stacks,
+one per party and kind (:class:`BlockOperators`): every block of a family
+reads the same settings, so each is one fancy-index difference or sum of
+the device's projectors, and frames and identity checks are batched over
+blocks. Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack
+indexed by the outcome k (:class:`CriterionOperators`). Building them takes
+three stacked eigendecompositions whatever d is: the unitarized frames of
+step 2, the cut supports of step 3 and the label operator. The criterion
+residuals are batched expressions over k, and the stacks ``X^(k) P^(k)``
+of steps 5 and 6, like the moved block observables of step 6, are one
+stacked product per side.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBlockError,
+    DimensionError,
     HermiticityError,
     IsometryConsistencyError,
     NormalizationError,
@@ -189,81 +195,83 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockOperators:
-    """Per-block two-outcome observables and block identities.
+    """Two-outcome observables and block identities of every block, stacked.
 
-    ``a0/a1`` are the first party's observables for the block's settings
-    ``block.xs``, ``b0/b1`` the second party's for ``block.ys``. ``ia0``
-    and friends are the matching block identities (sums instead of
-    differences).
+    ``table`` is the block table in :func:`blocks` order. Each array has
+    shape ``(n_blocks, 2, dim, dim)``: ``a[i, j]`` is the first party's
+    observable of block ``table[i]`` for setting ``table[i].xs[j]``, ``b[i, j]``
+    the second party's for ``table[i].ys[j]``, and ``ia``/``ib`` are the
+    matching block identities (sums instead of differences).
     """
 
-    block: Block
-    a0: np.ndarray
-    a1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-    ia0: np.ndarray
-    ia1: np.ndarray
-    ib0: np.ndarray
-    ib1: np.ndarray
+    table: tuple[Block, ...]
+    a: np.ndarray
+    ia: np.ndarray
+    b: np.ndarray
+    ib: np.ndarray
 
 
-def build_block_operators(r: Realization, b: Block) -> BlockOperators:
-    """Block observables of realization `r` for block `b`."""
-    pa = [r.alice[x].projectors for x in b.xs]
-    pb = [r.bob[y].projectors for y in b.ys]
-    lo, hi = b.lo, b.hi
-    return BlockOperators(
-        block=b,
-        a0=pa[0][lo] - pa[0][hi],
-        a1=pa[1][lo] - pa[1][hi],
-        b0=pb[0][lo] - pb[0][hi],
-        b1=pb[1][lo] - pb[1][hi],
-        ia0=pa[0][lo] + pa[0][hi],
-        ia1=pa[1][lo] + pa[1][hi],
-        ib0=pb[0][lo] + pb[0][hi],
-        ib1=pb[1][lo] + pb[1][hi],
-    )
+def _column(table: tuple[Block, ...], name: str) -> np.ndarray:
+    """One field of every block, as an array in table order."""
+    return np.array([getattr(blk, name) for blk in table])
+
+
+def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOperators:
+    """Block observables of realization `r` for every block of `sc`.
+
+    A realization whose outcome count is not the coefficients' d raises
+    :class:`DimensionError`.
+    """
+    if r.n_outcomes != sc.d:
+        raise DimensionError(
+            f"realization has {r.n_outcomes} outcomes, but the coefficients give d = {sc.d}"
+        )
+    table = blocks(sc)
+    # Axis 0 runs over (lo, hi), broadcast against the (block, setting) axes.
+    pair = _column(table, "pair").T[:, :, None]
+
+    def split(group: tuple, settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p_lo, p_hi = np.stack([meas.projectors for meas in group])[settings, pair]
+        return p_lo - p_hi, p_lo + p_hi
+
+    a, ia = split(r.alice, _column(table, "xs"))
+    b, ib = split(r.bob, _column(table, "ys"))
+    return BlockOperators(table=table, a=a, ia=ia, b=b, ib=ib)
 
 
 @dataclass(frozen=True)
 class BlockIdentityReport:
     """On-state residuals tying the four block identities together.
 
-    ``cross[i][j]`` is the norm of ``(1_m^{A_i} - 1_m^{B_j}) |psi>``;
-    ``mass_residual`` is how far the measured block weight sits from the
-    claimed one.
+    Indexed by block in :func:`blocks` order. ``cross[i, s, t]`` is the
+    norm of ``(1^{A_s} - 1^{B_t}) |psi>`` for block i's first-party setting
+    s and second-party setting t; ``mass_residual[i]`` is how far block i's
+    measured weight sits from the claimed one.
     """
 
-    m: int
-    primed: bool
     cross: np.ndarray
-    mass_residual: float
+    mass_residual: np.ndarray
 
 
-def block_identity_checks(b: BlockOperators, r: Realization) -> BlockIdentityReport:
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def block_identity_checks(ops: BlockOperators, r: Realization) -> BlockIdentityReport:
     """Residuals of the block-identity equalities on the state."""
     mat = r.state_matrix()
-    ia = (b.ia0, b.ia1)
-    ib = (b.ib0, b.ib1)
-    cross = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            cross[i, j] = np.linalg.norm(_alice(ia[i], mat) - _bob(ib[j], mat))
-    measured = float(np.linalg.norm(_alice(b.ia0, mat)))
+    ia, ib = _alice(ops.ia, mat), _bob(ops.ib, mat)
     return BlockIdentityReport(
-        m=b.block.m,
-        primed=b.block.primed,
-        cross=cross,
-        mass_residual=abs(measured - np.sqrt(b.block.mass)),
+        cross=_norms(ia[:, :, None] - ib[:, None]),
+        mass_residual=np.abs(_norms(ia[:, 0]) - np.sqrt(_column(ops.table, "mass"))),
     )
 
 
 @dataclass(frozen=True)
 class BlockFrame:
-    """Unitarized Z/X frame of one block, both parties."""
+    """Unitarized Z/X frames of both parties, one per block in :func:`blocks` order."""
 
-    block: Block
     za: np.ndarray
     xa: np.ndarray
     zb: np.ndarray
@@ -271,68 +279,62 @@ class BlockFrame:
 
 
 def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
-    """Extend a block observable to a reflection: +1 off the block."""
-    dim = identity_block.shape[0]
-    return np.eye(dim) - identity_block + observable
+    """Extend block observables to reflections: +1 off the block."""
+    return np.eye(observable.shape[-1]) - identity_block + observable
 
 
-def _tilted(b: BlockOperators) -> tuple[np.ndarray, np.ndarray]:
-    """The second party's tilted combinations ``z_star`` and ``x_star`` of one block."""
-    mu = b.block.mu
-    b0u = _reflect(b.ib0, b.b0)
-    b1u = _reflect(b.ib1, b.b1)
+def _tilted(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray]:
+    """The second party's tilted combinations ``z_star`` and ``x_star`` of every block."""
+    mu = _column(ops.table, "mu")[:, None, None]
+    bu = _reflect(ops.ib, ops.b)
+    b0u, b1u = bu[:, 0], bu[:, 1]
     return (b0u + b1u) / (2.0 * np.cos(mu)), (b0u - b1u) / (2.0 * np.sin(mu))
 
 
-def build_block_frame(b: BlockOperators) -> BlockFrame:
-    """Unitarized block frame from the block observables.
+def build_block_frame(ops: BlockOperators) -> BlockFrame:
+    """Unitarized block frames from the block observables.
 
     The first party's observables are extended to reflections directly.
     The second party's combinations pick up a zero eigenspace only in
     degenerate realizations; sign-unitarization sends it to +1.
     """
-    zb, xb = sign_unitarize(np.stack(_tilted(b)), ZERO_TOL)
-    return BlockFrame(
-        block=b.block,
-        za=_reflect(b.ia0, b.a0),
-        xa=_reflect(b.ia1, b.a1),
-        zb=zb,
-        xb=xb,
-    )
+    zb, xb = sign_unitarize(np.stack(_tilted(ops)), ZERO_TOL)
+    a = _reflect(ops.ia, ops.a)
+    return BlockFrame(za=a[:, 0], xa=a[:, 1], zb=zb, xb=xb)
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Residuals of the two anchor identities on the normalized block state."""
+    """Residuals of the two anchor identities on each normalized block state,
+    in :func:`blocks` order."""
 
-    m: int
-    primed: bool
-    z_residual: float
-    flip_residual: float
+    z_residual: np.ndarray
+    flip_residual: np.ndarray
 
 
-def frame_identity_checks(frame: BlockFrame, b: BlockOperators, r: Realization) -> FrameReport:
-    """Check Z agreement and the tan(theta) flip identity for one block.
+def frame_identity_checks(frame: BlockFrame, ops: BlockOperators, r: Realization) -> FrameReport:
+    """Check Z agreement and the tan(theta) flip identity on every block.
 
     Both are evaluated on the block state ``1_m^{A_0}|psi>`` normalized by
     the claimed mass, so a realization lying about its coefficients shows
     up here rather than being silently renormalized away.
     """
-    blk = b.block
-    if blk.mass <= MASS_FLOOR:
+    table = ops.table
+    mass = _column(table, "mass")
+    low = np.flatnonzero(mass <= MASS_FLOOR)
+    if low.size:
+        blk = table[low[0]]
         raise DegenerateBlockError(
             f"block ({blk.m}, primed={blk.primed}) claimed mass {blk.mass:.3e} below floor"
         )
-    mat = _alice(b.ia0, r.state_matrix()) / np.sqrt(blk.mass)
-    dim_a = r.dim_a
-    z_res = np.linalg.norm(_alice(frame.za, mat) - _bob(frame.zb, mat))
-    lhs = _alice(frame.xa @ (np.eye(dim_a) - frame.za), mat)
-    rhs = np.tan(blk.theta) * _bob(frame.xb, _alice(np.eye(dim_a) + frame.za, mat))
+    mat = _alice(ops.ia[:, 0], r.state_matrix()) / np.sqrt(mass)[:, None, None]
+    eye = np.eye(r.dim_a)
+    lhs = _alice(frame.xa @ (eye - frame.za), mat)
+    tan = np.tan(_column(table, "theta"))[:, None, None]
+    rhs = tan * _bob(frame.xb, _alice(eye + frame.za, mat))
     return FrameReport(
-        m=blk.m,
-        primed=blk.primed,
-        z_residual=float(z_res),
-        flip_residual=float(np.linalg.norm(lhs - rhs)),
+        z_residual=_norms(_alice(frame.za, mat) - _bob(frame.zb, mat)),
+        flip_residual=_norms(lhs - rhs),
     )
 
 
@@ -347,8 +349,8 @@ class CriterionOperators:
     ``x_a[k]`` / ``x_b[k]`` the flip chains. The columns of ``v_b`` are the
     eigenvectors of the label operator and ``label_b`` holds each column's
     label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``.
-    `block_ops` keeps the per-block observables for reuse, in
-    :func:`blocks` order.
+    `block_ops` keeps the stacked block observables, in :func:`blocks`
+    order, for :func:`measurement_equivalence`.
     """
 
     d: int
@@ -361,12 +363,12 @@ class CriterionOperators:
     p_cut: np.ndarray
     x_a: np.ndarray
     x_b: np.ndarray
-    block_ops: tuple[BlockOperators, ...] = field(repr=False)
+    block_ops: BlockOperators = field(repr=False)
 
 
-def _chain(flips: list[np.ndarray]) -> np.ndarray:
-    """Stack of the running products ``1, F_0, F_0 F_1, ...`` in the flips' common dtype."""
-    out = [np.eye(flips[0].shape[0], dtype=np.result_type(*flips))]
+def _chain(flips: np.ndarray) -> np.ndarray:
+    """Stack of the running products ``1, F_0, F_0 F_1, ...`` of a stack of flips."""
+    out = [np.eye(flips.shape[-1], dtype=flips.dtype)]
     for f in flips:
         out.append(out[-1] @ f)
     return np.stack(out)
@@ -380,37 +382,35 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     against the state it claims to produce.
     """
     d = sc.d
-    block_ops = tuple(build_block_operators(r, blk) for blk in blocks(sc))
+    ops = build_block_operators(r, sc)
+    table = ops.table
     n_blocks = d // 2
 
     # Second party's ladder: cut each unprimed block's frame in two. For odd
     # d the unprimed corner is the second outcome of the last primed block.
     cut_at = list(range(n_blocks))
     if corner(d, primed=False) is not None:
-        cut_at.append(len(block_ops) - 1)
+        cut_at.append(len(table) - 1)
     # Flip chains climb the ladder through unprimed block 0, primed block
     # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
-    step_at = [i for pair in zip(range(n_blocks), range(n_blocks, len(block_ops))) for i in pair]
+    step_at = [i for pair in zip(range(n_blocks), range(n_blocks, len(table))) for i in pair]
     step_at = step_at[: d - 1]
-    cuts = [block_ops[i] for i in cut_at]
-    steps = [block_ops[i] for i in step_at]
 
-    # Only the cuts' Z and the steps' X are read: tilt each block they use
-    # once and unitarize all of them in one stacked call.
-    tilted = {i: _tilted(block_ops[i]) for i in {*cut_at, *step_at}}
-    frames = sign_unitarize(
-        np.stack([tilted[i][0] for i in cut_at] + [tilted[i][1] for i in step_at]), ZERO_TOL
-    )
-    zb, xb = frames[: len(cuts)], frames[len(cuts) :]
+    # Only the cuts' Z and the steps' X are read: unitarize just those, in
+    # one stacked call.
+    z_star, x_star = _tilted(ops)
+    frames = sign_unitarize(np.concatenate((z_star[cut_at], x_star[step_at])), ZERO_TOL)
+    zb, xb = frames[: len(cut_at)], frames[len(cut_at) :]
     # Exact block identities have eigenvalues 0 and 2 only.
-    w, v = np.linalg.eigh(np.stack([b.ib0 + b.ib1 for b in cuts]))
+    ib = ops.ib[cut_at]
+    w, v = np.linalg.eigh(ib[:, 0] + ib[:, 1])
     support = (v * (w > 1.0)[..., None, :]) @ dagger(v)
     z_cut = support @ zb @ support
     # The unprimed cuts, the first n_blocks, give both outcomes of their
     # pair; the odd-d corner cut gives only its hi.
     p_cut = np.zeros((d, r.dim_b, r.dim_b), dtype=z_cut.dtype)
-    p_cut[[b.block.lo for b in cuts[:n_blocks]]] = (support + z_cut)[:n_blocks] / 2.0
-    p_cut[[b.block.hi for b in cuts]] = (support - z_cut) / 2.0
+    p_cut[_column(table[:n_blocks], "lo")] = (support + z_cut)[:n_blocks] / 2.0
+    p_cut[_column(table, "hi")[cut_at]] = (support - z_cut) / 2.0
 
     # Round the cut ladder to a projective one: the eigenvectors of the
     # label operator, grouped by their nearest label.
@@ -427,9 +427,9 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
         v_b=v,
         label_b=labels,
         p_cut=p_cut,
-        x_a=_chain([_reflect(b.ia1, b.a1) for b in steps]),
-        x_b=_chain(list(xb)),
-        block_ops=block_ops,
+        x_a=_chain(_reflect(ops.ia[step_at, 1], ops.a[step_at, 1])),
+        x_b=_chain(xb),
+        block_ops=ops,
     )
 
 
@@ -559,11 +559,6 @@ class MeasurementResidual:
     residual: float
 
 
-def _two_level(zz: float, xx: float) -> np.ndarray:
-    """The operator zz * Z + xx * X on a block's (lo, hi) two-level subspace."""
-    return np.array([[zz, xx], [xx, -zz]])
-
-
 def measurement_equivalence(
     ops: CriterionOperators, r: Realization, sc: SchmidtCoefficients
 ) -> list[MeasurementResidual]:
@@ -583,44 +578,45 @@ def measurement_equivalence(
     stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
     junk = _junk_state(ops, mat)
     basis = ops.v_b.conj()
+    bo = ops.block_ops
+    # Every block's four observables applied to the state, in the order
+    # A xs[0], A xs[1], B ys[0], B ys[1].
+    moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
+    # Z and X on a block's (lo, hi) two-level subspace.
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     out: list[MeasurementResidual] = []
-    for b in ops.block_ops:
-        blk = b.block
+    for blk, mv in zip(bo.table, moved):
         pair = list(blk.pair)
         cos, sin = np.cos(blk.mu), np.sin(blk.mu)
-        # Each observable with its ideal image, on the pair x pair slices
-        # where that image lives: the target there is diag(c), so the first
-        # party's Z or X gives Z diag(c) or X diag(c), and the second
-        # party's symmetric B gives diag(c) B.
+        # Each observable's ideal image on the pair x pair slices where it
+        # lives: the target there is diag(c), so the first party's Z or X
+        # gives Z diag(c) or X diag(c), and the second party's symmetric B
+        # gives diag(c) B.
         c = sc.c[pair]
-        rows = (
-            ("A", blk.xs[0], _alice(b.a0, mat), _two_level(1.0, 0.0) * c),
-            ("A", blk.xs[1], _alice(b.a1, mat), _two_level(0.0, 1.0) * c),
-            ("B", blk.ys[0], _bob(b.b0, mat), c[:, None] * _two_level(cos, sin)),
-            ("B", blk.ys[1], _bob(b.b1, mat), c[:, None] * _two_level(cos, -sin)),
+        ideal = np.array(
+            (z * c, x * c, c[:, None] * (cos * z + sin * x), c[:, None] * (cos * z - sin * x))
         )
-        sides, settings, moved, ideal = zip(*rows)
-        moved = np.array(moved)
         rest = np.ones(d, dtype=bool)
         rest[pair] = False
         # X_A^(k) P_A^(k) O |psi> for each observable O, k on the pair and
         # off it, each as one product against the stacked rows.
-        inside = stack_a[pair].reshape(2 * dim_a, dim_a) @ moved
-        outside = stack_a[rest].reshape(-1, dim_a) @ moved
+        inside = stack_a[pair].reshape(2 * dim_a, dim_a) @ mv
+        outside = stack_a[rest].reshape(-1, dim_a) @ mv
         # Image slices (k, l) with both on the pair, less the ideal image,
         # indexed (observable, k, first party, l, second party).
         slices = inside.reshape(8 * dim_a, dim_b) @ stack_b[pair].reshape(2 * dim_b, dim_b).T
         slices = slices.reshape(4, 2, dim_a, 2, dim_b)
-        slices -= np.array(ideal)[:, :, None, :, None] * junk[:, None]
+        slices -= ideal[:, :, None, :, None] * junk[:, None]
         # The three terms of step 6: k off the pair; k on it and l off it;
         # both on it.
         off_pair = inside @ basis[:, rest[ops.label_b]]
         sq = _sq_norms(outside) + _sq_norms(off_pair) + _sq_norms(slices)
+        observables = (("A", blk.xs[0]), ("A", blk.xs[1]), ("B", blk.ys[0]), ("B", blk.ys[1]))
         out.extend(
             MeasurementResidual(
                 side=side, setting=setting, m=blk.m, primed=blk.primed, residual=float(np.sqrt(s))
             )
-            for side, setting, s in zip(sides, settings, sq)
+            for (side, setting), s in zip(observables, sq)
         )
     return out
 

@@ -331,3 +331,25 @@ def test_missing_coefficients_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(tables))
     assert code == 2
     assert "coefficients required" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "chsh", "extract"])
+@pytest.mark.parametrize(
+    "file_coeffs, claim_coeffs", [("0.8,0.6", "0.8,0.48,0.36"), ("0.8,0.48,0.36", "0.8,0.6")]
+)
+def test_file_d_differing_from_coefficients_is_error(
+    capsys, tmp_path, command, file_coeffs, claim_coeffs
+):
+    # each of these printed a traceback, or for chsh on a larger table
+    # file, exited 0 with scores of the wrong blocks
+    path = tmp_path / "in.json"
+    source = "ideal" if command == "extract" else "generate"
+    run_cli(capsys, source, "--coeffs", file_coeffs, "-o", str(path))
+    code, out, err = run_cli(capsys, command, str(path), "--coeffs", claim_coeffs)
+    file_d, claim_d = len(file_coeffs.split(",")), len(claim_coeffs.split(","))
+    have = f"tables have d = {file_d}"
+    if command == "extract":
+        have = f"realization has {file_d} outcomes"
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {have}, but the coefficients give d = {claim_d}\n"

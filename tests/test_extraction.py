@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from selftesting.errors import (
     NormalizationError,
 )
 from selftesting.extraction import (
+    MASS_FLOOR,
     ZERO_TOL,
     CriterionReport,
     ExtractionReport,
@@ -102,61 +104,74 @@ def test_pure_fidelity_gates():
 def test_block_operators_d2_are_paulis():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
-    b = build_block_operators(r, blocks(sc)[0])
-    assert np.allclose(b.a0, SIGMA_Z, atol=1e-14)
-    assert np.allclose(b.a1, SIGMA_X, atol=1e-14)
-    assert np.allclose(b.ia0, np.eye(2), atol=1e-14)
-    assert np.allclose(b.ia1, np.eye(2), atol=1e-14)
+    ops = build_block_operators(r, sc)
+    assert ops.table == blocks(sc)
+    for a in (ops.a, ops.ia, ops.b, ops.ib):
+        assert a.shape == (2, 2, 2, 2)
+    # the unprimed block, pairing (0, 1)
+    assert np.allclose(ops.a[0, 0], SIGMA_Z, atol=1e-14)
+    assert np.allclose(ops.a[0, 1], SIGMA_X, atol=1e-14)
+    assert np.allclose(ops.ia[0, 0], np.eye(2), atol=1e-14)
+    assert np.allclose(ops.ia[0, 1], np.eye(2), atol=1e-14)
     # second party's observables are the two tilted combinations
     mu = angles(sc).mu[0]
-    assert np.allclose(b.b0, np.cos(mu) * SIGMA_Z + np.sin(mu) * SIGMA_X, atol=1e-14)
-    assert np.allclose(b.b1, np.cos(mu) * SIGMA_Z - np.sin(mu) * SIGMA_X, atol=1e-14)
+    assert np.allclose(ops.b[0, 0], np.cos(mu) * SIGMA_Z + np.sin(mu) * SIGMA_X, atol=1e-14)
+    assert np.allclose(ops.b[0, 1], np.cos(mu) * SIGMA_Z - np.sin(mu) * SIGMA_X, atol=1e-14)
 
 
 def test_block_identity_checks_ideal():
     for d in (2, 3, 4, 5):
         sc = random_coefficients(d, seed=900 + d)
         r = ideal_realization(sc)
-        for blk in blocks(sc):
-            b = build_block_operators(r, blk)
-            rep = block_identity_checks(b, r)
-            assert np.max(rep.cross) < 1e-12
-            assert rep.mass_residual < 1e-12
+        rep = block_identity_checks(build_block_operators(r, sc), r)
+        assert rep.cross.shape == (len(blocks(sc)), 2, 2)
+        assert rep.mass_residual.shape == (len(blocks(sc)),)
+        assert np.max(rep.cross) < 1e-12
+        assert np.max(rep.mass_residual) < 1e-12
 
 
 def test_block_frame_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
-    b = build_block_operators(r, blocks(sc)[0])
-    frame = build_block_frame(b)
-    assert np.allclose(frame.za, SIGMA_Z, atol=1e-12)
-    assert np.allclose(frame.xa, SIGMA_X, atol=1e-12)
-    assert np.allclose(frame.zb, SIGMA_Z, atol=1e-12)
-    assert np.allclose(frame.xb, SIGMA_X, atol=1e-12)
+    frame = build_block_frame(build_block_operators(r, sc))
+    assert np.allclose(frame.za[0], SIGMA_Z, atol=1e-12)
+    assert np.allclose(frame.xa[0], SIGMA_X, atol=1e-12)
+    assert np.allclose(frame.zb[0], SIGMA_Z, atol=1e-12)
+    assert np.allclose(frame.xb[0], SIGMA_X, atol=1e-12)
 
 
 def test_frame_identity_checks_ideal():
     for d in (2, 3, 4, 6):
         sc = random_coefficients(d, seed=950 + d)
         r = ideal_realization(sc)
-        for blk in blocks(sc):
-            b = build_block_operators(r, blk)
-            frame = build_block_frame(b)
-            rep = frame_identity_checks(frame, b, r)
-            assert rep.z_residual < 1e-12
-            assert rep.flip_residual < 1e-12
+        ops = build_block_operators(r, sc)
+        rep = frame_identity_checks(build_block_frame(ops), ops, r)
+        assert rep.z_residual.shape == rep.flip_residual.shape == (len(blocks(sc)),)
+        assert np.max(rep.z_residual) < 1e-12
+        assert np.max(rep.flip_residual) < 1e-12
 
 
 def test_frame_rejects_vanishing_claimed_mass():
     eps = 1e-7
-    c = np.array([np.sqrt(1 - 2 * eps**2), eps, eps])
-    sc = SchmidtCoefficients(c)
-    r = ideal_realization(sc)
-    # the only primed block, pairing (1, 2)
-    b = build_block_operators(r, blocks(sc)[-1])
-    frame = build_block_frame(b)
-    with pytest.raises(DegenerateBlockError):
-        frame_identity_checks(frame, b, r)
+    cases = (
+        # the only primed block, pairing (1, 2)
+        (3, [(0, True)]),
+        # unprimed block 1, pairing (2, 3), then primed block 0, pairing (1, 2)
+        (4, [(1, False), (0, True)]),
+    )
+    for d, low_blocks in cases:
+        c = np.full(d, eps)
+        c[0] = np.sqrt(1 - (d - 1) * eps**2)
+        sc = SchmidtCoefficients(c)
+        r = ideal_realization(sc)
+        ops = build_block_operators(r, sc)
+        frame = build_block_frame(ops)
+        low = [(blk.m, blk.primed) for blk in blocks(sc) if blk.mass <= MASS_FLOOR]
+        assert low == low_blocks
+        # the message names the first block below the floor
+        m, primed = low[0]
+        with pytest.raises(DegenerateBlockError, match=rf"^block \({m}, primed={primed}\) claimed"):
+            frame_identity_checks(frame, ops, r)
 
 
 def test_criterion_ops_ideal_structure():
@@ -227,10 +242,10 @@ def test_block_frames_hermitian_unitary_embedded():
     r = embed_realization(
         ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=1, seed=7)
     )
-    frames = [build_block_frame(build_block_operators(r, blk)) for blk in blocks(sc)]
-    assert len(frames) == len(blocks(sc))
-    for frame in frames:
-        for u in (frame.za, frame.xa, frame.zb, frame.xb):
+    frame = build_block_frame(build_block_operators(r, sc))
+    for stack in (frame.za, frame.xa, frame.zb, frame.xb):
+        assert len(stack) == len(blocks(sc))
+        for u in stack:
             assert np.max(np.abs(u - dagger(u))) < 1e-9
             assert np.max(np.abs(u @ u - np.eye(u.shape[0]))) < 1e-9
 
@@ -240,12 +255,12 @@ def test_flip_chain_products():
     sc = random_coefficients(4, seed=15)
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    frames = [build_block_frame(build_block_operators(r, blk)) for blk in blocks(sc)]
-    assert len(frames) == len(blocks(sc))
+    frame = build_block_frame(build_block_operators(r, sc))
+    assert len(frame.xa) == len(blocks(sc))
     # frames follow blocks(sc): unprimed 0, unprimed 1, primed 0, primed 1
-    xa_u0 = frames[0].xa
-    xa_p0 = frames[2].xa
-    xa_u1 = frames[1].xa
+    xa_u0 = frame.xa[0]
+    xa_p0 = frame.xa[2]
+    xa_u1 = frame.xa[1]
     assert np.allclose(ops.x_a[0], np.eye(4), atol=1e-14)
     assert np.allclose(ops.x_a[1], xa_u0, atol=1e-13)
     assert np.allclose(ops.x_a[2], xa_u0 @ xa_p0, atol=1e-13)
@@ -470,6 +485,64 @@ def test_measurement_equivalence_ideal():
         assert sides == {("A", 0), ("A", 1), ("A", 2), ("B", 0), ("B", 1), ("B", 2), ("B", 3)}
 
 
+def _block_operators_loop(r, sc):
+    """Reference: each block's observables ``a0, a1, b0, b1`` and block
+    identities ``ia0 .. ib1`` built on their own, from the projectors of the
+    block's own settings."""
+    out = []
+    for blk in blocks(sc):
+        pa = [r.alice[x].projectors for x in blk.xs]
+        pb = [r.bob[y].projectors for y in blk.ys]
+        lo, hi = blk.lo, blk.hi
+        out.append(
+            SimpleNamespace(
+                block=blk,
+                a0=pa[0][lo] - pa[0][hi],
+                a1=pa[1][lo] - pa[1][hi],
+                b0=pb[0][lo] - pb[0][hi],
+                b1=pb[1][lo] - pb[1][hi],
+                ia0=pa[0][lo] + pa[0][hi],
+                ia1=pa[1][lo] + pa[1][hi],
+                ib0=pb[0][lo] + pb[0][hi],
+                ib1=pb[1][lo] + pb[1][hi],
+            )
+        )
+    return out
+
+
+def _block_frame_loop(b):
+    """Reference: one block's unitarized frame from its own observables."""
+    eye_a, eye_b = np.eye(len(b.a0)), np.eye(len(b.b0))
+    b0u, b1u = eye_b - b.ib0 + b.b0, eye_b - b.ib1 + b.b1
+    mu = b.block.mu
+    zb, xb = sign_unitarize(
+        np.stack([(b0u + b1u) / (2.0 * np.cos(mu)), (b0u - b1u) / (2.0 * np.sin(mu))])
+    )
+    return SimpleNamespace(za=eye_a - b.ia0 + b.a0, xa=eye_a - b.ia1 + b.a1, zb=zb, xb=xb)
+
+
+def _identity_checks_loop(r, sc):
+    """Reference: the block and frame identity residuals one block at a time."""
+    mat = r.state_matrix()
+    eye = np.eye(r.dim_a)
+    rows = []
+    for b in _block_operators_loop(r, sc):
+        blk, frame = b.block, _block_frame_loop(b)
+        cross = [
+            [np.linalg.norm(_alice(ia, mat) - _bob(ib, mat)) for ib in (b.ib0, b.ib1)]
+            for ia in (b.ia0, b.ia1)
+        ]
+        state = _alice(b.ia0, mat)
+        mass_residual = abs(np.linalg.norm(state) - np.sqrt(blk.mass))
+        state = state / np.sqrt(blk.mass)
+        z_residual = np.linalg.norm(_alice(frame.za, state) - _bob(frame.zb, state))
+        lhs = _alice(frame.xa @ (eye - frame.za), state)
+        rhs = np.tan(blk.theta) * _bob(frame.xb, _alice(eye + frame.za, state))
+        rows.append((cross, mass_residual, z_residual, np.linalg.norm(lhs - rhs)))
+    names = ("cross", "mass_residual", "z_residual", "flip_residual")
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
+
+
 def _full_image_residuals(ops, r, sc):
     """Reference: each observable's whole ``(dim_a, dim_b, d, d)`` isometry
     image, built one at a time, minus its ideal image next to the junk state."""
@@ -485,7 +558,7 @@ def _full_image_residuals(ops, r, sc):
         return op
 
     out = []
-    for b in ops.block_ops:
+    for b in _block_operators_loop(r, sc):
         lo, hi = b.block.pair
         cos, sin = np.cos(b.block.mu), np.sin(b.block.mu)
         rows = (
@@ -510,14 +583,69 @@ def _devices(d):
     return sc, (ideal, embedded, perturbed_realization(ideal, 1e-2, seed=1))
 
 
+def _mixed_dtype_device(sc):
+    """Ideal device with the first party's setting 1 and the second party's
+    setting 2 conjugated by a diagonal phase: one complex128 setting per
+    party, the others float64."""
+    r = ideal_realization(sc)
+    phase = np.exp(1j * np.linspace(0.3, 1.1, sc.d))
+
+    def conj(meas):
+        return Measurement(phase[:, None] * meas.projectors * phase.conj())
+
+    r = replace(
+        r,
+        alice=(r.alice[0], conj(r.alice[1]), r.alice[2]),
+        bob=(r.bob[0], r.bob[1], conj(r.bob[2]), r.bob[3]),
+    )
+    for group in (r.alice, r.bob):
+        assert {m.projectors.dtype for m in group} == {np.dtype(float), np.dtype(complex)}
+    return r
+
+
+def _reference_cases(d):
+    """The devices of `_devices(d)` and the mixed-dtype one, plus at d=2 the
+    oblique devices."""
+    sc, devices = _devices(d)
+    cases = [(sc, r) for r in (*devices, _mixed_dtype_device(sc))]
+    if d == 2:
+        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_block_operators_match_block_loop(d):
+    for sc, r in _reference_cases(d):
+        ops = build_block_operators(r, sc)
+        want = _block_operators_loop(r, sc)
+        assert ops.table == tuple(b.block for b in want)
+        for name in ("a", "ia", "b", "ib"):
+            ref = np.array([[getattr(b, name + "0"), getattr(b, name + "1")] for b in want])
+            assert np.array_equal(getattr(ops, name), ref)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_identity_checks_match_block_loop(d):
+    for sc, r in _reference_cases(d):
+        ops = build_block_operators(r, sc)
+        frame = build_block_frame(ops)
+        ref_frames = [_block_frame_loop(b) for b in _block_operators_loop(r, sc)]
+        for name in ("za", "xa", "zb", "xb"):
+            ref = np.array([getattr(f, name) for f in ref_frames])
+            assert np.max(np.abs(getattr(frame, name) - ref)) <= 1e-15
+        reports = (block_identity_checks(ops, r), frame_identity_checks(frame, ops, r))
+        got = {f.name: getattr(rep, f.name) for rep in reports for f in fields(rep)}
+        want = _identity_checks_loop(r, sc)
+        assert got.keys() == want.keys()
+        for name, ref in want.items():
+            assert got[name].shape == ref.shape
+            assert np.max(np.abs(got[name] - ref)) <= 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_measurement_residuals_match_full_image(d):
     # even d covers the primed pair (d-1, 0) that wraps around
-    sc, devices = _devices(d)
-    cases = [(sc, r) for r in devices]
-    if d == 2:
-        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
-    for sc, r in cases:
+    for sc, r in _reference_cases(d):
         ops = build_criterion_ops(r, sc)
         got = [v.residual for v in measurement_equivalence(ops, r, sc)]
         assert np.max(np.abs(got - _full_image_residuals(ops, r, sc))) <= 1e-14
@@ -549,11 +677,7 @@ def _criterion_loop(ops, r, sc):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_criterion_matches_outcome_loop(d):
-    sc, devices = _devices(d)
-    cases = [(sc, r) for r in devices]
-    if d == 2:
-        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
-    for sc, r in cases:
+    for sc, r in _reference_cases(d):
         ops = build_criterion_ops(r, sc)
         got = check_criterion(ops, r, sc)
         want = _criterion_loop(ops, r, sc)
@@ -569,8 +693,8 @@ def _criterion_ops_loop(r, sc):
     """Reference: the ladders and chains built from a whole frame per block,
     one eigendecomposition at a time."""
     d = sc.d
-    block_ops = tuple(build_block_operators(r, blk) for blk in blocks(sc))
-    frame_ops = tuple(build_block_frame(b) for b in block_ops)
+    block_ops = _block_operators_loop(r, sc)
+    frame_ops = [_block_frame_loop(b) for b in block_ops]
     n_blocks = d // 2
     cuts = list(zip(block_ops[:n_blocks], frame_ops[:n_blocks]))
     if corner(d, primed=False) is not None:
@@ -591,19 +715,15 @@ def _criterion_ops_loop(r, sc):
     return {
         "p_b": np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
         "p_cut": np.stack(p_cut),
-        "x_a": _chain([f.xa for f in steps[: d - 1]]),
-        "x_b": _chain([f.xb for f in steps[: d - 1]]),
+        "x_a": _chain(np.stack([f.xa for f in steps[: d - 1]])),
+        "x_b": _chain(np.stack([f.xb for f in steps[: d - 1]])),
         "label_b": labels,
     }
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_criterion_ops_match_block_loop(d):
-    sc, devices = _devices(d)
-    cases = [(sc, r) for r in devices]
-    if d == 2:
-        cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
-    for sc, r in cases:
+    for sc, r in _reference_cases(d):
         ops = build_criterion_ops(r, sc)
         for name, want in _criterion_ops_loop(r, sc).items():
             got = getattr(ops, name)
