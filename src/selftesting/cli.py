@@ -32,16 +32,23 @@ __all__ = ["main", "build_parser"]
 
 def _coefficients_from_args(args: argparse.Namespace) -> SchmidtCoefficients:
     if args.coeffs_file is not None:
-        return io.load_coefficients(args.coeffs_file)
+        sc = io.load_coefficients(args.coeffs_file)
+        _check_d(args, sc.d)
+        return sc
     if args.coeffs is None:
         raise ParseError("coefficients required: pass --coeffs or --coeffs-file")
     try:
         values = [float(v) for v in args.coeffs.split(",") if v.strip()]
     except ValueError:
         raise ParseError(f"--coeffs {args.coeffs!r} is not a comma-separated float list") from None
-    if args.d is not None and args.d != len(values):
-        raise ParseError(f"-d {args.d} does not match {len(values)} coefficients")
+    _check_d(args, len(values))
     return SchmidtCoefficients(np.array(values))
+
+
+def _check_d(args: argparse.Namespace, n: int) -> None:
+    """The -d cross-check against the number of coefficients given."""
+    if args.d is not None and args.d != n:
+        raise ParseError(f"-d {args.d} does not match {n} coefficients")
 
 
 def _number(text: str) -> float:
@@ -72,8 +79,9 @@ def _integer(low: int) -> Callable[[str], int]:
 
 def _add_coeff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-d", type=int, default=None, help="number of coefficients (cross-check)")
-    p.add_argument("--coeffs", default=None, help="comma-separated Schmidt coefficients")
-    p.add_argument("--coeffs-file", default=None, help="coefficients JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--coeffs", default=None, help="comma-separated Schmidt coefficients")
+    source.add_argument("--coeffs-file", default=None, help="coefficients JSON file")
 
 
 def _emit(doc: Any, out: str | None) -> None:

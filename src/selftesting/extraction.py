@@ -45,17 +45,28 @@ stages mirror the proof structure:
    ``sum_k P^(k)|psi>|k>``, and the flip stage then applies ``X^(k)`` next
    to ancilla k. So on each side ``V = sum_k X^(k) P^(k) (x) |k>``, and
    on both sides
-   ``V|psi> = sum_{k,l} (X_A^(k) P_A^(k) (x) X_B^(l) P_B^(l))|psi>|k,l>``,
-   computed as one contraction against two stacks of d operators. The
-   ladders are projective and the flips unitary, so V is an isometry on
-   every valid realization, not only on exact ones.
+   ``V|psi> = sum_{k,l} (X_A^(k) P_A^(k) (x) X_B^(l) P_B^(l))|psi>|k,l>``.
+   The ladders are projective and the flips unitary, so V is an isometry on
+   every valid realization, not only on exact ones. With the state M in
+   matrix form and the arms ``A_k = X_A^(k) P_A^(k)`` and
+   ``B_l = X_B^(l) P_B^(l)``, the image has slice ``(k, l)`` equal to
+   ``A_k M B_l^T``. The target ``sum_k c_k |kk>`` (c normalized) reads
+   only the diagonal ones:
+   ``fidelity = ||T||^2`` and ``product_overlap = |<J, T>|^2`` with
+   ``T = sum_k c_k A_k M B_k^T`` and J the junk state ``P_A^(0)|psi>``
+   normalized; ``output_norm^2 = sum_k Re tr((A_k M)^dagger A_k M H)``
+   with the second party's whole Gram ``H = (sum_l B_l^dagger B_l)^T``,
+   so the norm still sees that party's operators as they are (near 1, the
+   quadratic form loses nothing to cancellation). :func:`extraction_report`
+   never builds the image or its ``d^2 x d^2`` ancilla density matrix;
+   :func:`apply_isometry` builds both, as one contraction against the two
+   stacks of arms.
 6. Measurement equivalence. A block observable O moves the state to M,
    ``O|psi>`` in matrix form, whose image has slice ``(k, l)`` equal to
-   ``A_k M B_l^T`` with ``A_k = X_A^(k) P_A^(k)`` and
-   ``B_l = X_B^(l) P_B^(l)``. The ideal image is ``t_kl J``: t is the ideal
-   observable on the target state, nonzero only for k and l in the block's
-   pair K, and J is the junk state. The residual is summed from slice
-   norms, without the d^2 slices:
+   ``A_k M B_l^T`` with the arms of step 5. The ideal image is
+   ``t_kl J``: t is the ideal observable on the target state, nonzero only
+   for k and l in the block's pair K, and J is the junk state. The
+   residual is summed from slice norms, without the d^2 slices:
    ``residual^2 = sum_{k not in K} ||A_k M||^2
    + sum_{k in K} ||A_k M conj(U_notK)||^2
    + sum_{k,l in K} ||A_k M B_l^T - t_kl J||^2``,
@@ -89,15 +100,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateBlockError,
-    DimensionError,
-    HermiticityError,
-    IsometryConsistencyError,
-    NormalizationError,
-)
+from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
 from .ideal import Realization
-from .schmidt import Block, SchmidtCoefficients, blocks, corner, target_state
+from .schmidt import Block, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "BlockOperators",
@@ -145,36 +150,6 @@ def sign_unitarize(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
     signs = np.where(w < -zero_tol, -1.0, 1.0)
     return (v * signs[..., None, :]) @ dagger(v)
-
-
-def pure_fidelity(
-    rho: np.ndarray, target: np.ndarray, *, trace_tol: float = 1e-8
-) -> float:
-    """Fidelity of a density matrix against a pure target state.
-
-    Equals ``<target| rho |target>``. `rho` must be Hermitian with unit
-    trace within `trace_tol`; `target` must be a unit vector.
-    """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"rho must be a square matrix, got shape {rho.shape}")
-    target = np.asarray(target).reshape(-1)
-    if target.size != rho.shape[0]:
-        raise ValueError(
-            f"target length {target.size} does not match rho dimension {rho.shape[0]}"
-        )
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise NormalizationError(f"rho trace {tr} deviates from 1 beyond {trace_tol:.1e}")
-    dev = np.max(np.abs(rho - dagger(rho)))
-    if dev > trace_tol:
-        raise HermiticityError(f"rho deviates from Hermitian by {dev:.3e}")
-    nrm = np.linalg.norm(target)
-    if abs(nrm - 1.0) > 1e-12:
-        raise NormalizationError(f"target norm {nrm} deviates from 1 beyond 1e-12")
-    val = float(np.real(target.conj() @ rho @ target))
-    # PSD rho keeps this in [0, 1]; trim float dust only.
-    return min(max(val, 0.0), 1.0)
 
 
 def _alice(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -498,6 +473,37 @@ def _junk_state(ops: CriterionOperators, mat: np.ndarray) -> np.ndarray:
     return junk / norm if norm > 0 else junk
 
 
+def _isometry_figures(
+    ops: CriterionOperators, mat: np.ndarray, sc: SchmidtCoefficients
+) -> tuple[float, float, float]:
+    """Output norm, fidelity and product overlap of the isometry image of `mat`.
+
+    Evaluated as in step 5 of the module docstring, without the image. A
+    norm off 1 by more than ``NORM_BUDGET``, or NaN, raises
+    :class:`IsometryConsistencyError`.
+    """
+    stack_b = ops.x_b @ ops.p_b
+    half = _alice(ops.x_a @ ops.p_a, mat)
+    # The whole Gram sum_l B_l^T conj(B_l), so that the norm sees the second
+    # party's arms as they are, not as the isometry they should be.
+    flat_b = stack_b.reshape(-1, ops.dim_b)
+    gram = flat_b.T @ flat_b.conj()
+    norm = float(np.sqrt(np.vdot(half, half.reshape(-1, ops.dim_b) @ gram).real))
+    if not abs(norm - 1.0) <= NORM_BUDGET:
+        raise IsometryConsistencyError(
+            f"isometry output norm {norm!r} drifted beyond {NORM_BUDGET:.0e}"
+        )
+    c = sc.c / np.linalg.norm(sc.c)
+    # Row k is the diagonal slice A_k M B_k^T.
+    diagonal = _bob(stack_b, half).reshape(ops.d, -1)
+    on_target = c @ diagonal
+    fid = min(float(np.vdot(on_target, on_target).real), 1.0)
+    amp = c @ (diagonal @ _junk_state(ops, mat).conj().ravel())
+    # The overlap is at most the unclipped fidelity; trim the float dust
+    # that the clip to 1 would otherwise expose.
+    return norm, fid, min(float(abs(amp) ** 2), fid)
+
+
 @dataclass(frozen=True)
 class IsometryReport:
     """Quality of the extraction output.
@@ -525,26 +531,14 @@ def apply_isometry(
     operators fed in were far from unitary and the run is rejected.
     """
     mat = r.state_matrix()
+    norm, fid, overlap = _isometry_figures(ops, mat, sc)
     psi = _apply_isometry_matrix(ops.x_a @ ops.p_a, ops.x_b @ ops.p_b, mat)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_BUDGET:
-        raise IsometryConsistencyError(
-            f"isometry output norm {norm!r} drifted beyond {NORM_BUDGET:.0e}"
-        )
-    d = ops.d
-    flat = psi.reshape(ops.dim_a * ops.dim_b, d * d)
-    rho = flat.T @ flat.conj()
-    target = target_state(sc)
-    target /= np.linalg.norm(target)
-    fid = pure_fidelity(rho, target, trace_tol=2 * NORM_BUDGET)
-    amp = _junk_state(ops, mat).conj().ravel() @ flat @ target.conj()
+    flat = psi.reshape(ops.dim_a * ops.dim_b, ops.d * ops.d)
     return psi.reshape(-1), IsometryReport(
         output_norm=norm,
-        fidelity=float(fid),
-        # Bounded by the unclipped fidelity; trim the float dust that
-        # pure_fidelity's clip to 1 would otherwise expose.
-        product_overlap=min(float(np.abs(amp) ** 2), fid),
-        rho_ancilla=rho,
+        fidelity=fid,
+        product_overlap=overlap,
+        rho_ancilla=flat.T @ flat.conj(),
     )
 
 
@@ -659,15 +653,15 @@ def extraction_report(r: Realization, sc: SchmidtCoefficients) -> ExtractionRepo
     """Run the whole pipeline on a realization and collect every residual."""
     ops = build_criterion_ops(r, sc)
     crit = check_criterion(ops, r, sc)
-    _, iso = apply_isometry(ops, r, sc)
+    norm, fid, overlap = _isometry_figures(ops, r.state_matrix(), sc)
     meas = measurement_equivalence(ops, r, sc)
     return ExtractionReport(
         projector_residuals=crit.projector_match,
         chain_residuals=crit.chain_map,
         chain_adjoint_residuals=crit.chain_map_adjoint,
         ladder_rounding=crit.ladder_rounding,
-        output_norm=iso.output_norm,
-        fidelity=iso.fidelity,
-        product_overlap=iso.product_overlap,
+        output_norm=norm,
+        fidelity=fid,
+        product_overlap=overlap,
         measurement_residuals=meas,
     )

@@ -268,6 +268,28 @@ def test_coeffs_file_input(capsys, tmp_path):
     assert json.loads(out)["d"] == 2
 
 
+def test_d_checks_coeffs_file(capsys, tmp_path):
+    # the -d cross-check skipped files, so this exited 0 with d = 2 tables
+    cfile = tmp_path / "c.json"
+    cfile.write_text('{"d": 2, "c": [0.8, 0.6]}')
+    code, out, err = run_cli(capsys, "generate", "-d", "3", "--coeffs-file", str(cfile))
+    assert code == 2
+    assert out == ""
+    assert err == "error: -d 3 does not match 2 coefficients\n"
+
+
+def test_coeffs_and_coeffs_file_conflict(capsys, tmp_path):
+    # --coeffs was dropped in silence when --coeffs-file was given too
+    cfile = tmp_path / "c.json"
+    cfile.write_text('{"d": 2, "c": [0.8, 0.6]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--coeffs", "0.6,0.8", "--coeffs-file", str(cfile)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --coeffs-file: not allowed with argument --coeffs" in captured.err
+
+
 def _module(*argv: str) -> subprocess.CompletedProcess:
     """Run ``python -m selftesting`` on the package this test imported."""
     return subprocess.run(

@@ -19,18 +19,14 @@ from selftesting import (
     build_block_frame,
     check_criterion,
     embed_realization,
+    extraction,
     extraction_report,
     ideal_realization,
     frame_identity_checks,
     measurement_equivalence,
     target_state,
 )
-from selftesting.errors import (
-    DegenerateBlockError,
-    HermiticityError,
-    IsometryConsistencyError,
-    NormalizationError,
-)
+from selftesting.errors import DegenerateBlockError, IsometryConsistencyError
 from selftesting.extraction import (
     MASS_FLOOR,
     ZERO_TOL,
@@ -41,9 +37,9 @@ from selftesting.extraction import (
     _apply_isometry_matrix,
     _bob,
     _chain,
+    _isometry_figures,
     _junk_state,
     dagger,
-    pure_fidelity,
     sign_unitarize,
 )
 from selftesting.ideal import Measurement
@@ -83,22 +79,6 @@ def test_sign_unitarize():
         assert np.array_equal(u, sign_unitarize(h))
     w = np.linalg.eigvalsh(got[1])
     assert np.allclose(w, [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_pure_fidelity_half():
-    target = np.array([1.0, 0.0])
-    rho = np.eye(2) / 2
-    assert abs(pure_fidelity(rho, target) - 0.5) < 1e-14
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert abs(pure_fidelity(np.diag([0.64, 0.36]), plus) - 0.5) < 1e-14
-
-
-def test_pure_fidelity_gates():
-    target = np.array([1.0, 0.0])
-    with pytest.raises(NormalizationError):
-        pure_fidelity(np.eye(2), target)
-    with pytest.raises(HermiticityError):
-        pure_fidelity(np.array([[0.5, 0.5], [0.0, 0.5]]), target)
 
 
 def test_block_operators_d2_are_paulis():
@@ -426,6 +406,33 @@ def test_isometry_rejects_norm_drift():
         apply_isometry(ops, r, sc)
 
 
+def test_isometry_rejects_second_party_norm_drift():
+    # the norm reads the second party's arms as they are: summing only
+    # ||A_k M||^2 would take them to be an exact isometry and pass this
+    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
+    r = ideal_realization(sc)
+    ops = build_criterion_ops(r, sc)
+    ops.x_b[1] *= 1.5
+    with pytest.raises(IsometryConsistencyError):
+        apply_isometry(ops, r, sc)
+    with pytest.raises(IsometryConsistencyError):
+        _isometry_figures(ops, r.state_matrix(), sc)
+
+
+def test_isometry_rejects_nan_norm():
+    # abs(nan - 1) > NORM_BUDGET is False, so a NaN amplitude got through
+    # the norm gate and came out as output_norm = fidelity = nan
+    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
+    r = ideal_realization(sc)
+    state = r.state.copy()
+    state[3] = np.nan
+    r = replace(r, state=state)
+    with pytest.raises(IsometryConsistencyError, match="nan"):
+        apply_isometry(build_criterion_ops(r, sc), r, sc)
+    with pytest.raises(IsometryConsistencyError, match="nan"):
+        extraction_report(r, sc)
+
+
 def _oblique_device(c0):
     """d=2 device whose tilted second-party projectors are exactly idempotent
     but oblique by 0.9e-10, which validation accepts."""
@@ -611,6 +618,46 @@ def _reference_cases(d):
     if d == 2:
         cases += [_oblique_device(c0) for c0 in (0.8, 0.95, 0.99)]
     return cases
+
+
+def _density_matrix_figures(ops, r, sc):
+    """Reference: output norm, fidelity and product overlap from the whole
+    isometry image and its ancilla density matrix."""
+    mat = r.state_matrix()
+    psi = _apply_isometry_matrix(ops.x_a @ ops.p_a, ops.x_b @ ops.p_b, mat)
+    flat = psi.reshape(-1, ops.d**2)
+    rho = flat.T @ flat.conj()
+    target = target_state(sc) / np.linalg.norm(target_state(sc))
+    fid = min(float(np.real(target @ rho @ target)), 1.0)
+    amp = _junk_state(ops, mat).conj().ravel() @ flat @ target
+    return float(np.linalg.norm(psi)), fid, min(float(abs(amp) ** 2), fid)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_isometry_figures_match_density_matrix(d):
+    for sc, r in _reference_cases(d):
+        ops = build_criterion_ops(r, sc)
+        _, iso = apply_isometry(ops, r, sc)
+        got = (iso.output_norm, iso.fidelity, iso.product_overlap)
+        norm, fid, overlap = _density_matrix_figures(ops, r, sc)
+        assert abs(got[0] - norm) <= 1e-14
+        assert abs(got[1] - fid) <= 1e-15
+        assert abs(got[2] - overlap) <= 1e-15
+        rep = extraction_report(r, sc)
+        assert (rep.output_norm, rep.fidelity, rep.product_overlap) == got
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_report_never_builds_the_image(d, monkeypatch):
+    # the report reads its three figures off the diagonal slices, so it
+    # runs without the whole isometry image
+    sc, (_, embedded, _) = _devices(d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extraction_report built the isometry image")
+
+    monkeypatch.setattr(extraction, "_apply_isometry_matrix", refuse)
+    assert extraction_report(embedded, sc).passes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
