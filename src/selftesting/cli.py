@@ -5,7 +5,8 @@ coefficients into reference tables or an ideal realization, ``verify`` and
 ``chsh`` score a table file, ``extract`` certifies a realization, ``embed``
 and ``sample`` manufacture harder inputs. Exit codes: 0 on success (and on
 passing checks), 1 on a failed constraint or domain error, 2 on unusable
-input (bad JSON, missing file, bad arguments).
+input (bad JSON, a path that is missing, unreadable or not a file, bad
+arguments).
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
+        # A missing, unreadable or unwritable path, or a directory given as a file.
         sys.stderr.write(f"error: {e}\n")
         return 2
     except SelfTestingError as e:

@@ -79,19 +79,28 @@ stages mirror the proof structure:
    projectors are the device's own, valid only to a tolerance, so
    ``X_A^(k) P_A^(k)`` is applied as it is. Each term is a sum of
    squares, never a difference, so the float error stays at
-   ``eps ||M||``.
+   ``eps ||M||``. All blocks are evaluated in one pass: the moved
+   observables form one ``(n_blocks, 4, dim_a, dim_b)`` stack, the rows
+   ``A_k M`` for k in K one batched product, the ``k, l in K`` term two
+   (one per l, less ``t_kl J``), and the ``l not in K`` term one against
+   each block's eigenvector basis with the columns labelled in K zeroed.
+   Only the ``k not in K`` term takes one product per block, so that the
+   working set holds one block's ``d - 2`` slices, not every block's.
+   Squares are summed pairwise over the float view of each product.
 
 The block observables of step 1 are ``(n_blocks, 2, dim, dim)`` stacks,
 one per party and kind (:class:`BlockOperators`): every block of a family
-reads the same settings, so each is one fancy-index difference or sum of
-the device's projectors, and frames and identity checks are batched over
-blocks. Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack
-indexed by the outcome k (:class:`CriterionOperators`). Building them takes
-three stacked eigendecompositions whatever d is: the unitarized frames of
-step 2, the cut supports of step 3 and the label operator. The criterion
-residuals are batched expressions over k, and the stacks ``X^(k) P^(k)``
-of steps 5 and 6, like the moved block observables of step 6, are one
-stacked product per side.
+reads the same settings, so a family's observables for one setting are one
+fancy index of that setting's projectors, differenced and summed straight
+into the stacks, and frames and identity checks are batched over blocks.
+Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack indexed
+by the outcome k (:class:`CriterionOperators`). Building them takes three
+stacked eigendecompositions whatever d is: the unitarized frames of step
+2, the cut supports of step 3 and the label operator. The criterion
+residuals are batched expressions over k, the stacks ``X^(k) P^(k)`` of
+steps 5 and 6 are one stacked product per side, and measurement
+equivalence is batched over blocks but for the one product per block of
+its ``k not in K`` term.
 """
 
 from __future__ import annotations
@@ -102,7 +111,7 @@ import numpy as np
 
 from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
 from .ideal import Realization
-from .schmidt import Block, SchmidtCoefficients, blocks, corner
+from .schmidt import SETTINGS, Block, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "BlockOperators",
@@ -168,6 +177,19 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x.conj()).real
 
 
+def _consume_sq_norms(x: np.ndarray, n: int) -> np.ndarray:
+    """Squared norm of each of the `n` equal leading parts of a stack.
+
+    Squares the float view of `x` in place, so a complex stack is neither
+    conjugated nor copied, and sums each part pairwise. `x` must be a
+    contiguous temporary: it holds the squares afterwards.
+    """
+    x = x.reshape(n, -1)
+    if x.dtype.kind == "c":
+        x = x.view(x.real.dtype)
+    return np.add.reduce(np.square(x, out=x), axis=1)
+
+
 @dataclass(frozen=True)
 class BlockOperators:
     """Two-outcome observables and block identities of every block, stacked.
@@ -202,15 +224,28 @@ def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOpera
             f"realization has {r.n_outcomes} outcomes, but the coefficients give d = {sc.d}"
         )
     table = blocks(sc)
-    # Axis 0 runs over (lo, hi), broadcast against the (block, setting) axes.
-    pair = _column(table, "pair").T[:, :, None]
+    # Blocks come unprimed first, and every block of a family reads the same
+    # settings: each (family, setting) is one fancy index of that setting's
+    # own projectors, written straight into the stacked result.
+    n_family = sc.d // 2
+    families = [
+        (rows, SETTINGS[primed], _column(table[rows], "pair").T)
+        for primed, rows in ((False, slice(n_family)), (True, slice(n_family, None)))
+    ]
 
-    def split(group: tuple, settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_lo, p_hi = np.stack([meas.projectors for meas in group])[settings, pair]
-        return p_lo - p_hi, p_lo + p_hi
+    def split(group: tuple, party: int) -> tuple[np.ndarray, np.ndarray]:
+        dim = group[0].projectors.shape[-1]
+        diff = np.empty((len(table), 2, dim, dim), np.result_type(*(m.projectors for m in group)))
+        total = np.empty_like(diff)
+        for rows, settings, pair in families:
+            for j, x in enumerate(settings[party]):
+                p_lo, p_hi = group[x].projectors[pair]
+                np.subtract(p_lo, p_hi, out=diff[rows, j])
+                np.add(p_lo, p_hi, out=total[rows, j])
+        return diff, total
 
-    a, ia = split(r.alice, _column(table, "xs"))
-    b, ib = split(r.bob, _column(table, "ys"))
+    a, ia = split(r.alice, 0)
+    b, ib = split(r.bob, 1)
     return BlockOperators(table=table, a=a, ia=ia, b=b, ib=ib)
 
 
@@ -258,10 +293,11 @@ def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
     return np.eye(observable.shape[-1]) - identity_block + observable
 
 
-def _tilted(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray]:
-    """The second party's tilted combinations ``z_star`` and ``x_star`` of every block."""
-    mu = _column(ops.table, "mu")[:, None, None]
-    bu = _reflect(ops.ib, ops.b)
+def _tilted(ops: BlockOperators, at: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The second party's tilted combinations ``z_star`` and ``x_star`` of
+    the blocks `at`, every block by default."""
+    mu = _column(ops.table[at], "mu")[:, None, None]
+    bu = _reflect(ops.ib[at], ops.b[at])
     b0u, b1u = bu[:, 0], bu[:, 1]
     return (b0u + b1u) / (2.0 * np.cos(mu)), (b0u - b1u) / (2.0 * np.sin(mu))
 
@@ -372,8 +408,9 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     step_at = step_at[: d - 1]
 
     # Only the cuts' Z and the steps' X are read: unitarize just those, in
-    # one stacked call.
-    z_star, x_star = _tilted(ops)
+    # one stacked call. Both lie among the first d - 1 blocks, so at even d
+    # the wrap-around block (d-1, 0) is not even tilted.
+    z_star, x_star = _tilted(ops, slice(d - 1))
     frames = sign_unitarize(np.concatenate((z_star[cut_at], x_star[step_at])), ZERO_TOL)
     zb, xb = frames[: len(cut_at)], frames[len(cut_at) :]
     # Exact block identities have eigenvalues 0 and 2 only.
@@ -553,6 +590,27 @@ class MeasurementResidual:
     residual: float
 
 
+def _ideal_image_basis() -> np.ndarray:
+    """The ideal images of step 6 on a block's pair, as a linear map.
+
+    Row r times ``(c_lo, c_hi, c_lo cos mu, c_hi cos mu, c_lo sin mu,
+    c_hi sin mu)[r]``, summed over r, gives the entries ``(observable, k,
+    l)``: ``Z diag(c)`` and ``X diag(c)`` for the first party's two
+    observables, ``diag(c) (cos mu Z +- sin mu X)`` for the second's.
+    """
+    z, x, zero = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
+    lo_hi = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    rows = (
+        [(z @ e, x @ e, zero, zero) for e in lo_hi]
+        + [(zero, zero, e @ z, e @ z) for e in lo_hi]
+        + [(zero, zero, e @ x, -(e @ x)) for e in lo_hi]
+    )
+    return np.array(rows).reshape(6, 16)
+
+
+_IDEAL_IMAGES = _ideal_image_basis()
+
+
 def measurement_equivalence(
     ops: CriterionOperators, r: Realization, sc: SchmidtCoefficients
 ) -> list[MeasurementResidual]:
@@ -565,54 +623,59 @@ def measurement_equivalence(
 
     The image is never built whole: each residual is summed from slice
     norms as in step 6 of the module docstring, with exact slices only on
-    the block's own pair of ancilla values.
+    the block's own pair of ancilla values. Returns four residuals per
+    block, in :func:`blocks` order.
     """
     d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
     mat = r.state_matrix()
     stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
     junk = _junk_state(ops, mat)
-    basis = ops.v_b.conj()
     bo = ops.block_ops
+    table = bo.table
+    n = len(table)
+    pair = _column(table, "pair")
     # Every block's four observables applied to the state, in the order
     # A xs[0], A xs[1], B ys[0], B ys[1].
     moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
-    # Z and X on a block's (lo, hi) two-level subspace.
-    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    out: list[MeasurementResidual] = []
-    for blk, mv in zip(bo.table, moved):
-        pair = list(blk.pair)
-        cos, sin = np.cos(blk.mu), np.sin(blk.mu)
-        # Each observable's ideal image on the pair x pair slices where it
-        # lives: the target there is diag(c), so the first party's Z or X
-        # gives Z diag(c) or X diag(c), and the second party's symmetric B
-        # gives diag(c) B.
-        c = sc.c[pair]
-        ideal = np.array(
-            (z * c, x * c, c[:, None] * (cos * z + sin * x), c[:, None] * (cos * z - sin * x))
+    sq = np.zeros((n, 4))
+    # At d=2 every outcome and every label lies in each block's pair.
+    if d > 2:
+        # k off the pair, one product per block, so that the working set
+        # stays at one block's d - 2 slices. Each pair is (lo, lo + 1 mod d),
+        # so the other outcomes are hi + 1, ..., hi + d - 2 mod d.
+        others = (pair[:, 1:] + np.arange(1, d - 1)) % d
+        for i in range(n):
+            sq[i] = _consume_sq_norms(stack_a[others[i]].reshape(-1, dim_a) @ moved[i], 4)
+    # k on the pair: rows (observable, k, first party) of X_A^(k) P_A^(k) O |psi>.
+    rows = (stack_a[pair].reshape(n, 1, 2 * dim_a, dim_a) @ moved).reshape(n, 8 * dim_a, dim_b)
+    # Released before the slices, which keeps the peak at a few moved stacks.
+    del moved
+    if d > 2:
+        # k on the pair and l off it: the eigenvectors of L labelled outside
+        # the pair, as the columns of each block's masked basis.
+        off = (ops.label_b != pair[:, :1]) & (ops.label_b != pair[:, 1:])
+        sq += _consume_sq_norms(rows @ (ops.v_b.conj() * off[:, None, :]), 4 * n).reshape(n, 4)
+    # Both k and l on the pair, one l at a time, less the ideal image t_kl J.
+    c, mu = sc.c[pair], _column(table, "mu")[:, None]
+    ideal = (np.concatenate((c, c * np.cos(mu), c * np.sin(mu)), axis=1) @ _IDEAL_IMAGES).reshape(
+        n, 4, 2, 2
+    )
+    # One buffer serves both l, and taking t_kl J one k at a time keeps its
+    # temporary at one moved stack.
+    slices = np.empty((n, 4, 2, dim_a, dim_b), np.result_type(rows, stack_b))
+    for j in range(2):
+        np.matmul(rows, np.swapaxes(stack_b[pair[:, j]], -1, -2), out=slices.reshape(rows.shape))
+        for k in range(2):
+            slices[:, :, k] -= ideal[:, :, k, j, None, None] * junk
+        sq += _consume_sq_norms(slices, 4 * n).reshape(n, 4)
+    residuals = np.sqrt(sq).tolist()
+    return [
+        MeasurementResidual(side, setting, blk.m, blk.primed, res)
+        for blk, row in zip(table, residuals)
+        for (side, setting), res in zip(
+            (("A", blk.xs[0]), ("A", blk.xs[1]), ("B", blk.ys[0]), ("B", blk.ys[1])), row
         )
-        rest = np.ones(d, dtype=bool)
-        rest[pair] = False
-        # X_A^(k) P_A^(k) O |psi> for each observable O, k on the pair and
-        # off it, each as one product against the stacked rows.
-        inside = stack_a[pair].reshape(2 * dim_a, dim_a) @ mv
-        outside = stack_a[rest].reshape(-1, dim_a) @ mv
-        # Image slices (k, l) with both on the pair, less the ideal image,
-        # indexed (observable, k, first party, l, second party).
-        slices = inside.reshape(8 * dim_a, dim_b) @ stack_b[pair].reshape(2 * dim_b, dim_b).T
-        slices = slices.reshape(4, 2, dim_a, 2, dim_b)
-        slices -= ideal[:, :, None, :, None] * junk[:, None]
-        # The three terms of step 6: k off the pair; k on it and l off it;
-        # both on it.
-        off_pair = inside @ basis[:, rest[ops.label_b]]
-        sq = _sq_norms(outside) + _sq_norms(off_pair) + _sq_norms(slices)
-        observables = (("A", blk.xs[0]), ("A", blk.xs[1]), ("B", blk.ys[0]), ("B", blk.ys[1]))
-        out.extend(
-            MeasurementResidual(
-                side=side, setting=setting, m=blk.m, primed=blk.primed, residual=float(np.sqrt(s))
-            )
-            for (side, setting), s in zip(observables, sq)
-        )
-    return out
+    ]
 
 
 @dataclass(frozen=True)

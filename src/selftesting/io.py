@@ -11,7 +11,8 @@ Formats (all plain JSON):
   state is row-major over (first, second) party indices, each setting is a
   list of per-outcome matrices, and every matrix entry is an [re, im] pair.
 
-Malformed documents raise :class:`ParseError` with the offending field
+Files are read as UTF-8, and one that is not UTF-8 text raises
+:class:`ParseError`. Malformed documents raise it with the offending field
 (including non-numeric entries, ragged matrices and a key repeated within
 one object), and so do tables with non-finite entries and realizations
 whose validation fails with a ``ValueError`` (non-finite state, broken
@@ -54,7 +55,10 @@ def _read_json(path: str | Path) -> Any:
             raise ParseError(f"{path}: keys {repeated} repeated within one object")
         return obj
 
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import package_env
+from selftesting import cli
 from selftesting.cli import main
 
 
@@ -82,6 +84,43 @@ def test_exit_2_on_bad_input(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "generate", "--coeffs", "0.8,0.6", "-d", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "chsh", "extract", "sample"])
+def test_unreadable_input_is_input_error(capsys, tmp_path, monkeypatch, command):
+    # a directory, a file that is not UTF-8 and an unreadable file each give
+    # one error line and exit 2, not a traceback
+    coeffs = [] if command == "sample" else ["--coeffs", "0.8,0.6"]
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"d": 2, "note": "caf\u00e9"}'.encode("latin-1"))
+    for path, why in ((tmp_path, "Is a directory"), (latin1, "not UTF-8 text")):
+        code, out, err = run_cli(capsys, command, str(path), *coeffs)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and why in err and err.count("\n") == 1
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run_cli(capsys, command, str(latin1), *coeffs)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 13] Permission denied: '{latin1}'\n"
+
+
+def test_unwritable_output_is_input_error(capsys, tmp_path, monkeypatch):
+    code, out, err = run_cli(capsys, "generate", "--coeffs", "0.8,0.6", "-o", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+    def refuse(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 13] Permission denied: '{target}'\n"
+    assert not target.exists()
 
 
 def test_exit_1_on_domain_error(capsys):

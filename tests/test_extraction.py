@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from selftesting.extraction import (
     _chain,
     _isometry_figures,
     _junk_state,
+    _sq_norms,
     dagger,
     sign_unitarize,
 )
@@ -696,6 +698,80 @@ def test_measurement_residuals_match_full_image(d):
         ops = build_criterion_ops(r, sc)
         got = [v.residual for v in measurement_equivalence(ops, r, sc)]
         assert np.max(np.abs(got - _full_image_residuals(ops, r, sc))) <= 1e-14
+
+
+def _measurement_loop(ops, r, sc):
+    """Reference: measurement equivalence one block at a time, each block's
+    four residuals summed from its own slice norms."""
+    d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
+    mat = r.state_matrix()
+    stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
+    junk = _junk_state(ops, mat)
+    basis = ops.v_b.conj()
+    bo = ops.block_ops
+    moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    out = []
+    for blk, mv in zip(bo.table, moved):
+        pair = list(blk.pair)
+        cos, sin = np.cos(blk.mu), np.sin(blk.mu)
+        c = sc.c[pair]
+        ideal = np.array(
+            (z * c, x * c, c[:, None] * (cos * z + sin * x), c[:, None] * (cos * z - sin * x))
+        )
+        rest = np.ones(d, dtype=bool)
+        rest[pair] = False
+        inside = stack_a[pair].reshape(2 * dim_a, dim_a) @ mv
+        outside = stack_a[rest].reshape(-1, dim_a) @ mv
+        slices = inside.reshape(8 * dim_a, dim_b) @ stack_b[pair].reshape(2 * dim_b, dim_b).T
+        slices = slices.reshape(4, 2, dim_a, 2, dim_b)
+        slices -= ideal[:, :, None, :, None] * junk[:, None]
+        off_pair = inside @ basis[:, rest[ops.label_b]]
+        sq = _sq_norms(outside) + _sq_norms(off_pair) + _sq_norms(slices)
+        observables = (("A", blk.xs[0]), ("A", blk.xs[1]), ("B", blk.ys[0]), ("B", blk.ys[1]))
+        out.extend(
+            MeasurementResidual(side, setting, blk.m, blk.primed, float(np.sqrt(s)))
+            for (side, setting), s in zip(observables, sq)
+        )
+    return out
+
+
+def _hidden_cases(d):
+    """An ideal device of seeded coefficients hidden in 30 and 31 extra dimensions."""
+    sc = random_coefficients(d, seed=1500 + d)
+    return [(sc, embed_realization(ideal_realization(sc), EmbeddingSpec(30, 31, 7)))]
+
+
+@pytest.mark.parametrize(
+    "d, hidden", [(d, False) for d in (2, 3, 4, 5, 8, 16)] + [(2, True), (3, True)]
+)
+def test_measurement_matches_block_loop(d, hidden):
+    for sc, r in _hidden_cases(d) if hidden else _reference_cases(d):
+        ops = build_criterion_ops(r, sc)
+        got = measurement_equivalence(ops, r, sc)
+        want = _measurement_loop(ops, r, sc)
+        assert [replace(v, residual=0.0) for v in got] == [replace(v, residual=0.0) for v in want]
+        assert np.max(np.abs([v.residual - w.residual for v, w in zip(got, want)])) <= 1e-15
+
+
+def test_measurement_working_set_stays_small():
+    # one call at d=16 in 20x20 peaks at a few times the moved observables
+    # (n_blocks, 4, dim_a, dim_b); building the k-off-pair slices of every
+    # block at once would take about 20 times
+    d = 16
+    sc = random_coefficients(d, seed=1600)
+    r = embed_realization(ideal_realization(sc), EmbeddingSpec(4, 4, 7))
+    ops = build_criterion_ops(r, sc)
+    measurement_equivalence(ops, r, sc)
+    moved_bytes = len(ops.block_ops.table) * 4 * r.dim_a * r.dim_b * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        measurement_equivalence(ops, r, sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.dim_a, r.dim_b) == (20, 20)
+    assert peak <= 10 * moved_bytes
 
 
 def _criterion_loop(ops, r, sc):
