@@ -174,68 +174,67 @@ class Realization:
                 meas.validate()
 
 
-def _rank_one(vec: np.ndarray) -> np.ndarray:
-    """Projector onto the real unit vector `vec`.
+def _alice_vectors(mu: np.ndarray, i: int) -> np.ndarray:
+    """Eigenvectors for outcomes (lo, hi): Z for setting i=0, X for i=1.
 
-    Adding 0.0 turns each -0.0 (a negative entry times a zero) into 0.0, so
-    a saved ideal realization holds no signed zeros.
+    Like every function passed to :func:`_measurements`, returns an
+    ``(outcome, coordinate, block)`` array: entry ``[o, k, m]`` is the
+    coefficient on block m's k-th basis vector (``e_lo``, then ``e_hi``) of
+    the eigenvector for its o-th outcome. The first party's vectors do not
+    depend on the tilts ``mu``, so the block axis has length 1.
     """
-    return np.outer(vec, vec) + 0.0
-
-
-def _basis(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
-
-
-def _alice_vectors(d: int, b: Block, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors for outcomes (lo, hi): Z for setting i=0, X for i=1."""
-    lo, hi = _basis(d, b.lo), _basis(d, b.hi)
     if i == 0:
-        return lo, hi
-    return (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
+        return np.eye(2)[:, :, None]
+    s = 1.0 / np.sqrt(2)
+    return np.array([[s, s], [s, -s]])[:, :, None]
 
 
-def _bob_vectors(d: int, b: Block, i: int) -> tuple[np.ndarray, np.ndarray]:
+def _bob_vectors(mu: np.ndarray, i: int) -> np.ndarray:
     """Eigenvectors of cos(mu) Z + sign * sin(mu) X, sign + for i=0 and - for i=1.
 
     Outcome lo gets the +1 eigenvector cos(mu/2) e_lo + sign sin(mu/2) e_hi,
-    outcome hi the orthogonal -1 eigenvector.
+    outcome hi the orthogonal -1 eigenvector, as an ``(outcome, coordinate,
+    block)`` array over the tilts ``mu`` of a family's blocks.
     """
     sign = 1.0 if i == 0 else -1.0
-    ch, sh = np.cos(b.mu / 2), np.sin(b.mu / 2)
-    lo, hi = _basis(d, b.lo), _basis(d, b.hi)
-    return ch * lo + sign * sh * hi, -sign * sh * lo + ch * hi
+    ch, sh = np.cos(mu / 2), np.sin(mu / 2)
+    return np.array([[ch, sign * sh], [-sign * sh, ch]])
 
 
 def _measurements(
     d: int,
     table: tuple[Block, ...],
     side: str,
-    vectors: Callable[[int, Block, int], tuple[np.ndarray, np.ndarray]],
+    vectors: Callable[[np.ndarray, int], np.ndarray],
 ) -> tuple[Measurement, ...]:
     """One party's measurements, in setting order.
 
     ``side`` names the block field holding the party's settings ("xs" or
-    "ys"); the i-th of them measures ``vectors(d, b, i)`` on every block b
-    of the family, plus the family's corner. A setting shared by both
+    "ys"); the i-th of them measures ``vectors(mu, i)`` on every block of
+    the family, plus the family's corner. A setting shared by both
     families (the first party's Z basis) is built from the first.
+
+    Each setting's rank-one projectors are written with one index
+    assignment: outcome ``pair[o]`` of every block gets ``u[o, k] u[o, l]``
+    at ``(pair[k], pair[l])``. Adding 0.0 turns each -0.0 into 0.0, so a
+    saved ideal realization holds no signed zeros.
     """
     out: dict[int, Measurement] = {}
     for primed in (False, True):
         family = [b for b in table if b.primed == primed]
+        pair = np.array([b.pair for b in family]).T
+        mu = np.array([b.mu for b in family])
         top = corner(d, primed)
         for i, setting in enumerate(getattr(family[0], side)):
             if setting in out:
                 continue
+            u = vectors(mu, i)
             p = np.zeros((d, d, d))
-            for b in family:
-                plus, minus = vectors(d, b, i)
-                p[b.lo] = _rank_one(plus)
-                p[b.hi] = _rank_one(minus)
+            p[pair[:, None, None], pair[None, :, None], pair[None, None, :]] = (
+                u[:, :, None] * u[:, None, :] + 0.0
+            )
             if top is not None:
-                p[top] = _rank_one(_basis(d, top))
+                p[top, top, top] = 1.0
             out[setting] = Measurement(p)
     return tuple(out[x] for x in sorted(out))
 

@@ -13,11 +13,12 @@ Formats (all plain JSON):
 
 Files are read as UTF-8, and one that is not UTF-8 text raises
 :class:`ParseError`. Malformed documents raise it with the offending field
-(including non-numeric entries, ragged matrices and a key repeated within
-one object), and so do tables with non-finite entries and realizations
-whose validation fails with a ``ValueError`` (non-finite state, broken
-projectors); domain violations with their own type (bad normalization,
-non-Hermitian projectors) surface as that type.
+(including non-numeric entries, ragged matrices, a key repeated within one
+object, and a JSON ``true`` or ``false`` anywhere: no field of these
+formats is boolean), and so do tables with non-finite entries and
+realizations whose validation fails with a ``ValueError`` (non-finite
+state, broken projectors); domain violations with their own type (bad
+normalization, non-Hermitian projectors) surface as that type.
 """
 
 from __future__ import annotations
@@ -60,9 +61,33 @@ def _read_json(path: str | Path) -> Any:
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    # JSON true and false load as bool, which isinstance(v, int) accepts and
+    # numpy reads as 1.0 and 0.0. Only a text that spells one can hold one.
+    if isinstance(doc, dict) and ("true" in text or "false" in text):
+        where = _bool_path(doc)
+        if where is not None:
+            raise ParseError(f"{path}: {where} is true/false where a number is expected")
+    return doc
+
+
+def _bool_path(doc: dict[str, Any]) -> str | None:
+    """Subscript path, such as ``['c'][0]``, of the first bool in `doc`."""
+    stack: list[tuple[str, Any]] = [("", doc)]
+    while stack:
+        where, value = stack.pop()
+        if type(value) is bool:
+            return where
+        if isinstance(value, dict):
+            items = list(value.items())
+        elif isinstance(value, list):
+            items = list(enumerate(value))
+        else:
+            continue
+        stack.extend((f"{where}[{key!r}]", v) for key, v in reversed(items))
+    return None
 
 
 def _field(doc: Any, name: str, path: str | Path) -> Any:

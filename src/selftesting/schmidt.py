@@ -34,6 +34,7 @@ With ``theta = arctan(c_hi / c_lo)`` for the block's ordered pair (lo, hi):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,9 @@ SETTINGS = {False: ((0, 1), (0, 1)), True: ((0, 2), (2, 3))}
 class SchmidtCoefficients:
     """Validated Schmidt coefficient vector.
 
-    Coefficients are kept exactly as given (no sorting, no renormalizing).
+    Coefficients are kept exactly as given (no sorting, no renormalizing),
+    in a read-only float64 copy of the caller's values, so neither ``c`` nor
+    the block table derived from it can change after construction.
     Construction fails if d < 2, any coefficient leaves the open interval
     (0, 1), or the squares do not sum to 1 within ``NORMALIZATION_TOL``.
     """
@@ -75,7 +78,8 @@ class SchmidtCoefficients:
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float).reshape(-1)
+        c = np.array(self.c, dtype=float).reshape(-1)
+        c.flags.writeable = False
         object.__setattr__(self, "c", c)
         if c.size < 2:
             raise DimensionError(f"need at least 2 coefficients, got {c.size}")
@@ -96,6 +100,19 @@ class SchmidtCoefficients:
     @property
     def d(self) -> int:
         return int(self.c.size)
+
+    @cached_property
+    def _blocks(self) -> tuple[Block, ...]:
+        c = self.c
+        return tuple(
+            Block(
+                primed, m, lo, hi, *SETTINGS[primed],
+                *_block_angles(c[lo], c[hi]),
+                mass=float(c[lo] ** 2 + c[hi] ** 2),
+            )
+            for primed in (False, True)
+            for m, (lo, hi) in enumerate(pairs(self.d, primed))
+        )
 
 
 def pairs(d: int, primed: bool) -> list[tuple[int, int]]:
@@ -156,17 +173,12 @@ def _block_angles(lo: float, hi: float) -> tuple[float, float, float]:
 
 
 def blocks(sc: SchmidtCoefficients) -> tuple[Block, ...]:
-    """Every block of both families, unprimed first, each in order m."""
-    c = sc.c
-    return tuple(
-        Block(
-            primed, m, lo, hi, *SETTINGS[primed],
-            *_block_angles(c[lo], c[hi]),
-            mass=float(c[lo] ** 2 + c[hi] ** 2),
-        )
-        for primed in (False, True)
-        for m, (lo, hi) in enumerate(pairs(sc.d, primed))
-    )
+    """Every block of both families, unprimed first, each in order m.
+
+    The table is computed on the first call and kept on `sc`: every later
+    call returns the same tuple.
+    """
+    return sc._blocks
 
 
 @dataclass(frozen=True)

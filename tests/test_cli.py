@@ -414,3 +414,28 @@ def test_file_d_differing_from_coefficients_is_error(
     assert code == 1
     assert out == ""
     assert err == f"error: {have}, but the coefficients give d = {claim_d}\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        # exited 0 with the booleans read as 1.0 and 0.0
+        ("verify", "tables", '{"d": 2, "tables": {"0,0": [[true, false], [false, false]]}}',
+         "['tables']['0,0'][0][0]"),
+        # exited 1 with a coefficient range error
+        ("generate", "coeffs", '{"d": 2, "c": [true, 0.5]}', "['c'][0]"),
+        # exited 1 with a dimension error
+        ("generate", "coeffs", '{"d": true, "c": [0.6]}', "['d']"),
+    ],
+    ids=["table-entries", "coefficient", "coefficients-d"],
+)
+def test_boolean_numbers_are_input_errors(capsys, tmp_path, command, name, text, where):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    if name == "coeffs":
+        argv = [command, "--coeffs-file", str(path)]
+    else:
+        argv = [command, str(path), "--coeffs", "0.8,0.6"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {where} is true/false where a number is expected\n"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,11 @@ from selftesting import (
     ideal_bob,
     ideal_realization,
 )
+from selftesting.cli import main
 from selftesting.errors import HermiticityError, NormalizationError
 from selftesting.ideal import MEASUREMENT_TOL
+from selftesting.io import realization_to_doc
+from selftesting.schmidt import blocks, corner, target_state
 
 # cos^2(mu/2) for c=(0.8, 0.6): overlap of Bob's first tilted vector with e_0
 BOB_OVERLAP_86 = 0.8606936605154758
@@ -197,6 +202,73 @@ def test_nonfinite_imaginary_parts_stay_complex(bad):
     assert r.state.dtype == np.complex128
     with pytest.raises(ValueError, match="non-finite"):
         r.validate()
+
+
+def _ideal_loop(sc: SchmidtCoefficients) -> Realization:
+    """Per-block reference for ideal_realization: two outer products per block."""
+    d = sc.d
+
+    def rank_one(vec):
+        return np.outer(vec, vec) + 0.0
+
+    def basis(i):
+        e = np.zeros(d)
+        e[i] = 1.0
+        return e
+
+    def alice_vectors(b, i):
+        lo, hi = basis(b.lo), basis(b.hi)
+        if i == 0:
+            return lo, hi
+        return (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
+
+    def bob_vectors(b, i):
+        sign = 1.0 if i == 0 else -1.0
+        ch, sh = np.cos(b.mu / 2), np.sin(b.mu / 2)
+        lo, hi = basis(b.lo), basis(b.hi)
+        return ch * lo + sign * sh * hi, -sign * sh * lo + ch * hi
+
+    def measurements(side, vectors):
+        out = {}
+        for primed in (False, True):
+            family = [b for b in blocks(sc) if b.primed == primed]
+            top = corner(d, primed)
+            for i, setting in enumerate(getattr(family[0], side)):
+                if setting in out:
+                    continue
+                p = np.zeros((d, d, d))
+                for b in family:
+                    plus, minus = vectors(b, i)
+                    p[b.lo] = rank_one(plus)
+                    p[b.hi] = rank_one(minus)
+                if top is not None:
+                    p[top] = rank_one(basis(top))
+                out[setting] = Measurement(p)
+        return tuple(out[x] for x in sorted(out))
+
+    return Realization(
+        d, d, target_state(sc), measurements("xs", alice_vectors), measurements("ys", bob_vectors)
+    )
+
+
+def test_ideal_realization_matches_per_block_loop():
+    # one index assignment per setting writes the same bits, signs included
+    for d in range(2, 34):
+        sc = random_coefficients(d, seed=300 + d)
+        got, want = ideal_realization(sc), _ideal_loop(sc)
+        assert np.array_equal(got.state, want.state)
+        for g, w in zip(got.alice + got.bob, want.alice + want.bob, strict=True):
+            assert g.projectors.dtype == w.projectors.dtype == np.float64
+            assert np.array_equal(g.projectors, w.projectors), d
+            assert np.array_equal(np.signbit(g.projectors), np.signbit(w.projectors)), d
+
+
+def test_cli_ideal_matches_per_block_loop(capsys):
+    sc = random_coefficients(5, seed=7)
+    coeffs = ",".join(repr(v) for v in sc.c.tolist())
+    assert main(["ideal", "--coeffs", coeffs]) == 0
+    want = json.dumps(realization_to_doc(_ideal_loop(sc)), indent=2) + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_ideal_measurements_are_valid_projective():

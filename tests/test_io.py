@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -120,10 +122,50 @@ def test_load_realization_validates_by_default(tmp_path):
     r = ideal_realization(sc)
     path = tmp_path / "r.json"
     save_realization(r, path)
-    import json
-
     doc = json.loads(path.read_text())
     doc["state"][0] = [5.0, 0.0]
     path.write_text(json.dumps(doc))
     with pytest.raises(Exception):
         load_realization(path)
+
+
+@pytest.mark.parametrize(
+    "load, text, where",
+    [
+        # loaded silently as [[1., 0.], [0., 0.]]
+        (load_tables, '{"d": 2, "tables": {"0,0": [[true, false], [false, false]]}}',
+         "['tables']['0,0'][0][0]"),
+        # raised CoefficientRangeError
+        (load_coefficients, '{"d": 2, "c": [true, 0.5]}', "['c'][0]"),
+        # raised DimensionError, since True == 1 == len(c)
+        (load_coefficients, '{"d": true, "c": [0.6]}', "['d']"),
+        (load_tables, '{"d": true, "tables": {}}', "['d']"),
+        (load_realization, '{"dimA": 2, "dimB": false, "state": [], "alice": [], "bob": []}',
+         "['dimB']"),
+    ],
+    ids=["table-entries", "coefficient", "coefficients-d", "tables-d", "realization-dim"],
+)
+def test_load_rejects_booleans(tmp_path, load, text, where):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {where} is true/false where a number is expected"
+
+
+def test_load_realization_rejects_boolean_entries(tmp_path):
+    path = tmp_path / "r.json"
+    save_realization(ideal_realization(random_coefficients(2, seed=33)), path)
+    doc = json.loads(path.read_text())
+    doc["bob"][3][1][0][1] = [False, 0.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_realization(path)
+    assert "['bob'][3][1][0][1][0] is true/false" in str(err.value)
+
+
+def test_load_accepts_true_inside_strings(tmp_path):
+    # only a JSON literal counts, not the word in a key or a string value
+    path = tmp_path / "c.json"
+    path.write_text('{"d": 2, "c": [0.8, 0.6], "note": "true, not false"}')
+    assert load_coefficients(path).c.tolist() == [0.8, 0.6]

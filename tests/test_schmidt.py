@@ -9,10 +9,14 @@ from selftesting import (
     angles,
     block_scores,
     blocks,
+    build_block_operators,
     corner,
+    ideal_realization,
     pairs,
     reference_tables,
+    schmidt,
     target_state,
+    verify_tables,
 )
 from selftesting.errors import (
     CoefficientRangeError,
@@ -115,6 +119,41 @@ def test_block_table():
         # block_scores lists its blocks in table order
         scores = block_scores(reference_tables(sc), sc)
         assert [(s.primed, s.m, s.pair) for s in scores] == [(b.primed, b.m, b.pair) for b in table]
+
+
+def test_coefficients_are_a_read_only_copy():
+    # a float64 array used to be kept as given, so writing to it later
+    # changed a frozen value
+    source = np.array([0.8, 0.6])
+    sc = SchmidtCoefficients(source)
+    table = blocks(sc)
+    want = [(b.theta, b.mu, b.alpha, b.mass) for b in table]
+    source[0] = 0.6
+    assert sc.c.tolist() == [0.8, 0.6]
+    assert blocks(sc) is table
+    assert [(b.theta, b.mu, b.alpha, b.mass) for b in blocks(sc)] == want
+    with pytest.raises(ValueError):
+        sc.c[0] = 0.5
+
+
+def test_block_table_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return block_angles(lo, hi)
+
+    block_angles = schmidt._block_angles
+    monkeypatch.setattr(schmidt, "_block_angles", counted)
+    sc = random_coefficients(7, seed=41)
+    ref = reference_tables(sc)
+    assert verify_tables(ref, sc).passed
+    angles(sc)
+    r = ideal_realization(sc)
+    block_scores(ref, sc)
+    build_block_operators(r, sc)
+    assert blocks(sc) is blocks(sc)
+    assert len(calls) == len(blocks(sc)) == 6
 
 
 def test_pair_structure_rejects_small_d():
