@@ -10,7 +10,7 @@ measurement action) out of any realization reproducing the tables.
 
 from __future__ import annotations
 
-from .chsh import BlockScore, block_correlators, block_scores, block_violation
+from .chsh import BlockScore, block_scores
 from .correlations import (
     CorrelationTables,
     VerificationReport,
@@ -45,7 +45,7 @@ from .extraction import (
     measurement_equivalence,
 )
 from .harness import EmbeddingSpec, SampleResult, embed_realization, sample_tables
-from .ideal import Measurement, Realization, ideal_alice, ideal_bob, ideal_realization
+from .ideal import Measurement, Realization, ideal_realization
 from .schmidt import (
     AngleSchedule,
     Block,

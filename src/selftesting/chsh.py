@@ -11,9 +11,11 @@ the block is ``sqrt(8 + 2 alpha^2)`` times the block's state mass, and the
 ideal tables meet that bound exactly on every block; the classical
 (deterministic) bound is ``(2 + |alpha|) * mass``.
 
-The observables of a block are read from the tables of its settings
-``xs`` x ``ys`` on its outcome pair (lo, hi), as listed by
-:func:`selftesting.schmidt.blocks`.
+A correlator ``<Ai Bj>`` is ``P(lo,lo) - P(lo,hi) - P(hi,lo) + P(hi,hi)``
+on the block's outcome pair (lo, hi) in the table of settings
+``(xs[i], ys[j])``, as listed by :func:`selftesting.schmidt.blocks`. Each
+family's four tables are read at the same block cells that
+:func:`selftesting.correlations.reference_tables` writes.
 
 Marginals ``<A0>`` are taken as full row sums of the relevant table, so
 off-block weight (absent in ideal tables, present in noisy ones) is
@@ -26,29 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationTables
-from .schmidt import Block, SchmidtCoefficients, blocks
+from .correlations import CorrelationTables, _block_cells
+from .schmidt import SETTINGS, SchmidtCoefficients, blocks
 
-__all__ = [
-    "BlockCorrelators",
-    "BlockScore",
-    "block_correlators",
-    "block_violation",
-    "block_scores",
-]
-
-
-@dataclass(frozen=True)
-class BlockCorrelators:
-    """Raw two-outcome correlators of one block."""
-
-    m: int
-    primed: bool
-    a0: float
-    a0b0: float
-    a0b1: float
-    a1b0: float
-    a1b1: float
+__all__ = ["BlockScore", "block_scores"]
 
 
 @dataclass(frozen=True)
@@ -62,57 +45,37 @@ class BlockScore:
     alpha: float
     beta: float
     target: float
-    correlators: BlockCorrelators
 
     @property
     def residual(self) -> float:
         return self.beta - self.target
 
 
-def _pair_correlator(tab: np.ndarray, lo: int, hi: int) -> float:
-    return float(tab[lo, lo] - tab[lo, hi] - tab[hi, lo] + tab[hi, hi])
-
-
-def block_correlators(t: CorrelationTables, b: Block) -> BlockCorrelators:
-    """Correlators and first-party marginal of block `b` from the tables."""
-    lo, hi = b.pair
-    xs, ys = b.xs, b.ys
-    t00 = t.table(xs[0], ys[0])
-    t01 = t.table(xs[0], ys[1])
-    t10 = t.table(xs[1], ys[0])
-    t11 = t.table(xs[1], ys[1])
-    marginal = float(t00[lo, :].sum() - t00[hi, :].sum())
-    return BlockCorrelators(
-        m=b.m,
-        primed=b.primed,
-        a0=marginal,
-        a0b0=_pair_correlator(t00, lo, hi),
-        a0b1=_pair_correlator(t01, lo, hi),
-        a1b0=_pair_correlator(t10, lo, hi),
-        a1b1=_pair_correlator(t11, lo, hi),
-    )
-
-
-def block_violation(t: CorrelationTables, b: Block) -> BlockScore:
-    """Score block `b` of the tables against its exact quantum maximum."""
-    corr = block_correlators(t, b)
-    beta = b.alpha * corr.a0 + corr.a0b0 + corr.a0b1 + corr.a1b0 - corr.a1b1
-    return BlockScore(
-        m=b.m,
-        primed=b.primed,
-        pair=b.pair,
-        mass=b.mass,
-        alpha=b.alpha,
-        beta=float(beta),
-        target=float(np.sqrt(8.0 + 2.0 * b.alpha * b.alpha) * b.mass),
-        correlators=corr,
-    )
-
-
 def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockScore]:
     """Scores for every block of both families, in :func:`blocks` order.
 
-    Tables of another d than `sc` raise :class:`DimensionError`.
+    Tables of another d than `sc` raise :class:`DimensionError`, and a
+    missing constrained pair raises :class:`CoverageError` naming the first
+    one in block order.
     """
     t.require_d(sc.d)
-    return [block_violation(t, b) for b in blocks(sc)]
+    table = blocks(sc)
+    scores: list[BlockScore] = []
+    for primed, (xs, ys) in SETTINGS.items():
+        family = [b for b in table if b.primed == primed]
+        rows, cols = _block_cells(sc.d, primed)
+        tabs = [t.table(x, y) for x in xs for y in ys]
+        cells = np.stack(tabs)[:, rows, cols]
+        e00, e01, e10, e11 = cells[:, 0] - cells[:, 1] - cells[:, 2] + cells[:, 3]
+        # Summed from gathered (C-ordered) rows, so each is the pairwise sum
+        # of one row whatever the memory layout of the table.
+        lo, hi = tabs[0][rows[::2]].sum(axis=-1)
+        alpha = np.array([b.alpha for b in family])
+        mass = np.array([b.mass for b in family])
+        beta = alpha * (lo - hi) + e00 + e01 + e10 - e11
+        target = np.sqrt(8.0 + 2.0 * alpha * alpha) * mass
+        scores += [
+            BlockScore(b.m, b.primed, b.pair, b.mass, b.alpha, float(bv), float(tv))
+            for b, bv, tv in zip(family, beta, target)
+        ]
+    return scores

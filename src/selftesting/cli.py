@@ -85,13 +85,17 @@ def _add_coeff_args(p: argparse.ArgumentParser) -> None:
     source.add_argument("--coeffs-file", default=None, help="coefficients JSON file")
 
 
-def _emit(doc: Any, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n"
+def _emit(doc: Any) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n")
+
+
+def _output(obj: Any, out: str | None, to_doc: Callable[[Any], Any],
+            save: Callable[[Any, str], None]) -> None:
+    """Print `obj` as a JSON document, or write it to the file `out` with `save`."""
     if out is None:
-        sys.stdout.write(text)
+        _emit(to_doc(obj))
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        save(obj, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "generate":
         sc = _coefficients_from_args(args)
-        _emit(io.tables_to_doc(reference_tables(sc)), args.output)
+        _output(reference_tables(sc), args.output, io.tables_to_doc, io.save_tables)
         return 0
 
     if args.command == "ideal":
         sc = _coefficients_from_args(args)
-        _emit(io.realization_to_doc(ideal_realization(sc)), args.output)
+        _output(ideal_realization(sc), args.output, io.realization_to_doc, io.save_realization)
         return 0
 
     if args.command == "verify":
@@ -159,18 +163,14 @@ def _run(args: argparse.Namespace) -> int:
         report = verify_tables(t, sc, tol=args.tol)
         doc = asdict(report)
         doc["pass"] = doc.pop("passed")
-        _emit(doc, None)
+        _emit(doc)
         return 0 if report.passed else 1
 
     if args.command == "chsh":
         sc = _coefficients_from_args(args)
         t = io.load_tables(args.tables)
         scores = block_scores(t, sc)
-        blocks = [
-            {**{k: v for k, v in asdict(s).items() if k != "correlators"}, "residual": s.residual}
-            for s in scores
-        ]
-        _emit({"blocks": blocks}, None)
+        _emit({"blocks": [{**asdict(s), "residual": s.residual} for s in scores]})
         if args.tol is not None and any(abs(s.residual) > args.tol for s in scores):
             return 1
         return 0
@@ -180,7 +180,7 @@ def _run(args: argparse.Namespace) -> int:
         r = io.load_realization(args.realization)
         report = extraction_report(r, sc)
         passed = report.passes(fidelity_min=args.fidelity_threshold, residual_tol=args.tol)
-        _emit({**asdict(report), "pass": passed}, None)
+        _emit({**asdict(report), "pass": passed})
         return 0 if passed else 1
 
     if args.command == "embed":
@@ -189,13 +189,14 @@ def _run(args: argparse.Namespace) -> int:
         except ValueError as e:
             raise ParseError(str(e)) from None
         r = io.load_realization(args.realization)
-        _emit(io.realization_to_doc(embed_realization(r, spec)), args.output)
+        _output(embed_realization(r, spec), args.output, io.realization_to_doc,
+                io.save_realization)
         return 0
 
     if args.command == "sample":
         r = io.load_realization(args.realization)
         result = sample_tables(r, args.shots, args.seed)
-        _emit(io.tables_to_doc(result.estimated), args.output)
+        _output(result.estimated, args.output, io.tables_to_doc, io.save_tables)
         summary = {"shots_per_pair": result.shots_per_pair, "seed": result.seed,
                    "stderr_max": result.stderr_max}
         sys.stderr.write(json.dumps(summary) + "\n")

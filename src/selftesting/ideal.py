@@ -32,8 +32,6 @@ from .schmidt import Block, SchmidtCoefficients, blocks, corner, target_state
 __all__ = [
     "Measurement",
     "Realization",
-    "ideal_alice",
-    "ideal_bob",
     "ideal_realization",
 ]
 
@@ -237,16 +235,6 @@ def _measurements(
                 p[top, top, top] = 1.0
             out[setting] = Measurement(p)
     return tuple(out[x] for x in sorted(out))
-
-
-def ideal_alice(sc: SchmidtCoefficients) -> tuple[Measurement, ...]:
-    """The first party's three ideal measurements."""
-    return _measurements(sc.d, blocks(sc), "xs", _alice_vectors)
-
-
-def ideal_bob(sc: SchmidtCoefficients) -> tuple[Measurement, ...]:
-    """The second party's four ideal tilted measurements."""
-    return _measurements(sc.d, blocks(sc), "ys", _bob_vectors)
 
 
 def ideal_realization(sc: SchmidtCoefficients) -> Realization:

@@ -13,7 +13,8 @@ Formats (all plain JSON):
 
 Files are read as UTF-8, and one that is not UTF-8 text raises
 :class:`ParseError`. Malformed documents raise it with the offending field
-(including non-numeric entries, ragged matrices, a key repeated within one
+(including non-numeric entries such as a string or a null where a number
+is expected, ragged matrices, a key repeated within one
 object, and a JSON ``true`` or ``false`` anywhere: no field of these
 formats is boolean), and so do tables with non-finite entries and
 realizations whose validation fails with a ``ValueError`` (non-finite
@@ -99,11 +100,21 @@ def _field(doc: Any, name: str, path: str | Path) -> Any:
 
 
 def _float_array(value: Any, path: str | Path, where: str) -> np.ndarray:
-    """A JSON value as a float array; non-numeric or ragged data is a ParseError."""
+    """A JSON value as a float array; non-numeric or ragged data is a ParseError.
+
+    The value is read without a dtype, so a string or a null shows as a
+    string or object array instead of being parsed or read as NaN.
+    """
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{path}: {where}: {e}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(
+            f"{path}: {where}: entries must be numbers "
+            "(found a string, a null or an integer beyond 64 bits)"
+        )
+    return arr.astype(float, copy=False)
 
 
 def load_coefficients(path: str | Path) -> SchmidtCoefficients:
@@ -163,10 +174,6 @@ def save_tables(t: CorrelationTables, path: str | Path) -> None:
     Path(path).write_text(json.dumps(tables_to_doc(t), indent=2) + "\n")
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-
-
 def _pairs_to_matrix(rows: Any, dim: int, where: str, path: str | Path) -> np.ndarray:
     arr = _float_array(rows, path, where)
     if arr.shape != (dim, dim, 2):
@@ -176,17 +183,18 @@ def _pairs_to_matrix(rows: Any, dim: int, where: str, path: str | Path) -> np.nd
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _pairs(a: np.ndarray) -> list[Any]:
+    """`a` as nested lists with each entry an [re, im] pair."""
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
 def realization_to_doc(r: Realization) -> dict[str, Any]:
     return {
         "dimA": r.dim_a,
         "dimB": r.dim_b,
-        "state": [[float(v.real), float(v.imag)] for v in r.state],
-        "alice": [
-            [_matrix_to_pairs(p) for p in meas.projectors] for meas in r.alice
-        ],
-        "bob": [
-            [_matrix_to_pairs(p) for p in meas.projectors] for meas in r.bob
-        ],
+        "state": _pairs(r.state),
+        "alice": [_pairs(meas.projectors) for meas in r.alice],
+        "bob": [_pairs(meas.projectors) for meas in r.bob],
     }
 
 

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 
 from conftest import random_coefficients
 from selftesting import (
+    BlockScore,
+    CorrelationTables,
+    CoverageError,
     EmbeddingSpec,
     SchmidtCoefficients,
     angles,
-    block_correlators,
     block_scores,
-    block_violation,
     blocks,
     compute_tables,
     embed_realization,
@@ -17,6 +21,7 @@ from selftesting import (
     reference_tables,
     sample_tables,
 )
+from selftesting.correlations import constrained_pairs
 
 TWO_SQRT_TWO = 2 * np.sqrt(2)
 # d=4, c=(0.8, 0.4, 0.4, 0.2): frozen block maxima
@@ -24,37 +29,57 @@ BETA_D4_M0 = 20 / np.sqrt(41) * 0.8
 BETA_D4_M0_PRIMED = TWO_SQRT_TWO * 0.32
 
 
-def _block(sc, m, primed=False):
-    return next(b for b in blocks(sc) if (b.m, b.primed) == (m, primed))
+def _score(sc, m, primed=False):
+    scores = block_scores(reference_tables(sc), sc)
+    return next(s for s in scores if (s.m, s.primed) == (m, primed))
+
+
+def _correlators(t, b):
+    """(<A0>, <A0B0>, <A0B1>, <A1B0>, <A1B1>) of block `b`, one entry at a time."""
+    lo, hi = b.pair
+    tabs = [t.table(x, y) for x in b.xs for y in b.ys]
+    marginal = float(tabs[0][lo, :].sum() - tabs[0][hi, :].sum())
+    pair_sums = [float(tab[lo, lo] - tab[lo, hi] - tab[hi, lo] + tab[hi, hi]) for tab in tabs]
+    return (marginal, *pair_sums)
+
+
+def _score_loop(t, sc):
+    """Per-block reference for block_scores: each block scored on its own."""
+    t.require_d(sc.d)
+    out = []
+    for b in blocks(sc):
+        a0, a0b0, a0b1, a1b0, a1b1 = _correlators(t, b)
+        beta = b.alpha * a0 + a0b0 + a0b1 + a1b0 - a1b1
+        target = float(np.sqrt(8.0 + 2.0 * b.alpha * b.alpha) * b.mass)
+        out.append(BlockScore(b.m, b.primed, b.pair, b.mass, b.alpha, float(beta), target))
+    return out
 
 
 def test_maximal_d2_correlators_and_score():
     sc = SchmidtCoefficients(np.array([1.0, 1.0]) / np.sqrt(2))
-    t = reference_tables(sc)
-    corr = block_correlators(t, _block(sc, 0))
-    assert abs(corr.a0) < 1e-14
-    assert abs(corr.a0b0 - 1 / np.sqrt(2)) < 1e-14
-    assert abs(corr.a0b1 - 1 / np.sqrt(2)) < 1e-14
-    assert abs(corr.a1b0 - 1 / np.sqrt(2)) < 1e-14
-    assert abs(corr.a1b1 + 1 / np.sqrt(2)) < 1e-14
-    score = block_violation(t, _block(sc, 0))
+    a0, a0b0, a0b1, a1b0, a1b1 = _correlators(reference_tables(sc), blocks(sc)[0])
+    assert abs(a0) < 1e-14
+    assert abs(a0b0 - 1 / np.sqrt(2)) < 1e-14
+    assert abs(a0b1 - 1 / np.sqrt(2)) < 1e-14
+    assert abs(a1b0 - 1 / np.sqrt(2)) < 1e-14
+    assert abs(a1b1 + 1 / np.sqrt(2)) < 1e-14
+    score = _score(sc, 0)
     assert abs(score.beta - TWO_SQRT_TWO) < 1e-10
     assert abs(score.residual) < 1e-12
 
 
 def test_marginal_correlator_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
-    corr = block_correlators(reference_tables(sc), _block(sc, 0))
-    assert abs(corr.a0 - (0.64 - 0.36)) < 1e-14
+    a0 = _correlators(reference_tables(sc), blocks(sc)[0])[0]
+    assert abs(a0 - (0.64 - 0.36)) < 1e-14
 
 
 def test_frozen_d4_block_values():
     sc = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
-    t = reference_tables(sc)
-    unprimed = block_violation(t, _block(sc, 0))
+    unprimed = _score(sc, 0)
     assert abs(unprimed.beta - BETA_D4_M0) < 1e-12
     assert abs(unprimed.target - BETA_D4_M0) < 1e-12
-    primed = block_violation(t, _block(sc, 0, primed=True))
+    primed = _score(sc, 0, primed=True)
     assert abs(primed.beta - BETA_D4_M0_PRIMED) < 1e-12
     # the equal-coefficient primed block carries no tilt
     assert abs(primed.alpha) < 1e-14
@@ -70,15 +95,32 @@ def test_violation_identity_all_blocks():
             assert abs(score.beta - score.target) < 1e-12
 
 
-def test_block_scores_match_block_violation():
-    # one block table per call must give exactly the per-block scores, also
-    # on sampled tables that meet no identity
-    for d in (2, 3, 6, 9):
+def test_block_scores_match_score_loop():
+    # the batched read gives exactly the per-block scores, also on sampled
+    # tables that meet no identity, and on tables stored column-major
+    for d in range(2, 34):
         sc = random_coefficients(d, seed=720 + d)
-        r = embed_realization(ideal_realization(sc), EmbeddingSpec(extra_a=1, seed=d))
-        for t in (compute_tables(r), sample_tables(r, 500, seed=d).estimated):
-            want = [block_violation(t, b) for b in blocks(sc)]
-            assert block_scores(t, sc) == want
+        ideal = ideal_realization(sc)
+        embedded = embed_realization(ideal, EmbeddingSpec(extra_a=1, extra_b=2, seed=d))
+        sets = [reference_tables(sc)]
+        for r in (ideal, embedded):
+            sets += [compute_tables(r), sample_tables(r, 300, seed=d).estimated]
+        sets += [CorrelationTables(d, {p: np.asfortranarray(a) for p, a in t.tables.items()})
+                 for t in sets]
+        for t in sets:
+            assert block_scores(t, sc) == _score_loop(t, sc), d
+
+
+def test_missing_pair_names_first_in_block_order():
+    sc = random_coefficients(5, seed=730)
+    full = reference_tables(sc).tables
+    # constrained_pairs() lists the pairs in the order the blocks read them
+    for missing in itertools.combinations(constrained_pairs(), 2):
+        t = CorrelationTables(5, {p: a for p, a in full.items() if p not in missing})
+        first = rf"no table for setting pair \({missing[0][0]}, {missing[0][1]}\)$"
+        for score in (block_scores, _score_loop):
+            with pytest.raises(CoverageError, match=first):
+                score(t, sc)
 
 
 def test_scores_cover_both_families():
@@ -117,10 +159,9 @@ def test_correlator_magnitudes_bounded_by_mass():
     for d in (2, 3, 6):
         sc = random_coefficients(d, seed=900 + d)
         t = compute_tables(ideal_realization(sc))
-        for s in block_scores(t, sc):
-            corr = s.correlators
-            for value in (corr.a0, corr.a0b0, corr.a0b1, corr.a1b0, corr.a1b1):
-                assert abs(value) <= s.mass + 1e-9
+        for b in blocks(sc):
+            for value in _correlators(t, b):
+                assert abs(value) <= b.mass + 1e-9
 
 
 def test_quantum_bound_holds_on_rotated_realizations():
@@ -134,8 +175,7 @@ def test_quantum_bound_holds_on_rotated_realizations():
             assert s.beta <= s.target + 1e-9
     # even d pairs outcome d-1 with outcome 0 in the primed family
     sc = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
-    t = reference_tables(sc)
-    wrap = block_violation(t, _block(sc, 1, primed=True))
+    wrap = _score(sc, 1, primed=True)
     assert wrap.pair == (3, 0)
     assert abs(wrap.alpha - (-30 / np.sqrt(353))) < 1e-13
     assert abs(wrap.residual) < 1e-12

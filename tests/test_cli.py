@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import package_env
-from selftesting import cli
 from selftesting.cli import main
 
 
@@ -112,10 +111,10 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
-    def refuse(file, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", file)
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
 
-    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    monkeypatch.setattr(Path, "write_text", refuse)
     target = tmp_path / "out.json"
     code, out, err = run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(target))
     assert (code, out) == (2, "")
@@ -439,3 +438,33 @@ def test_boolean_numbers_are_input_errors(capsys, tmp_path, command, name, text,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: {where} is true/false where a number is expected\n"
+
+
+@pytest.mark.parametrize(
+    "command, keys, value, where",
+    [
+        # exited 0 with the string read as 0.5
+        ("verify", ("tables", "0,0", 0, 1), "0.0", "table '0,0'"),
+        # exited 2 naming non-finite entries
+        ("verify", ("tables", "0,0", 0, 1), None, "table '0,0'"),
+        # exited 0 with the string read as 0.8
+        ("extract", ("state", 0, 0), "0.8", "'state'"),
+    ],
+    ids=["table-string", "table-null", "state-string"],
+)
+def test_strings_and_nulls_are_input_errors(capsys, tmp_path, command, keys, value, where):
+    path = tmp_path / "in.json"
+    source = "generate" if command == "verify" else "ideal"
+    run_cli(capsys, source, "--coeffs", "0.8,0.6", "-o", str(path))
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path), "--coeffs", "0.8,0.6")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: {where}: entries must be numbers "
+        "(found a string, a null or an integer beyond 64 bits)\n"
+    )

@@ -12,8 +12,6 @@ from selftesting import (
     Realization,
     SchmidtCoefficients,
     embed_realization,
-    ideal_alice,
-    ideal_bob,
     ideal_realization,
 )
 from selftesting.cli import main
@@ -284,7 +282,7 @@ def test_ideal_measurements_are_valid_projective():
 
 def test_alice_x0_is_computational():
     sc = random_coefficients(4, seed=1)
-    a0 = ideal_alice(sc)[0]
+    a0 = ideal_realization(sc).alice[0]
     for k in range(4):
         e = np.zeros(4)
         e[k] = 1.0
@@ -294,7 +292,7 @@ def test_alice_x0_is_computational():
 def test_alice_flip_observables():
     # x=1 acts as a flip on every unprimed pair, x=2 on every primed pair
     sc = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
-    a1, a2 = ideal_alice(sc)[1], ideal_alice(sc)[2]
+    a1, a2 = ideal_realization(sc).alice[1:]
     flip01 = np.zeros((4, 4))
     flip01[0, 1] = flip01[1, 0] = 1.0
     obs = a1.projectors[0] - a1.projectors[1]
@@ -308,7 +306,7 @@ def test_alice_flip_observables():
 def test_alice_corner_outcomes_odd_d():
     # for odd d the leftover outcome keeps its computational projector
     sc = random_coefficients(5, seed=2)
-    a1, a2 = ideal_alice(sc)[1], ideal_alice(sc)[2]
+    a1, a2 = ideal_realization(sc).alice[1:]
     e4 = np.zeros(5)
     e4[4] = 1.0
     assert np.allclose(a1.projectors[4], np.outer(e4, e4))
@@ -319,7 +317,7 @@ def test_alice_corner_outcomes_odd_d():
 
 def test_bob_tilt_overlap():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
-    b0 = ideal_bob(sc)[0]
+    b0 = ideal_realization(sc).bob[0]
     e0 = np.zeros(2)
     e0[0] = 1.0
     overlap = float(np.real(e0 @ b0.projectors[0] @ e0))
@@ -329,7 +327,7 @@ def test_bob_tilt_overlap():
 def test_bob_tilt_signs_mirror():
     # y=0 and y=1 tilt by +mu and -mu: same diagonal, opposite off-diagonal
     sc = random_coefficients(4, seed=3)
-    bob = ideal_bob(sc)
+    bob = ideal_realization(sc).bob
     p0, p1 = bob[0].projectors[0], bob[1].projectors[0]
     assert np.allclose(np.diag(p0), np.diag(p1), atol=1e-14)
     off0 = p0 - np.diag(np.diag(p0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_coefficients
-from selftesting import compute_tables, ideal_realization, reference_tables
+from selftesting import SchmidtCoefficients, compute_tables, ideal_realization, reference_tables
 from selftesting.errors import ParseError
 from selftesting.io import (
     load_coefficients,
@@ -169,3 +169,38 @@ def test_load_accepts_true_inside_strings(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"d": 2, "c": [0.8, 0.6], "note": "true, not false"}')
     assert load_coefficients(path).c.tolist() == [0.8, 0.6]
+
+
+NOT_NUMBERS = "entries must be numbers (found a string, a null or an integer beyond 64 bits)"
+
+
+@pytest.mark.parametrize(
+    "entry", ['"0.5"', "null", str(10**30)], ids=["string", "null", "big-integer"]
+)
+def test_load_tables_rejects_non_numbers(tmp_path, entry):
+    # the string loaded silently as 0.5, and the null as NaN
+    path = tmp_path / "t.json"
+    path.write_text('{"d": 2, "tables": {"0,0": [[%s, 0], [0, 0.5]]}}' % entry)
+    with pytest.raises(ParseError) as err:
+        load_tables(path)
+    assert str(err.value) == f"{path}: table '0,0': {NOT_NUMBERS}"
+
+
+@pytest.mark.parametrize(
+    "keys, where",
+    [(("state", 0, 0), "'state'"), (("alice", 1, 0, 1, 1, 0), "'alice' setting 1 outcome 0")],
+    ids=["state", "projector"],
+)
+@pytest.mark.parametrize("value", ["0.8", None], ids=["string", "null"])
+def test_load_realization_rejects_non_numbers(tmp_path, keys, where, value):
+    path = tmp_path / "r.json"
+    save_realization(ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6]))), path)
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_realization(path)
+    assert str(err.value) == f"{path}: {where}: {NOT_NUMBERS}"
