@@ -15,7 +15,8 @@ A correlator ``<Ai Bj>`` is ``P(lo,lo) - P(lo,hi) - P(hi,lo) + P(hi,hi)``
 on the block's outcome pair (lo, hi) in the table of settings
 ``(xs[i], ys[j])``, as listed by :func:`selftesting.schmidt.blocks`. Each
 family's four tables are read at the same block cells that
-:func:`selftesting.correlations.reference_tables` writes.
+:func:`selftesting.correlations.reference_tables` writes, all eight
+constrained tables in one gather.
 
 Marginals ``<A0>`` are taken as full row sums of the relevant table, so
 off-block weight (absent in ideal tables, present in noisy ones) is
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationTables, _block_cells
-from .schmidt import SETTINGS, SchmidtCoefficients, blocks
+from .correlations import CorrelationTables, _block_cells, _constrained_tables
+from .schmidt import SchmidtCoefficients, blocks
 
 __all__ = ["BlockScore", "block_scores"]
 
@@ -60,22 +61,21 @@ def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockSco
     """
     t.require_d(sc.d)
     table = blocks(sc)
-    scores: list[BlockScore] = []
-    for primed, (xs, ys) in SETTINGS.items():
-        family = [b for b in table if b.primed == primed]
-        rows, cols = _block_cells(sc.d, primed)
-        tabs = [t.table(x, y) for x in xs for y in ys]
-        cells = np.stack(tabs)[:, rows, cols]
-        e00, e01, e10, e11 = cells[:, 0] - cells[:, 1] - cells[:, 2] + cells[:, 3]
-        # Summed from gathered (C-ordered) rows, so each is the pairwise sum
-        # of one row whatever the memory layout of the table.
-        lo, hi = tabs[0][rows[::2]].sum(axis=-1)
-        alpha = np.array([b.alpha for b in family])
-        mass = np.array([b.mass for b in family])
-        beta = alpha * (lo - hi) + e00 + e01 + e10 - e11
-        target = np.sqrt(8.0 + 2.0 * alpha * alpha) * mass
-        scores += [
-            BlockScore(b.m, b.primed, b.pair, b.mass, b.alpha, float(bv), float(tv))
-            for b, bv, tv in zip(family, beta, target)
-        ]
-    return scores
+    got = _constrained_tables(t)
+    rows, cols = _block_cells(sc.d)
+    family = np.arange(2)[:, None, None]
+    # Family by cell by block by table, then the four correlators, each
+    # family by block.
+    cells = got[family, :, rows, cols]
+    e00, e01, e10, e11 = np.moveaxis(cells[:, 0] - cells[:, 1] - cells[:, 2] + cells[:, 3], -1, 0)
+    # Row sums of each family's first table, each the pairwise sum of one
+    # C-ordered row, read at the rows lo and hi of every block.
+    lo, hi = got[:, 0].sum(axis=-1)[family, rows[:, ::2]].swapaxes(0, 1)
+    alpha = np.array([b.alpha for b in table]).reshape(2, -1)
+    mass = np.array([b.mass for b in table]).reshape(2, -1)
+    beta = alpha * (lo - hi) + e00 + e01 + e10 - e11
+    target = np.sqrt(8.0 + 2.0 * alpha * alpha) * mass
+    return [
+        BlockScore(b.m, b.primed, b.pair, b.mass, b.alpha, float(bv), float(tv))
+        for b, bv, tv in zip(table, beta.ravel(), target.ravel())
+    ]

@@ -8,6 +8,14 @@ one family's settings carry that family's blocks and corner (see
 intentionally unconstrained: they may hold anything a device produces, and
 the verifier ignores them.
 
+In memory a table set is one read-only, C-ordered float64 array ``values``
+of shape (3, 4, d, d), indexed [x, y, a, b], and one read-only (3, 4) bool
+array ``present`` naming the pairs given, of which there must be at least
+one. An absent pair is zero in ``values`` but means "no statement", not
+"all zeros": :meth:`CorrelationTables.table` raises :class:`CoverageError`
+for it, and every check masks it out. Every reduction is a sum over axes
+of ``values``, so no result depends on the layout of the caller's arrays.
+
 :func:`compute_tables` and :func:`reference_tables` are two independent
 routes to the same numbers for an ideal realization. The first applies the
 Born rule to a concrete state and projectors; the second evaluates the
@@ -17,7 +25,8 @@ separate is what makes the equivalence test meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -49,52 +58,88 @@ def constrained_pairs() -> list[tuple[int, int]]:
     return [(x, y) for xs, ys in SETTINGS.values() for x in xs for y in ys]
 
 
+def _is_int(value: object) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class CorrelationTables:
-    """Collection of per-pair outcome distributions.
+    """Per-pair outcome distributions, held as the module docstring describes.
 
-    Absent pairs mean "no statement", not "all zeros"; consumers that need
-    a pair must go through :meth:`table` so absence raises
-    :class:`CoverageError`. Every entry must be finite (``ValueError``
-    otherwise): a NaN compares false against every tolerance, so it would
-    pass any check made on it.
+    `tables` maps setting pairs ``(x, y)`` to d x d tables, which are
+    copied. `d` must be an integer >= 2, every key two integers in range,
+    every table of shape (d, d) with finite entries (a NaN compares false
+    against every tolerance, so it would pass any check made on it), and
+    the mapping must not be empty; anything else is a ``ValueError``.
     """
 
     d: int
-    tables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    tables: InitVar[Mapping[tuple[int, int], np.ndarray]]
+    values: np.ndarray = field(init=False, repr=False)
+    present: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        clean: dict[tuple[int, int], np.ndarray] = {}
-        for key, tab in self.tables.items():
-            x, y = int(key[0]), int(key[1])
-            if not (0 <= x < ALICE_SETTINGS and 0 <= y < BOB_SETTINGS):
+    def __post_init__(self, tables: Mapping[tuple[int, int], np.ndarray]) -> None:
+        if not _is_int(self.d) or self.d < 2:
+            raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
+        self.d = d = int(self.d)
+        # Checked before anything is allocated, so that the array is never
+        # more than 12 times the entries handed in.
+        if not tables:
+            raise ValueError("a table set needs at least one setting pair")
+        for key, tab in tables.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+                raise ValueError(f"setting pair {key!r} is not two integers")
+            if not (0 <= key[0] < ALICE_SETTINGS and 0 <= key[1] < BOB_SETTINGS):
                 raise ValueError(f"setting pair {key} out of range")
-            arr = np.asarray(tab, dtype=float)
-            if arr.shape != (self.d, self.d):
-                raise ValueError(
-                    f"table {key} has shape {arr.shape}, expected {(self.d, self.d)}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"table {key} contains non-finite entries")
-            clean[(x, y)] = arr
-        self.tables = clean
+            if np.shape(tab) != (d, d):
+                raise ValueError(f"table {key} has shape {np.shape(tab)}, expected {(d, d)}")
+        self.values = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
+        self.present = np.zeros((ALICE_SETTINGS, BOB_SETTINGS), dtype=bool)
+        for (x, y), tab in tables.items():
+            self.values[x, y] = tab
+            self.present[x, y] = True
+        bad = np.argwhere(~np.isfinite(self.values).all(axis=(2, 3)))
+        if bad.size:
+            raise ValueError(f"table {tuple(bad[0].tolist())} contains non-finite entries")
+        self.values.flags.writeable = False
+        self.present.flags.writeable = False
 
     def has(self, x: int, y: int) -> bool:
-        return (x, y) in self.tables
+        return 0 <= x < ALICE_SETTINGS and 0 <= y < BOB_SETTINGS and bool(self.present[x, y])
 
     def table(self, x: int, y: int) -> np.ndarray:
-        try:
-            return self.tables[(x, y)]
-        except KeyError:
-            raise CoverageError(f"no table for setting pair ({x}, {y})") from None
+        """The read-only table of pair (x, y); :class:`CoverageError` if absent."""
+        if not self.has(x, y):
+            raise CoverageError(f"no table for setting pair ({x}, {y})")
+        return self.values[x, y]
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.tables)
+        return [(x, y) for x, y in np.argwhere(self.present).tolist()]
 
     def require_d(self, d: int) -> None:
         """Raise :class:`DimensionError` unless these tables have `d` outcomes."""
         if self.d != d:
             raise DimensionError(f"tables have d = {self.d}, but the coefficients give d = {d}")
+
+
+#: The constrained pairs as two (2, 4) index arrays of x and y: family
+#: (unprimed, primed) by pair, in :func:`constrained_pairs` order.
+_XS, _YS = np.array(constrained_pairs()).reshape(2, 4, 2).transpose(2, 0, 1)
+
+
+def _constrained_tables(t: CorrelationTables) -> np.ndarray:
+    """The eight constrained tables in one gather, shape (2, 4, d, d): family
+    by pair, in :func:`constrained_pairs` order.
+
+    A missing pair raises :class:`CoverageError` naming the first one in
+    that order.
+    """
+    held = t.present[_XS, _YS]
+    if not held.all():
+        first = np.argmin(held)
+        t.table(int(_XS.flat[first]), int(_YS.flat[first]))  # raises
+    return t.values[_XS, _YS]
 
 
 def compute_tables(r: Realization) -> CorrelationTables:
@@ -109,30 +154,29 @@ def compute_tables(r: Realization) -> CorrelationTables:
     anything larger signals corrupted inputs).
     """
     m = r.state_matrix()
-    left = [(r.alice[x].projectors @ m).reshape(-1, m.size) for x in range(ALICE_SETTINGS)]
-    right = [(m.conj() @ r.bob[y].projectors).reshape(-1, m.size) for y in range(BOB_SETTINGS)]
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for x in range(ALICE_SETTINGS):
-        for y in range(BOB_SETTINGS):
-            tab = left[x] @ right[y].T
-            worst = float(np.max(np.abs(tab.imag)))
-            if worst > IMAG_TOL:
-                raise HermiticityError(
-                    f"pair ({x},{y}) has imaginary probability residue {worst:.3e}"
-                )
-            out[(x, y)] = tab.real.copy()
-    return CorrelationTables(d=r.n_outcomes, tables=out)
+    left = [(a.projectors @ m).reshape(-1, m.size) for a in r.alice]
+    right = [(m.conj() @ b.projectors).reshape(-1, m.size) for b in r.bob]
+    # One 2-D product per pair: a broadcast stacked product is twice as
+    # slow at d = 32.
+    out = np.array([[lx @ ry.T for ry in right] for lx in left])
+    worst = np.max(np.abs(out.imag), axis=(2, 3))
+    if np.any(worst > IMAG_TOL):
+        x, y = np.argwhere(worst > IMAG_TOL)[0].tolist()
+        raise HermiticityError(
+            f"pair ({x},{y}) has imaginary probability residue {worst[x, y]:.3e}"
+        )
+    tables = {pair: out.real[pair] for pair in np.ndindex(ALICE_SETTINGS, BOB_SETTINGS)}
+    return CorrelationTables(d=r.n_outcomes, tables=tables)
 
 
-def _block_2x2(
-    x_eff: int, y_eff: int, c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray
-) -> np.ndarray:
-    """Closed-form 2x2 blocks of the constrained tables, shape (2, 2, n).
+def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Closed-form 2x2 blocks of the constrained tables, indexed
+    ``[x_eff, y_eff, a, b]`` and then like the inputs.
 
-    ``c_lo``, ``c_hi`` and ``mu`` hold one entry per block of a family.
-    ``x_eff`` and ``y_eff`` index the block's settings ``xs`` and ``ys``:
-    ``x_eff`` 0 means the computational-basis setting, 1 the flip setting;
-    ``y_eff`` 0 means tilt ``+mu``, 1 tilt ``-mu``.
+    ``c_lo``, ``c_hi`` and ``mu`` hold one entry per block. ``x_eff`` and
+    ``y_eff`` index the block's settings ``xs`` and ``ys``: ``x_eff`` 0
+    means the computational-basis setting, 1 the flip setting; ``y_eff`` 0
+    means tilt ``+mu``, 1 tilt ``-mu``.
 
     Squares are taken with ``np.float_power``, libm ``pow`` on every entry,
     so a block's values do not depend on how many blocks are evaluated at
@@ -140,30 +184,32 @@ def _block_2x2(
     and the two differ in the last bit for about one entry in a thousand.
     """
     ch, sh = np.cos(mu / 2), np.sin(mu / 2)
-    if x_eff == 0:
-        # Same for both tilts: the tilt sign cancels in squared overlaps.
-        return np.float_power([[c_lo, c_lo], [c_hi, c_hi]], 2) * np.float_power(
-            [[ch, sh], [sh, ch]], 2
+    # Same for both tilts: the tilt sign cancels in squared overlaps.
+    z = np.float_power([[c_lo, c_lo], [c_hi, c_hi]], 2) * np.float_power([[ch, sh], [sh, ch]], 2)
+    x = [
+        0.5 * np.float_power(
+            [
+                [c_lo * ch + s * c_hi * sh, c_hi * ch - s * c_lo * sh],
+                [c_lo * ch - s * c_hi * sh, c_hi * ch + s * c_lo * sh],
+            ],
+            2,
         )
-    s = 1.0 if y_eff == 0 else -1.0
-    return 0.5 * np.float_power(
-        [
-            [c_lo * ch + s * c_hi * sh, c_hi * ch - s * c_lo * sh],
-            [c_lo * ch - s * c_hi * sh, c_hi * ch + s * c_lo * sh],
-        ],
-        2,
-    )
+        for s in (1.0, -1.0)
+    ]
+    return np.array([[z, z], x])
 
 
-def _block_cells(d: int, primed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of one family's block entries, each (4, n).
+def _block_cells(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of both families' block entries, each (2, 4, n):
+    family (unprimed, primed) by cell by block.
 
     Rows ``[lo, lo, hi, hi]`` against columns ``[lo, hi, lo, hi]``: the
     entries (lo, lo), (lo, hi), (hi, lo), (hi, hi) of every block, in the
-    row-major order of :func:`_block_2x2`.
+    row-major order of :func:`_block_2x2`. Both families have ``d // 2``
+    blocks.
     """
-    lo, hi = np.array(pairs(d, primed)).T
-    return np.array([lo, lo, hi, hi]), np.array([lo, hi, lo, hi])
+    lo_hi = np.array([pairs(d, False), pairs(d, True)])
+    return lo_hi[..., [0, 0, 1, 1]].swapaxes(1, 2), lo_hi[..., [0, 1, 0, 1]].swapaxes(1, 2)
 
 
 def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
@@ -171,41 +217,38 @@ def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
 
     Each pair of a family's settings is block diagonal over that family's
     blocks, with the family's corner (k, k) carrying its full coefficient
-    weight when d is odd. All blocks of a family are evaluated at once and
-    written with one index assignment per table.
+    weight when d is odd. All blocks of both families are evaluated at once
+    and written into one stack with one index assignment.
     """
-    d = sc.d
-    c = sc.c
-    table = blocks(sc)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for primed, (xs, ys) in SETTINGS.items():
-        rows, cols = _block_cells(d, primed)
-        mu = np.array([b.mu for b in table if b.primed == primed])
-        top = corner(d, primed)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                tab = np.zeros((d, d))
-                tab[rows, cols] = _block_2x2(i, j, c[rows[0]], c[rows[2]], mu).reshape(4, -1)
-                if top is not None:
-                    tab[top, top] = c[top] ** 2
-                out[(x, y)] = tab
-    return CorrelationTables(d=d, tables=out)
+    d, c = sc.d, sc.c
+    rows, cols = _block_cells(d)
+    mu = np.array([b.mu for b in blocks(sc)]).reshape(2, -1)
+    cells = _block_2x2(c[rows[:, 0]], c[rows[:, 2]], mu)
+    out = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
+    # [x_eff, y_eff, a, b, family, block] to [family, pair, cell, block]
+    out[_XS[..., None, None], _YS[..., None, None], rows[:, None], cols[:, None]] = (
+        cells.reshape(4, 4, 2, -1).transpose(2, 0, 1, 3)
+    )
+    if d % 2:
+        tops = np.array([[corner(d, primed)] for primed in SETTINGS])
+        out[_XS, _YS, tops, tops] = np.float_power(c[tops], 2)
+    return CorrelationTables(d=d, tables={p: out[p] for p in constrained_pairs()})
 
 
 def no_signaling_check(t: CorrelationTables) -> float:
     """Largest marginal mismatch across the present setting pairs.
 
     For each first-party setting x, row sums must agree across every y it
-    appears with; mirrored for the second party over column sums. Pairs not
-    present contribute nothing.
+    appears with; mirrored for the second party over column sums. Each
+    marginal is compared with that of the first present pair it must match.
+    Pairs not present contribute nothing.
     """
-    gaps = [0.0]
-    for x in range(ALICE_SETTINGS):
-        rows = [t.tables[(x, y)].sum(axis=1) for y in range(BOB_SETTINGS) if t.has(x, y)]
-        gaps += [np.max(np.abs(row - rows[0])) for row in rows[1:]]
-    for y in range(BOB_SETTINGS):
-        cols = [t.tables[(x, y)].sum(axis=0) for x in range(ALICE_SETTINGS) if t.has(x, y)]
-        gaps += [np.max(np.abs(col - cols[0])) for col in cols[1:]]
+    gaps = []
+    # Row sums compared along y (axis 1 of the pair grid), column sums along x.
+    for axis, marginals in ((1, t.values.sum(axis=3)), (0, t.values.sum(axis=2))):
+        first = np.expand_dims(np.argmax(t.present, axis=axis), (axis, 2))
+        gap = np.abs(marginals - np.take_along_axis(marginals, first, axis=axis))
+        gaps.append(np.max(gap, where=t.present[..., None], initial=0.0))
     # np.max, not the builtin: a NaN must propagate, not be dropped.
     return float(np.max(gaps))
 
@@ -240,20 +283,17 @@ def verify_tables(
     raise :class:`DimensionError`.
     """
     t.require_d(sc.d)
-    ref = reference_tables(sc)
-    gaps: list[float] = []
-    masses: list[float] = []
-    for primed, (xs, ys) in SETTINGS.items():
-        mask = _constrained_mask(sc.d, primed)
-        for x in xs:
-            for y in ys:
-                got = t.table(x, y)
-                gaps.append(np.max(np.abs((got - ref.tables[(x, y)])[mask])))
-                masses.append(np.sum(np.abs(got[~mask])))
+    got = _constrained_tables(t)
+    mask = np.stack([_constrained_mask(sc.d, primed) for primed in SETTINGS])
+    mask = np.broadcast_to(mask[:, None], got.shape)
     # Fold with numpy, which propagates a NaN that the builtin max would drop.
-    block_res, off_mass = float(np.max(gaps)), float(np.max(masses))
+    block_res = float(np.max(np.abs(got - _constrained_tables(reference_tables(sc)))[mask]))
+    # Both families leave the same number of cells off their blocks. The
+    # gather is one C-ordered array, so each pair's mass is the pairwise sum
+    # of its own off-block cells in row-major order.
+    off_mass = float(np.max(np.abs(got[~mask]).reshape(2, 4, -1).sum(axis=-1)))
     ns = no_signaling_check(t)
-    sum_res = float(np.max([abs(t.tables[pair].sum() - 1.0) for pair in t.pairs()]))
+    sum_res = float(np.max(np.abs(t.values.sum(axis=(2, 3))[t.present] - 1.0)))
     passed = block_res <= tol and off_mass <= tol and ns <= tol and sum_res <= tol
     return VerificationReport(
         tol=tol,
@@ -267,8 +307,9 @@ def verify_tables(
 
 def _constrained_mask(d: int, primed: bool) -> np.ndarray:
     """Boolean mask of positions carrying block (or corner) weight."""
+    rows, cols = _block_cells(d)
     mask = np.zeros((d, d), dtype=bool)
-    mask[_block_cells(d, primed)] = True
+    mask[rows[int(primed)], cols[int(primed)]] = True
     top = corner(d, primed)
     if top is not None:
         mask[top, top] = True

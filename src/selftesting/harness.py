@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    ALICE_SETTINGS,
-    BOB_SETTINGS,
-    CorrelationTables,
-    compute_tables,
-)
+from .correlations import CorrelationTables, compute_tables
 from .ideal import Measurement, Realization
 
 __all__ = [
@@ -133,16 +128,14 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     exact = compute_tables(r)
+    v = exact.values
+    stderr_max = float(np.max(np.sqrt(np.clip(v * (1 - v), 0, None) / shots)))
+    p = np.clip(v, 0, None)
     estimated: dict[tuple[int, int], np.ndarray] = {}
-    stderr_max = 0.0
-    for x in range(ALICE_SETTINGS):
-        for y in range(BOB_SETTINGS):
-            tab = exact.tables[(x, y)]
-            stderr_max = max(stderr_max, float(np.max(np.sqrt(np.clip(tab * (1 - tab), 0, None) / shots))))
-            p = np.clip(tab, 0, None).reshape(-1)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, x, y)))
-            counts = rng.multinomial(shots, p / p.sum())
-            estimated[(x, y)] = counts.reshape(tab.shape) / shots
+    for x, y in exact.pairs():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, x, y)))
+        counts = rng.multinomial(shots, p[x, y].ravel() / p[x, y].sum())
+        estimated[(x, y)] = counts.reshape(exact.d, exact.d) / shots
     return SampleResult(
         seed=seed,
         shots_per_pair=shots,

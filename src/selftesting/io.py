@@ -5,7 +5,7 @@ Formats (all plain JSON):
 * coefficients: ``{"d": int, "c": [float, ...]}``
 * tables: ``{"d": int, "tables": {"x,y": [[float, ...], ...], ...}}``;
   keys are comma-joined setting pairs in ASCII digits, each pair named at
-  most once; absent keys mean unconstrained.
+  most once, and at least one; absent keys mean unconstrained.
 * realization: ``{"dimA": int, "dimB": int, "state": [[re, im], ...],
   "alice": [[matrix, ...], ...], "bob": [[matrix, ...], ...]}`` where the
   state is row-major over (first, second) party indices, each setting is a
@@ -14,12 +14,13 @@ Formats (all plain JSON):
 Files are read as UTF-8, and one that is not UTF-8 text raises
 :class:`ParseError`. Malformed documents raise it with the offending field
 (including non-numeric entries such as a string or a null where a number
-is expected, ragged matrices, a key repeated within one
-object, and a JSON ``true`` or ``false`` anywhere: no field of these
-formats is boolean), and so do tables with non-finite entries and
-realizations whose validation fails with a ``ValueError`` (non-finite
-state, broken projectors); domain violations with their own type (bad
-normalization, non-Hermitian projectors) surface as that type.
+is expected, ragged matrices, a key repeated within one object, and a JSON
+``true`` or ``false`` anywhere: no field of these formats is boolean), and
+so do tables that :class:`CorrelationTables` refuses (no pair, a wrong d
+or shape, non-finite entries) and realizations whose validation fails with
+a ``ValueError`` (non-finite state, broken projectors); domain violations
+with their own type (bad normalization, non-Hermitian projectors) surface
+as that type.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .correlations import CorrelationTables
+from .correlations import ALICE_SETTINGS, BOB_SETTINGS, CorrelationTables
 from .errors import ParseError
 from .ideal import Measurement, Realization
 from .schmidt import SchmidtCoefficients
@@ -132,19 +133,19 @@ def save_coefficients(sc: SchmidtCoefficients, path: str | Path) -> None:
     Path(path).write_text(json.dumps({"d": sc.d, "c": sc.c.tolist()}, indent=2) + "\n")
 
 
+#: The file key of every setting pair, indexed [x, y].
+_KEYS = np.array([[f"{x},{y}" for y in range(BOB_SETTINGS)] for x in range(ALICE_SETTINGS)])
+
+
 def tables_to_doc(t: CorrelationTables) -> dict[str, Any]:
-    return {
-        "d": t.d,
-        "tables": {f"{x},{y}": t.tables[(x, y)].tolist() for x, y in t.pairs()},
-    }
+    keys, tables = _KEYS[t.present].tolist(), t.values[t.present].tolist()
+    return {"d": t.d, "tables": dict(zip(keys, tables))}
 
 
 def load_tables(path: str | Path) -> CorrelationTables:
     doc = _read_json(path)
     d = _field(doc, "d", path)
     raw = _field(doc, "tables", path)
-    if not isinstance(d, int) or d < 2:
-        raise ParseError(f"{path}: field 'd' must be an integer >= 2")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: field 'tables' must be an object")
     tables: dict[tuple[int, int], np.ndarray] = {}
@@ -160,10 +161,7 @@ def load_tables(path: str | Path) -> CorrelationTables:
                 f"{path}: table keys {keys[pair]!r} and {key!r} name the same pair {pair}"
             )
         keys[pair] = key
-        arr = _float_array(rows, path, f"table {key!r}")
-        if arr.shape != (d, d):
-            raise ParseError(f"{path}: table {key!r} has shape {arr.shape}, expected ({d}, {d})")
-        tables[pair] = arr
+        tables[pair] = _float_array(rows, path, f"table {key!r}")
     try:
         return CorrelationTables(d=d, tables=tables)
     except ValueError as e:

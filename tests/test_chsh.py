@@ -97,7 +97,7 @@ def test_violation_identity_all_blocks():
 
 def test_block_scores_match_score_loop():
     # the batched read gives exactly the per-block scores, also on sampled
-    # tables that meet no identity, and on tables stored column-major
+    # tables that meet no identity
     for d in range(2, 34):
         sc = random_coefficients(d, seed=720 + d)
         ideal = ideal_realization(sc)
@@ -105,18 +105,16 @@ def test_block_scores_match_score_loop():
         sets = [reference_tables(sc)]
         for r in (ideal, embedded):
             sets += [compute_tables(r), sample_tables(r, 300, seed=d).estimated]
-        sets += [CorrelationTables(d, {p: np.asfortranarray(a) for p, a in t.tables.items()})
-                 for t in sets]
         for t in sets:
             assert block_scores(t, sc) == _score_loop(t, sc), d
 
 
 def test_missing_pair_names_first_in_block_order():
     sc = random_coefficients(5, seed=730)
-    full = reference_tables(sc).tables
+    full = reference_tables(sc)
     # constrained_pairs() lists the pairs in the order the blocks read them
     for missing in itertools.combinations(constrained_pairs(), 2):
-        t = CorrelationTables(5, {p: a for p, a in full.items() if p not in missing})
+        t = CorrelationTables(5, {p: full.table(*p) for p in full.pairs() if p not in missing})
         first = rf"no table for setting pair \({missing[0][0]}, {missing[0][1]}\)$"
         for score in (block_scores, _score_loop):
             with pytest.raises(CoverageError, match=first):

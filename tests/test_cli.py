@@ -54,6 +54,15 @@ def test_verify_rejects_nonfinite_tables(capsys, tmp_path):
     assert err.startswith("error:") and "non-finite" in err
 
 
+def test_verify_rejects_empty_table_set(capsys, tmp_path):
+    tables = tmp_path / "t.json"
+    tables.write_text('{"d": 1000000, "tables": {}}')
+    code, out, err = run_cli(capsys, "verify", str(tables), "--coeffs", "0.8,0.6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least one setting pair" in err
+
+
 def test_invalid_realization_is_input_error(capsys, tmp_path):
     real = tmp_path / "r.json"
     run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))

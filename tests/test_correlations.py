@@ -17,8 +17,10 @@ from selftesting import (
     ideal_realization,
     no_signaling_check,
     reference_tables,
+    sample_tables,
     verify_tables,
 )
+from selftesting.chsh import block_scores
 from selftesting.correlations import _block_2x2, _constrained_mask, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
 from selftesting.schmidt import SETTINGS, blocks, corner, pairs
@@ -47,6 +49,29 @@ def test_tables_container_coverage():
     with pytest.raises(CoverageError):
         t.table(1, 1)
     assert t.pairs() == [(0, 0)]
+    assert t.values.shape == (3, 4, 2, 2) and t.values.flags.c_contiguous
+    assert t.present.sum() == 1 and t.present[0, 0]
+
+
+@pytest.mark.parametrize(
+    "d, tables",
+    [
+        (1, {(0, 0): np.eye(1)}),
+        (-3, {(0, 0): np.eye(2) / 2}),
+        (2.5, {(0, 0): np.eye(2) / 2}),
+        (True, {(0, 0): np.eye(2) / 2}),
+        (2, {}),
+        (2, {(0.7, 1.9): np.eye(2) / 2}),
+        (2, {(0, 0, 5): np.eye(2) / 2}),
+        (2, {(True, 0): np.eye(2) / 2}),
+        (2, {(3, 0): np.eye(2) / 2}),
+        (2, {(0, -1): np.eye(2) / 2}),
+        (2, {(0, 0): np.eye(3) / 3}),
+    ],
+)
+def test_tables_reject_bad_d_keys_and_shapes(d, tables):
+    with pytest.raises(ValueError):
+        CorrelationTables(d=d, tables=tables)
 
 
 def test_reference_frozen_entries():
@@ -76,7 +101,7 @@ def _reference_loop(sc: SchmidtCoefficients) -> dict[tuple[int, int], np.ndarray
             for j, y in enumerate(ys):
                 tab = np.zeros((d, d))
                 for b in family:
-                    tab[np.ix_(b.pair, b.pair)] = _block_2x2(i, j, c[b.lo], c[b.hi], b.mu)
+                    tab[np.ix_(b.pair, b.pair)] = _block_2x2(c[b.lo], c[b.hi], b.mu)[i, j]
                 if top is not None:
                     tab[top, top] = c[top] ** 2
                 out[(x, y)] = tab
@@ -154,17 +179,41 @@ def test_tables_reject_nonfinite_entries():
         CorrelationTables(d=2, tables=tables)
 
 
-def test_checks_propagate_nan_written_after_construction():
-    # the arrays stay mutable, so a NaN can still reach the residual folds,
-    # where a builtin max would drop it
-    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
-    for pair in constrained_pairs():
-        t = reference_tables(sc)
-        t.tables[pair][1, 1] = np.nan
-        rep = verify_tables(t, sc)
-        assert not rep.passed, pair
-        assert np.isnan(rep.block_residual) and np.isnan(rep.sum_residual), pair
-        assert np.isnan(no_signaling_check(t)), pair
+def test_tables_are_read_only():
+    # a table set is a copy of what it was given, and nothing can write into
+    # it afterwards, so no NaN can reach the checks after construction
+    given = {(0, 0): np.eye(2) / 2}
+    t = CorrelationTables(d=2, tables=given)
+    given[(0, 0)][0, 0] = np.nan
+    assert t.table(0, 0)[0, 0] == 0.5
+    for array in (t.table(0, 0), t.values, t.present):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
+def _layouts(t: CorrelationTables) -> list[CorrelationTables]:
+    """`t` rebuilt from C-ordered, Fortran-ordered and reversed-stride copies
+    of its tables."""
+    copies = (
+        np.ascontiguousarray,
+        np.asfortranarray,
+        lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
+    )
+    return [CorrelationTables(t.d, {p: copy(t.table(*p)) for p in t.pairs()}) for copy in copies]
+
+
+@pytest.mark.parametrize("d", range(2, 34))
+def test_checks_do_not_depend_on_memory_layout(d):
+    sc = random_coefficients(d, seed=720 + d)
+    ideal = ideal_realization(sc)
+    embedded = embed_realization(ideal, EmbeddingSpec(extra_a=1, extra_b=2, seed=d))
+    sets = [reference_tables(sc), compute_tables(ideal), compute_tables(embedded)]
+    sets += [sample_tables(r, 300, seed=d).estimated for r in (ideal, embedded)]
+    for t in sets:
+        results = [
+            (verify_tables(u, sc), no_signaling_check(u), block_scores(u, sc)) for u in _layouts(t)
+        ]
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_two_routes_agree():

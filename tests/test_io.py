@@ -90,6 +90,15 @@ def test_load_tables_rejects_bad_key_and_shape(tmp_path):
         load_tables(path2)
 
 
+def test_load_tables_rejects_empty_table_set(tmp_path):
+    # d alone must not size an allocation: at this d one table would take
+    # 8 TB, so a missing check shows as a MemoryError, not as slow progress
+    path = tmp_path / "t.json"
+    path.write_text('{"d": 1000000, "tables": {}}')
+    with pytest.raises(ParseError, match="at least one setting pair"):
+        load_tables(path)
+
+
 def test_load_tables_rejects_non_ascii_digit_key(tmp_path):
     # '²' passes str.isdigit but not int()
     path = tmp_path / "t.json"
