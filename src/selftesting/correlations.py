@@ -31,7 +31,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import CoverageError, DimensionError, HermiticityError
-from .ideal import Realization
+from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization
 from .schmidt import SETTINGS, SchmidtCoefficients, blocks, corner, pairs
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
     "ALICE_SETTINGS",
     "BOB_SETTINGS",
 ]
-
-ALICE_SETTINGS = 3
-BOB_SETTINGS = 4
 
 IMAG_TOL = 1e-10
 
@@ -63,7 +60,7 @@ def _is_int(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationTables:
     """Per-pair outcome distributions, held as the module docstring describes.
 
@@ -72,6 +69,7 @@ class CorrelationTables:
     every table of shape (d, d) with finite entries (a NaN compares false
     against every tolerance, so it would pass any check made on it), and
     the mapping must not be empty; anything else is a ``ValueError``.
+    ``==`` is identity.
     """
 
     d: int
@@ -149,13 +147,14 @@ def compute_tables(r: Realization) -> CorrelationTables:
     coefficient matrix ``m`` this is ``sum_{i,l} (P^x_a m)[i,l] (m* Q^y_b)[i,l]``,
     so each table is one matrix product: the stack ``P^x m`` of the first
     party's setting x, flattened to one row per outcome, against the stack
-    ``m* Q^y`` of the second party's setting y. The imaginary residue of
+    ``m* Q^y`` of the second party's setting y. Each party's stacks are one
+    stacked product of its projector array. The imaginary residue of
     each entry must stay below 1e-10 (projector stacks are Hermitian, so
     anything larger signals corrupted inputs).
     """
     m = r.state_matrix()
-    left = [(a.projectors @ m).reshape(-1, m.size) for a in r.alice]
-    right = [(m.conj() @ b.projectors).reshape(-1, m.size) for b in r.bob]
+    left = (r.proj_a @ m).reshape(ALICE_SETTINGS, -1, m.size)
+    right = (m.conj() @ r.proj_b).reshape(BOB_SETTINGS, -1, m.size)
     # One 2-D product per pair: a broadcast stacked product is twice as
     # slow at d = 32.
     out = np.array([[lx @ ry.T for ry in right] for lx in left])
@@ -284,8 +283,7 @@ def verify_tables(
     """
     t.require_d(sc.d)
     got = _constrained_tables(t)
-    mask = np.stack([_constrained_mask(sc.d, primed) for primed in SETTINGS])
-    mask = np.broadcast_to(mask[:, None], got.shape)
+    mask = np.broadcast_to(_constrained_mask(sc.d)[:, None], got.shape)
     # Fold with numpy, which propagates a NaN that the builtin max would drop.
     block_res = float(np.max(np.abs(got - _constrained_tables(reference_tables(sc)))[mask]))
     # Both families leave the same number of cells off their blocks. The
@@ -305,12 +303,12 @@ def verify_tables(
     )
 
 
-def _constrained_mask(d: int, primed: bool) -> np.ndarray:
-    """Boolean mask of positions carrying block (or corner) weight."""
+def _constrained_mask(d: int) -> np.ndarray:
+    """(2, d, d) masks of the cells with block (or corner) weight, unprimed first."""
     rows, cols = _block_cells(d)
-    mask = np.zeros((d, d), dtype=bool)
-    mask[rows[int(primed)], cols[int(primed)]] = True
-    top = corner(d, primed)
-    if top is not None:
-        mask[top, top] = True
+    mask = np.zeros((2, d, d), dtype=bool)
+    mask[np.arange(2)[:, None, None], rows, cols] = True
+    if d % 2:
+        tops = [corner(d, primed) for primed in SETTINGS]
+        mask[[0, 1], tops, tops] = True
     return mask

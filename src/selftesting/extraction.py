@@ -89,10 +89,9 @@ stages mirror the proof structure:
    Squares are summed pairwise over the float view of each product.
 
 The block observables of step 1 are ``(n_blocks, 2, dim, dim)`` stacks,
-one per party and kind (:class:`BlockOperators`): every block of a family
-reads the same settings, so a family's observables for one setting are one
-fancy index of that setting's projectors, differenced and summed straight
-into the stacks, and frames and identity checks are batched over blocks.
+one per party and kind (:class:`BlockOperators`): the difference and sum of
+two gathers of the party's projector array, every block's own settings at
+its lo and at its hi outcome. Frames and identity checks are batched too.
 Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack indexed
 by the outcome k (:class:`CriterionOperators`). Building them takes three
 stacked eigendecompositions whatever d is: the unitarized frames of step
@@ -111,7 +110,7 @@ import numpy as np
 
 from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
 from .ideal import Realization
-from .schmidt import SETTINGS, Block, SchmidtCoefficients, blocks, corner
+from .schmidt import Block, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "BlockOperators",
@@ -224,28 +223,18 @@ def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOpera
             f"realization has {r.n_outcomes} outcomes, but the coefficients give d = {sc.d}"
         )
     table = blocks(sc)
-    # Blocks come unprimed first, and every block of a family reads the same
-    # settings: each (family, setting) is one fancy index of that setting's
-    # own projectors, written straight into the stacked result.
-    n_family = sc.d // 2
-    families = [
-        (rows, SETTINGS[primed], _column(table[rows], "pair").T)
-        for primed, rows in ((False, slice(n_family)), (True, slice(n_family, None)))
-    ]
+    lo, hi = _column(table, "pair").T[:, :, None]
 
-    def split(group: tuple, party: int) -> tuple[np.ndarray, np.ndarray]:
-        dim = group[0].projectors.shape[-1]
-        diff = np.empty((len(table), 2, dim, dim), np.result_type(*(m.projectors for m in group)))
-        total = np.empty_like(diff)
-        for rows, settings, pair in families:
-            for j, x in enumerate(settings[party]):
-                p_lo, p_hi = group[x].projectors[pair]
-                np.subtract(p_lo, p_hi, out=diff[rows, j])
-                np.add(p_lo, p_hi, out=total[rows, j])
+    def split(proj: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+        # [block, setting j]: every block's own settings at its own outcome.
+        settings = _column(table, side)
+        total, p_hi = proj[settings, lo], proj[settings, hi]
+        diff = total - p_hi
+        total += p_hi
         return diff, total
 
-    a, ia = split(r.alice, 0)
-    b, ib = split(r.bob, 1)
+    a, ia = split(r.proj_a, "xs")
+    b, ib = split(r.proj_b, "ys")
     return BlockOperators(table=table, a=a, ia=ia, b=b, ib=ib)
 
 
@@ -434,7 +423,7 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
         d=d,
         dim_a=r.dim_a,
         dim_b=r.dim_b,
-        p_a=r.alice[0].projectors.copy(),
+        p_a=r.proj_a[0],
         p_b=np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
         v_b=v,
         label_b=labels,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CorrelationTables, compute_tables
-from .ideal import Measurement, Realization
+from .ideal import Realization
 
 __all__ = [
     "EmbeddingSpec",
@@ -59,12 +59,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _pad_projectors(stack: np.ndarray, extra: int) -> np.ndarray:
-    """Zero-pad every projector; outcome 0 absorbs the new dimensions."""
-    n, dim, _ = stack.shape
-    out = np.zeros((n, dim + extra, dim + extra), dtype=complex)
-    out[:, :dim, :dim] = stack
-    out[0, dim:, dim:] = np.eye(extra)
+def _pad_projectors(proj: np.ndarray, extra: int) -> np.ndarray:
+    """Zero-pad a party's projectors; each outcome 0 absorbs the new dimensions."""
+    settings, n, dim, _ = proj.shape
+    out = np.zeros((settings, n, dim + extra, dim + extra), dtype=complex)
+    out[..., :dim, :dim] = proj
+    out[:, 0, dim:, dim:] = np.eye(extra)
     return out
 
 
@@ -90,12 +90,8 @@ def embed_realization(r: Realization, spec: EmbeddingSpec) -> Realization:
     mat = np.zeros((dim_a, dim_b), dtype=complex)
     mat[: r.dim_a, : r.dim_b] = r.state_matrix()
     mat = u_a @ mat @ u_b.T
-
-    def conjugate(stack: np.ndarray, u: np.ndarray, extra: int) -> Measurement:
-        return Measurement(u @ _pad_projectors(stack, extra) @ u.conj().T)
-
-    alice = tuple(conjugate(m.projectors, u_a, spec.extra_a) for m in r.alice)
-    bob = tuple(conjugate(m.projectors, u_b, spec.extra_b) for m in r.bob)
+    alice = u_a @ _pad_projectors(r.proj_a, spec.extra_a) @ u_a.conj().T
+    bob = u_b @ _pad_projectors(r.proj_b, spec.extra_b) @ u_b.conj().T
     return Realization(dim_a=dim_a, dim_b=dim_b, state=mat.reshape(-1), alice=alice, bob=bob)
 
 

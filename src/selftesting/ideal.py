@@ -15,25 +15,33 @@ label and the -1 eigenvector to the second. A family's corner outcome keeps
 its computational projector. All projectors are rank one, and each
 measurement's projectors sum to the identity exactly by construction.
 
-Every ideal projector and the target state are real, so an ideal
-realization is stored, and multiplied, as float64 (see :func:`_real_or_complex`).
+In memory each party is one read-only, C-ordered (settings, n, dim, dim)
+array indexed [setting, outcome, row, column]: ``proj_a`` holds the first
+party's 3 settings, ``proj_b`` the second party's 4. A party is float64
+when none of its entries has a nonzero imaginary part, else complex128
+(see :func:`_real_or_complex`): one complex setting makes it all complex.
+``alice`` and ``bob`` hold one :class:`Measurement` per setting, each a
+view of that array. An ideal realization is real, so it is float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, HermiticityError, NormalizationError
-from .schmidt import Block, SchmidtCoefficients, blocks, corner, target_state
+from .schmidt import SETTINGS, Block, SchmidtCoefficients, blocks, corner, target_state
 
 __all__ = [
     "Measurement",
     "Realization",
     "ideal_realization",
 ]
+
+ALICE_SETTINGS = 3
+BOB_SETTINGS = 4
 
 MEASUREMENT_TOL = 1e-10
 
@@ -53,19 +61,19 @@ def _real_or_complex(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """A projective measurement as a stack of projectors.
 
     ``projectors[k]`` is the (possibly zero) projector of outcome k; the
-    stack has shape (n_outcomes, dim, dim). It is float64 when no entry has
-    a nonzero imaginary part, complex128 otherwise.
+    stack has shape (n_outcomes, dim, dim) and keeps the dtype it is given.
+    ``==`` is identity.
     """
 
     projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _real_or_complex(self.projectors)
+        p = np.asarray(self.projectors)
         if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise ValueError(f"projector stack must be (n, dim, dim), got {p.shape}")
         object.__setattr__(self, "projectors", p)
@@ -112,14 +120,16 @@ class Measurement:
             raise ValueError(f"projectors sum off identity by {comp:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """A concrete state and measurement assignment for both parties.
 
     `state` is a flat vector on the product space, index ``i * dim_b + j``,
-    float64 when no entry has a nonzero imaginary part, complex128
-    otherwise. `alice` holds 3 measurements on the first factor, `bob` 4 on
-    the second, all with the same number of outcomes.
+    real or complex as a party is. `alice` takes 3 settings on the first
+    factor, `bob` 4 on the second, each a :class:`Measurement` or an
+    (n, dim, dim) array, all with the same n (else this raises). A party
+    given as one array is adopted, and made read-only, as ``proj_a`` or
+    ``proj_b``; one given setting by setting is copied. ``==`` is identity.
     """
 
     dim_a: int
@@ -127,13 +137,39 @@ class Realization:
     state: np.ndarray
     alice: tuple[Measurement, ...]
     bob: tuple[Measurement, ...]
+    proj_a: np.ndarray = field(init=False, repr=False)
+    proj_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "state", _real_or_complex(self.state).reshape(-1))
+        if len(self.alice) != ALICE_SETTINGS or len(self.bob) != BOB_SETTINGS:
+            raise ValueError(
+                f"need {ALICE_SETTINGS} first-party and {BOB_SETTINGS} second-party settings, "
+                f"got {len(self.alice)}, {len(self.bob)}"
+            )
+        n = None
+        for label, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
+            given = getattr(self, label)
+            group = [m if isinstance(m, Measurement) else Measurement(m) for m in given]
+            n = group[0].n_outcomes if n is None else n
+            for x, meas in enumerate(group):
+                if meas.dim != dim:
+                    raise DimensionError(f"{label} setting {x} acts on dim {meas.dim} != {dim}")
+                if meas.n_outcomes != n:
+                    raise ValueError(
+                        f"{label} setting {x} has {meas.n_outcomes} outcomes, expected {n}"
+                    )
+            # At d = 32 a copy's page faults cost more than building the party.
+            if not isinstance(given, np.ndarray):
+                given = np.stack([meas.projectors for meas in group])
+            proj = _real_or_complex(given)
+            proj.flags.writeable = False
+            object.__setattr__(self, f"proj_{label[0]}", proj)
+            object.__setattr__(self, label, tuple(map(Measurement, proj)))
 
     @property
     def n_outcomes(self) -> int:
-        return self.alice[0].n_outcomes
+        return int(self.proj_a.shape[1])
 
     def state_matrix(self) -> np.ndarray:
         """The state as a dim_a x dim_b coefficient matrix."""
@@ -155,27 +191,15 @@ class Realization:
             raise NormalizationError(
                 f"state squared norm {norm_sq!r} off 1 beyond {MEASUREMENT_TOL:.0e}"
             )
-        if len(self.alice) != 3 or len(self.bob) != 4:
-            raise ValueError(
-                f"need 3 first-party and 4 second-party settings, "
-                f"got {len(self.alice)}, {len(self.bob)}"
-            )
-        n = self.n_outcomes
-        for label, group, dim in (("alice", self.alice, self.dim_a), ("bob", self.bob, self.dim_b)):
-            for x, meas in enumerate(group):
-                if meas.dim != dim:
-                    raise DimensionError(f"{label} setting {x} acts on dim {meas.dim} != {dim}")
-                if meas.n_outcomes != n:
-                    raise ValueError(
-                        f"{label} setting {x} has {meas.n_outcomes} outcomes, expected {n}"
-                    )
-                meas.validate()
+        # One setting at a time: stacked products per party are slower at d = 32.
+        for stack in (*self.proj_a, *self.proj_b):
+            Measurement(stack).validate()
 
 
 def _alice_vectors(mu: np.ndarray, i: int) -> np.ndarray:
     """Eigenvectors for outcomes (lo, hi): Z for setting i=0, X for i=1.
 
-    Like every function passed to :func:`_measurements`, returns an
+    Like every function passed to :func:`_party`, returns an
     ``(outcome, coordinate, block)`` array: entry ``[o, k, m]`` is the
     coefficient on block m's k-th basis vector (``e_lo``, then ``e_hi``) of
     the eigenvector for its o-th outcome. The first party's vectors do not
@@ -199,42 +223,35 @@ def _bob_vectors(mu: np.ndarray, i: int) -> np.ndarray:
     return np.array([[ch, sign * sh], [-sign * sh, ch]])
 
 
-def _measurements(
-    d: int,
-    table: tuple[Block, ...],
-    side: str,
-    vectors: Callable[[np.ndarray, int], np.ndarray],
-) -> tuple[Measurement, ...]:
-    """One party's measurements, in setting order.
+def _party(
+    d: int, table: tuple[Block, ...], party: int, vectors: Callable[[np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """One party's projectors as one (settings, d, d, d) array.
 
-    ``side`` names the block field holding the party's settings ("xs" or
-    "ys"); the i-th of them measures ``vectors(mu, i)`` on every block of
+    ``party`` is 0 for the first party and 1 for the second; the i-th of a
+    family's settings for it measures ``vectors(mu, i)`` on every block of
     the family, plus the family's corner. A setting shared by both
-    families (the first party's Z basis) is built from the first.
+    families (the first party's Z basis) is written twice, identically.
 
     Each setting's rank-one projectors are written with one index
     assignment: outcome ``pair[o]`` of every block gets ``u[o, k] u[o, l]``
     at ``(pair[k], pair[l])``. Adding 0.0 turns each -0.0 into 0.0, so a
     saved ideal realization holds no signed zeros.
     """
-    out: dict[int, Measurement] = {}
+    p = np.zeros(((ALICE_SETTINGS, BOB_SETTINGS)[party], d, d, d))
     for primed in (False, True):
         family = [b for b in table if b.primed == primed]
         pair = np.array([b.pair for b in family]).T
         mu = np.array([b.mu for b in family])
         top = corner(d, primed)
-        for i, setting in enumerate(getattr(family[0], side)):
-            if setting in out:
-                continue
+        for i, setting in enumerate(SETTINGS[primed][party]):
             u = vectors(mu, i)
-            p = np.zeros((d, d, d))
-            p[pair[:, None, None], pair[None, :, None], pair[None, None, :]] = (
+            p[setting, pair[:, None, None], pair[None, :, None], pair[None, None, :]] = (
                 u[:, :, None] * u[:, None, :] + 0.0
             )
             if top is not None:
-                p[top, top, top] = 1.0
-            out[setting] = Measurement(p)
-    return tuple(out[x] for x in sorted(out))
+                p[setting, top, top, top] = 1.0
+    return p
 
 
 def ideal_realization(sc: SchmidtCoefficients) -> Realization:
@@ -244,6 +261,6 @@ def ideal_realization(sc: SchmidtCoefficients) -> Realization:
         dim_a=sc.d,
         dim_b=sc.d,
         state=target_state(sc),
-        alice=_measurements(sc.d, table, "xs", _alice_vectors),
-        bob=_measurements(sc.d, table, "ys", _bob_vectors),
+        alice=_party(sc.d, table, 0, _alice_vectors),
+        bob=_party(sc.d, table, 1, _bob_vectors),
     )

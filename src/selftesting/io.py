@@ -17,10 +17,11 @@ Files are read as UTF-8, and one that is not UTF-8 text raises
 is expected, ragged matrices, a key repeated within one object, and a JSON
 ``true`` or ``false`` anywhere: no field of these formats is boolean), and
 so do tables that :class:`CorrelationTables` refuses (no pair, a wrong d
-or shape, non-finite entries) and realizations whose validation fails with
-a ``ValueError`` (non-finite state, broken projectors); domain violations
-with their own type (bad normalization, non-Hermitian projectors) surface
-as that type.
+or shape, non-finite entries) and realizations that construction or
+validation refuses with a ``ValueError`` (settings with different outcome
+counts, non-finite state, broken projectors); domain violations with their
+own type (bad normalization, non-Hermitian projectors) surface as that
+type.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .correlations import ALICE_SETTINGS, BOB_SETTINGS, CorrelationTables
 from .errors import ParseError
-from .ideal import Measurement, Realization
+from .ideal import Realization
 from .schmidt import SchmidtCoefficients
 
 __all__ = [
@@ -191,8 +192,8 @@ def realization_to_doc(r: Realization) -> dict[str, Any]:
         "dimA": r.dim_a,
         "dimB": r.dim_b,
         "state": _pairs(r.state),
-        "alice": [_pairs(meas.projectors) for meas in r.alice],
-        "bob": [_pairs(meas.projectors) for meas in r.bob],
+        "alice": _pairs(r.proj_a),
+        "bob": _pairs(r.proj_b),
     }
 
 
@@ -214,7 +215,9 @@ def load_realization(path: str | Path) -> Realization:
         )
     state = state_raw[:, 0] + 1j * state_raw[:, 1]
 
-    def read_side(name: str, n_settings: int, dim: int) -> tuple[Measurement, ...]:
+    # Matrix by matrix, so that an error names its setting and outcome. The
+    # Realization constructor reports settings that disagree on the count.
+    def read_side(name: str, n_settings: int, dim: int) -> list[list[np.ndarray]]:
         raw = _field(doc, name, path)
         if not isinstance(raw, list) or len(raw) != n_settings:
             raise ParseError(f"{path}: '{name}' must list {n_settings} settings")
@@ -222,23 +225,18 @@ def load_realization(path: str | Path) -> Realization:
         for s, setting in enumerate(raw):
             if not isinstance(setting, list) or not setting:
                 raise ParseError(f"{path}: '{name}' setting {s} must be a non-empty list")
-            stack = np.stack(
+            side.append(
                 [
                     _pairs_to_matrix(mat, dim, f"'{name}' setting {s} outcome {k}", path)
                     for k, mat in enumerate(setting)
                 ]
             )
-            side.append(Measurement(stack))
-        return tuple(side)
+        return side
 
-    r = Realization(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        state=state,
-        alice=read_side("alice", 3, dim_a),
-        bob=read_side("bob", 4, dim_b),
-    )
+    alice = read_side("alice", ALICE_SETTINGS, dim_a)
+    bob = read_side("bob", BOB_SETTINGS, dim_b)
     try:
+        r = Realization(dim_a=dim_a, dim_b=dim_b, state=state, alice=alice, bob=bob)
         r.validate()
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None

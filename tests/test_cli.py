@@ -381,6 +381,32 @@ def test_malformed_numbers_are_input_errors(capsys, tmp_path, command, keys, val
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "side, setting, outcome, size, message",
+    [
+        ("alice", 1, None, 2, "alice setting 1 has 3 outcomes, expected 2"),
+        ("bob", 3, None, 2, "bob setting 3 has 3 outcomes, expected 2"),
+        ("alice", 0, 1, 3, "'alice' setting 0 outcome 1 must be a 2x2 matrix of [re, im] pairs, got shape (3, 3, 2)"),
+        ("bob", 2, 0, 3, "'bob' setting 2 outcome 0 must be a 2x2 matrix of [re, im] pairs, got shape (3, 3, 2)"),
+    ],
+    ids=["extra-outcome-alice", "extra-outcome-bob", "wrong-dim-alice", "wrong-dim-bob"],
+)
+def test_malformed_setting_is_input_error(capsys, tmp_path, side, setting, outcome, size, message):
+    # one setting with an extra (zero) outcome, or one matrix of the wrong dim
+    path = tmp_path / "r.json"
+    run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(path))
+    doc = json.loads(path.read_text())
+    zero = [[[0.0, 0.0]] * size for _ in range(size)]
+    if outcome is None:
+        doc[side][setting].append(zero)
+    else:
+        doc[side][setting][outcome] = zero
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "extract", str(path), "--coeffs", "0.8,0.6")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_non_ascii_digit_table_key_is_input_error(tmp_path):
     # '²' passes str.isdigit, and int() then raised a bare ValueError
     tables = tmp_path / "bad.json"

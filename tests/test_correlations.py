@@ -123,7 +123,7 @@ def test_reference_tables_match_block_loop(d):
         top = corner(d, primed)
         if top is not None:
             mask[top, top] = True
-        assert np.array_equal(_constrained_mask(d, primed), mask)
+        assert np.array_equal(_constrained_mask(d)[int(primed)], mask)
 
 
 def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:
@@ -360,17 +360,21 @@ def test_no_signaling_detects_built_signaling():
     assert abs(res - 0.1) < 1e-12
 
 
+def test_equality_is_identity():
+    # the generated __eq__ compared arrays inside a tuple and raised ValueError
+    sc = random_coefficients(3, seed=9)
+    for make in (reference_tables, ideal_realization, lambda sc: ideal_realization(sc).bob[2]):
+        a, b = make(sc), make(sc)
+        assert a == a and not a == b and a != b
+
+
 def _complex_copy(r: Realization) -> Realization:
-    """`r` with every array stored as complex128. The constructors store
-    such arrays as float64, so the complex copies are set afterwards."""
-
-    def as_complex(meas: Measurement) -> Measurement:
-        out = Measurement(meas.projectors)
-        object.__setattr__(out, "projectors", meas.projectors.astype(complex))
-        return out
-
-    out = replace(r, alice=tuple(map(as_complex, r.alice)), bob=tuple(map(as_complex, r.bob)))
-    object.__setattr__(out, "state", r.state.astype(complex))
+    """`r` with its state and both party arrays stored as complex128, which
+    is what :func:`compute_tables` reads. The constructor stores such arrays
+    as float64, so the complex copies are set afterwards."""
+    out = replace(r)
+    for name in ("state", "proj_a", "proj_b"):
+        object.__setattr__(out, name, getattr(r, name).astype(complex))
     return out
 
 
@@ -379,7 +383,7 @@ def test_real_device_tables_match_complex_arithmetic(d):
     r = ideal_realization(random_coefficients(d, seed=500 + d))
     rc = _complex_copy(r)
     assert r.state.dtype == np.float64 and rc.state.dtype == np.complex128
-    assert rc.alice[0].projectors.dtype == np.complex128
+    assert rc.proj_a.dtype == rc.proj_b.dtype == np.complex128
     real, cplx = compute_tables(r), compute_tables(rc)
     for pair in real.pairs():
         assert np.max(np.abs(real.table(*pair) - cplx.table(*pair))) <= 1e-15

@@ -594,8 +594,8 @@ def _devices(d):
 
 def _mixed_dtype_device(sc):
     """Ideal device with the first party's setting 1 and the second party's
-    setting 2 conjugated by a diagonal phase: one complex128 setting per
-    party, the others float64."""
+    setting 2 conjugated by a diagonal phase: one complex setting per party,
+    the others real, which makes each whole party complex128."""
     r = ideal_realization(sc)
     phase = np.exp(1j * np.linspace(0.3, 1.1, sc.d))
 
@@ -607,8 +607,9 @@ def _mixed_dtype_device(sc):
         alice=(r.alice[0], conj(r.alice[1]), r.alice[2]),
         bob=(r.bob[0], r.bob[1], conj(r.bob[2]), r.bob[3]),
     )
-    for group in (r.alice, r.bob):
-        assert {m.projectors.dtype for m in group} == {np.dtype(float), np.dtype(complex)}
+    for proj, group in ((r.proj_a, r.alice), (r.proj_b, r.bob)):
+        assert proj.dtype == np.complex128
+        assert {m.projectors.dtype for m in group} == {np.dtype(complex)}
     return r
 
 

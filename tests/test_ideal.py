@@ -15,9 +15,9 @@ from selftesting import (
     ideal_realization,
 )
 from selftesting.cli import main
-from selftesting.errors import HermiticityError, NormalizationError
+from selftesting.errors import DimensionError, HermiticityError, NormalizationError
 from selftesting.ideal import MEASUREMENT_TOL
-from selftesting.io import realization_to_doc
+from selftesting.io import load_realization, realization_to_doc, save_realization
 from selftesting.schmidt import blocks, corner, target_state
 
 # cos^2(mu/2) for c=(0.8, 0.6): overlap of Bob's first tilted vector with e_0
@@ -175,31 +175,86 @@ def test_seeded_embedding_is_complex():
 
 
 def test_zero_imaginary_parts_are_stored_real():
-    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-    meas = Measurement(stack)
-    assert meas.projectors.dtype == np.float64
-    assert np.array_equal(meas.projectors, stack.real)
+    # the party decides the dtype: complex stacks whose imaginary parts are
+    # all zero are stored as float64, and a lone Measurement keeps its dtype
     r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
-    r = Realization(r.dim_a, r.dim_b, r.state.astype(complex), r.alice, r.bob)
-    assert r.state.dtype == np.float64
-    r.validate()
+    alice = [stack.astype(complex) for stack in r.proj_a]
+    assert Measurement(alice[0]).projectors.dtype == np.complex128
+    got = Realization(r.dim_a, r.dim_b, r.state.astype(complex), alice, r.bob)
+    assert got.state.dtype == got.proj_a.dtype == got.proj_b.dtype == np.float64
+    assert np.array_equal(got.proj_a, r.proj_a)
+    assert {m.projectors.dtype for m in got.alice} == {np.dtype(float)}
+    got.validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_imaginary_parts_stay_complex(bad):
-    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-    stack[1, 0, 1] = complex(0.0, bad)
-    meas = Measurement(stack)
-    assert meas.projectors.dtype == np.complex128
-    with pytest.raises(ValueError, match="non-finite"):
-        meas.validate()
     r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    stack = r.proj_b[3].astype(complex)
+    stack[1, 0, 1] = complex(0.0, bad)
+    got = Realization(r.dim_a, r.dim_b, r.state, r.alice, (*r.bob[:3], stack))
+    assert got.proj_a.dtype == np.float64 and got.proj_b.dtype == np.complex128
+    with pytest.raises(ValueError, match="non-finite"):
+        got.validate()
     state = r.state.astype(complex)
     state[1] = complex(0.0, bad)
-    r = Realization(r.dim_a, r.dim_b, state, r.alice, r.bob)
-    assert r.state.dtype == np.complex128
+    got = Realization(r.dim_a, r.dim_b, state, r.alice, r.bob)
+    assert got.state.dtype == np.complex128
     with pytest.raises(ValueError, match="non-finite"):
-        r.validate()
+        got.validate()
+
+
+def _surface_devices(tmp_path) -> list[Realization]:
+    """Ideal, embedded and save/load round-tripped realizations, d=3."""
+    ideal = ideal_realization(random_coefficients(3, seed=17))
+    embedded = embed_realization(ideal, EmbeddingSpec(2, 1, 7))
+    path = tmp_path / "r.json"
+    save_realization(embedded, path)
+    return [ideal, embedded, load_realization(path)]
+
+
+def test_settings_are_views_of_read_only_party_arrays(tmp_path):
+    # what a caller reads per setting is the party array itself
+    for r in _surface_devices(tmp_path):
+        settings = r.alice + r.bob
+        assert len(settings) == 7 and all(isinstance(m, Measurement) for m in settings)
+        stacks = (*r.proj_a, *r.proj_b)
+        for meas, proj, stack in zip(settings, [r.proj_a] * 3 + [r.proj_b] * 4, stacks):
+            assert np.shares_memory(meas.projectors, proj)
+            assert np.array_equal(meas.projectors, stack)
+        for proj in (r.proj_a, r.proj_b):
+            assert proj.flags.c_contiguous and not proj.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                proj[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            r.bob[3].projectors[0, 0, 0] = 0.5
+
+
+def test_settings_are_copied_and_party_arrays_adopted():
+    r = ideal_realization(random_coefficients(2, seed=18))
+    stack = r.proj_b[1].copy()
+    got = Realization(r.dim_a, r.dim_b, r.state, r.alice, (*r.bob[:3], stack))
+    assert not np.shares_memory(got.proj_b, stack) and stack.flags.writeable
+    party = r.proj_b.copy()
+    got = Realization(r.dim_a, r.dim_b, r.state, r.alice, party)
+    assert got.proj_b is party and not party.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "alice_bob, error, message",
+    [
+        (lambda a, b: (a[:2], b), ValueError, "need 3 first-party and 4 second-party settings, got 2, 4"),
+        (lambda a, b: (a, (*b[:3], b[3][:1])), ValueError, "bob setting 3 has 1 outcomes, expected 2"),
+        (lambda a, b: ((a[0], np.zeros((2, 3, 3)), a[2]), b), DimensionError, "alice setting 1 acts on dim 3 != 2"),
+        (lambda a, b: (a, (*b[:3], np.zeros((2, 2)))), ValueError, r"projector stack must be \(n, dim, dim\)"),
+    ],
+    ids=["settings", "outcomes", "dim", "shape"],
+)
+def test_party_structure_is_checked_at_construction(alice_bob, error, message):
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    alice, bob = alice_bob(r.proj_a, r.proj_b)
+    with pytest.raises(error, match=message):
+        Realization(r.dim_a, r.dim_b, r.state, alice, bob)
 
 
 def _ideal_loop(sc: SchmidtCoefficients) -> Realization:
