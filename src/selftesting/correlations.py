@@ -283,9 +283,9 @@ def verify_tables(
     """
     t.require_d(sc.d)
     got = _constrained_tables(t)
-    mask = np.broadcast_to(_constrained_mask(sc.d)[:, None], got.shape)
+    ref, mask = _reference(sc)
     # Fold with numpy, which propagates a NaN that the builtin max would drop.
-    block_res = float(np.max(np.abs(got - _constrained_tables(reference_tables(sc)))[mask]))
+    block_res = float(np.max(np.abs(got - ref)[mask]))
     # Both families leave the same number of cells off their blocks. The
     # gather is one C-ordered array, so each pair's mass is the pairwise sum
     # of its own off-block cells in row-major order.
@@ -301,6 +301,25 @@ def verify_tables(
         sum_residual=sum_res,
         passed=passed,
     )
+
+
+def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """The eight reference tables of `sc` in one read-only (2, 4, d, d)
+    gather, as :func:`_constrained_tables` takes them, and the read-only
+    mask of their block cells, of the same shape.
+
+    Computed on the first call and kept on `sc`, as its block table is
+    (:func:`selftesting.schmidt.blocks`): `sc` is immutable, so they never
+    go stale.
+    """
+    # `vars`, as functools.cached_property stores its value: `sc` is frozen.
+    cached = vars(sc).get("_reference")
+    if cached is None:
+        ref = _constrained_tables(reference_tables(sc))
+        ref.flags.writeable = False
+        mask = np.broadcast_to(_constrained_mask(sc.d)[:, None], ref.shape)
+        cached = vars(sc)["_reference"] = (ref, mask)
+    return cached
 
 
 def _constrained_mask(d: int) -> np.ndarray:

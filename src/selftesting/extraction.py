@@ -61,45 +61,61 @@ stages mirror the proof structure:
    never builds the image or its ``d^2 x d^2`` ancilla density matrix;
    :func:`apply_isometry` builds both, as one contraction against the two
    stacks of arms.
-6. Measurement equivalence. A block observable O moves the state to M,
+6. Measurement equivalence. A block observable O moves the state to N,
    ``O|psi>`` in matrix form, whose image has slice ``(k, l)`` equal to
-   ``A_k M B_l^T`` with the arms of step 5. The ideal image is
+   ``A_k N B_l^T`` with the arms of step 5. The ideal image is
    ``t_kl J``: t is the ideal observable on the target state, nonzero only
    for k and l in the block's pair K, and J is the junk state. The
    residual is summed from slice norms, without the d^2 slices:
-   ``residual^2 = sum_{k not in K} ||A_k M||^2
-   + sum_{k in K} ||A_k M conj(U_notK)||^2
-   + sum_{k,l in K} ||A_k M B_l^T - t_kl J||^2``,
-   where the columns of ``U_notK`` are the eigenvectors of L labelled
-   outside K. The second party's side may be collapsed because it is an
-   isometry by construction: ``P_B^(l) = U_l U_l^dagger`` and every
-   ``X_B^(l)`` is a product of sign-unitarized operators, so the slice
-   norms over l outside K sum to ``||A_k M conj(U_notK)||^2``, and over
-   every l to ``||A_k M||^2``. The first party's side may not: its
-   projectors are the device's own, valid only to a tolerance, so
-   ``X_A^(k) P_A^(k)`` is applied as it is. Each term is a sum of
-   squares, never a difference, so the float error stays at
-   ``eps ||M||``. All blocks are evaluated in one pass: the moved
-   observables form one ``(n_blocks, 4, dim_a, dim_b)`` stack, the rows
-   ``A_k M`` for k in K one batched product, the ``k, l in K`` term two
-   (one per l, less ``t_kl J``), and the ``l not in K`` term one against
-   each block's eigenvector basis with the columns labelled in K zeroed.
-   Only the ``k not in K`` term takes one product per block, so that the
-   working set holds one block's ``d - 2`` slices, not every block's.
-   Squares are summed pairwise over the float view of each product.
+   ``residual^2 = sum_{k not in K} ||U_A^(k)^dagger N||^2
+   + sum_{k in K} ||A_k N conj(U_notK)||^2
+   + sum_{k,l in K} ||A_k N B_l^T - t_kl J||^2``.
+   Both off-pair sides are collapsed through a ladder rounded as in step 3
+   (:func:`_round_ladder`), so they take the arms to be an isometry, and
+   the output norm is gated as in :func:`apply_isometry`. The columns of
+   ``U_notK`` are the eigenvectors of the second party's label operator
+   labelled outside K. Its ladder is rounded already, ``P_B^(l) = U_l
+   U_l^dagger``, and every ``X_B^(l)`` is a product of sign-unitarized
+   operators, so the slice norms over l outside K sum to
+   ``||A_k N conj(U_notK)||^2``. The first party's ladder is the device's
+   own, projective only to ``eps = MEASUREMENT_TOL`` entrywise. Here alone
+   it is rounded the same way: ``U_A^(k)`` holds the columns of ``v_a``,
+   the eigenvectors of its label operator ``sum_k k P_A^(k)``, labelled k,
+   and ``||X_A^(k) P_A^(k) N||`` is read as ``||U_A^(k)^dagger N||``. Each step of ``X_A^(k)`` is a
+   reflection ``R = 1 - 2P`` with P a device projector, and
+   ``R^dagger R - 1 = 4 (P^dagger P - (P + P^dagger) / 2)``; with P
+   Hermitian and idempotent to eps, ``delta = ||R^dagger R - 1|| <= 10
+   dim_a eps`` to first order. So ``||X_A^(k)^dagger X_A^(k) - 1|| <= (1 +
+   delta)^k - 1``, about ``k delta``, and ``||X_A^(k) y||`` is ``||y||`` to
+   within about ``k delta / 2 ||y||``. The rounded projectors differ from
+   ``P_A^(k)`` at first order in eps as well. The square root of the term,
+   and so each residual, moves by ``O(d dim_a eps ||N||)``, never by the
+   square root of that: every term is a sum of squares, never a
+   difference, so the rounding error stays at machine epsilon times
+   ``||N||`` too. All blocks
+   are evaluated in one pass: the moved observables form one
+   ``(n_blocks, 4, dim_a, dim_b)`` stack; the ``k not in K`` term is one
+   product against each block's ``v_a^dagger`` with the rows labelled in K
+   zeroed; the rows ``A_k N`` for k in
+   K are one batched product; the ``k, l in K`` term two (one per l, less
+   ``t_kl J``); and the ``l not in K`` term one against each block's
+   eigenvector basis with the columns labelled in K zeroed. At d=2 both
+   off-pair terms are absent. Squares are summed pairwise over the float
+   view of each product.
 
 The block observables of step 1 are ``(n_blocks, 2, dim, dim)`` stacks,
 one per party and kind (:class:`BlockOperators`): the difference and sum of
 two gathers of the party's projector array, every block's own settings at
 its lo and at its hi outcome. Frames and identity checks are batched too.
-Each ladder and chain is stored once, as a ``(d, dim, dim)`` stack indexed
-by the outcome k (:class:`CriterionOperators`). Building them takes three
-stacked eigendecompositions whatever d is: the unitarized frames of step
-2, the cut supports of step 3 and the label operator. The criterion
-residuals are batched expressions over k, the stacks ``X^(k) P^(k)`` of
-steps 5 and 6 are one stacked product per side, and measurement
-equivalence is batched over blocks but for the one product per block of
-its ``k not in K`` term.
+Each ladder, chain and arm stack is stored once, as a ``(d, dim, dim)``
+stack indexed by the outcome k (:class:`CriterionOperators`). Building them
+takes three stacked eigendecompositions whatever d is: the unitarized
+frames of step 2, the cut supports of step 3 and the label operator. The
+criterion residuals are batched expressions over k, the arms ``X^(k)
+P^(k)`` of steps 5 and 6 are one stacked product per side, made with the
+ladders, and measurement equivalence is batched over blocks throughout,
+with one more eigendecomposition, the first party's label operator, when
+d > 2.
 """
 
 from __future__ import annotations
@@ -342,15 +358,20 @@ def frame_identity_checks(frame: BlockFrame, ops: BlockOperators, r: Realization
 class CriterionOperators:
     """Everything the chain criterion and the isometry consume.
 
-    Each ladder and chain is one ``(d, dim, dim)`` stack indexed by
-    outcome k. ``p_a[k]`` and ``p_b[k]`` are the outcome-k projectors on
-    the two sides, each ladder orthogonal and complete; ``p_cut[k]`` is the
-    second party's ladder as cut from the block frames, before rounding;
-    ``x_a[k]`` / ``x_b[k]`` the flip chains. The columns of ``v_b`` are the
-    eigenvectors of the label operator and ``label_b`` holds each column's
-    label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``.
-    `block_ops` keeps the stacked block observables, in :func:`blocks`
-    order, for :func:`measurement_equivalence`.
+    Each ladder, chain and arm stack is one ``(d, dim, dim)`` stack indexed
+    by outcome k. ``p_a[k]`` is the first party's outcome-k projector as
+    the device gives it (its setting 0, not rounded) and ``p_b[k]`` the
+    second party's, orthogonal and complete by construction; ``p_cut[k]``
+    is the second party's ladder as cut from the block frames, before
+    rounding; ``x_a[k]`` / ``x_b[k]`` the flip chains; ``arm_a[k] = x_a[k]
+    @ p_a[k]`` and ``arm_b[k] = x_b[k] @ p_b[k]`` the arms of the isometry,
+    made once here and read by every later stage. :func:`_round_ladder`
+    rounds a ladder: the columns of ``v_b`` are the eigenvectors of the
+    second party's label operator and ``label_b`` holds each column's
+    label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``;
+    :func:`measurement_equivalence` rounds ``p_a`` the same way for its
+    off-pair term alone. `block_ops` keeps the stacked block observables,
+    in :func:`blocks` order, for :func:`measurement_equivalence`.
     """
 
     d: int
@@ -363,6 +384,8 @@ class CriterionOperators:
     p_cut: np.ndarray
     x_a: np.ndarray
     x_b: np.ndarray
+    arm_a: np.ndarray
+    arm_b: np.ndarray
     block_ops: BlockOperators = field(repr=False)
 
 
@@ -372,6 +395,23 @@ def _chain(flips: np.ndarray) -> np.ndarray:
     for f in flips:
         out.append(out[-1] @ f)
     return np.stack(out)
+
+
+def _round_ladder(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Round a ladder of ``d`` outcome operators to a projective one.
+
+    Takes the eigenvectors ``v`` of the Hermitian part of the label operator
+    ``sum_k k p[k]`` and gives each the nearest label in 0..d-1. The
+    projector of outcome k is onto the columns ``v[:, labels == k]``; these
+    are orthogonal and complete by construction, and equal ``p[k]`` when the
+    ladder is exactly projective.
+    """
+    d = len(p)
+    # Summed along the outcome axis one outcome after the other, as a loop
+    # over k would.
+    label = np.add.reduce(np.arange(d)[:, None, None] * p, axis=0)
+    w, v = np.linalg.eigh((label + dagger(label)) / 2)
+    return v, np.clip(np.rint(w), 0, d - 1).astype(int)
 
 
 def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOperators:
@@ -413,23 +453,25 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     p_cut[_column(table[:n_blocks], "lo")] = (support + z_cut)[:n_blocks] / 2.0
     p_cut[_column(table, "hi")[cut_at]] = (support - z_cut) / 2.0
 
-    # Round the cut ladder to a projective one: the eigenvectors of the
-    # label operator, grouped by their nearest label.
-    label = sum(k * p for k, p in enumerate(p_cut))
-    w, v = np.linalg.eigh((label + dagger(label)) / 2)
-    labels = np.clip(np.rint(w), 0, d - 1).astype(int)
-
+    # Round the cut ladder to a projective one.
+    v, labels = _round_ladder(p_cut)
+    p_a = r.proj_a[0]
+    p_b = np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))])
+    x_a = _chain(_reflect(ops.ia[step_at, 1], ops.a[step_at, 1]))
+    x_b = _chain(xb)
     return CriterionOperators(
         d=d,
         dim_a=r.dim_a,
         dim_b=r.dim_b,
-        p_a=r.proj_a[0],
-        p_b=np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
+        p_a=p_a,
+        p_b=p_b,
         v_b=v,
         label_b=labels,
         p_cut=p_cut,
-        x_a=_chain(_reflect(ops.ia[step_at, 1], ops.a[step_at, 1])),
-        x_b=_chain(xb),
+        x_a=x_a,
+        x_b=x_b,
+        arm_a=x_a @ p_a,
+        arm_b=x_b @ p_b,
         block_ops=ops,
     )
 
@@ -461,8 +503,8 @@ def check_criterion(
     mat = r.state_matrix()
     ratio = (sc.c / sc.c[0])[:, None, None]
     extra = _alice(ops.p_a[0], mat)
-    lhs = _alice(ops.x_a, _bob(ops.x_b @ ops.p_b, mat))
-    lhs_adj = _alice(ops.x_a @ ops.p_a, mat)
+    lhs = _alice(ops.x_a, _bob(ops.arm_b, mat))
+    lhs_adj = _alice(ops.arm_a, mat)
     return CriterionReport(
         projector_match=np.sqrt(_sq_norms(_alice(ops.p_a, mat) - _bob(ops.p_b, mat))),
         chain_map=np.sqrt(_sq_norms(lhs - ratio * extra)),
@@ -499,32 +541,41 @@ def _junk_state(ops: CriterionOperators, mat: np.ndarray) -> np.ndarray:
     return junk / norm if norm > 0 else junk
 
 
-def _isometry_figures(
-    ops: CriterionOperators, mat: np.ndarray, sc: SchmidtCoefficients
-) -> tuple[float, float, float]:
-    """Output norm, fidelity and product overlap of the isometry image of `mat`.
+def _output_norm(ops: CriterionOperators, half: np.ndarray) -> float:
+    """Norm of the isometry image whose first-party half is ``A_k M``.
 
-    Evaluated as in step 5 of the module docstring, without the image. A
-    norm off 1 by more than ``NORM_BUDGET``, or NaN, raises
+    A norm off 1 by more than ``NORM_BUDGET``, or NaN, raises
     :class:`IsometryConsistencyError`.
     """
-    stack_b = ops.x_b @ ops.p_b
-    half = _alice(ops.x_a @ ops.p_a, mat)
     # The whole Gram sum_l B_l^T conj(B_l), so that the norm sees the second
     # party's arms as they are, not as the isometry they should be.
-    flat_b = stack_b.reshape(-1, ops.dim_b)
+    flat_b = ops.arm_b.reshape(-1, ops.dim_b)
     gram = flat_b.T @ flat_b.conj()
     norm = float(np.sqrt(np.vdot(half, half.reshape(-1, ops.dim_b) @ gram).real))
     if not abs(norm - 1.0) <= NORM_BUDGET:
         raise IsometryConsistencyError(
             f"isometry output norm {norm!r} drifted beyond {NORM_BUDGET:.0e}"
         )
+    return norm
+
+
+def _isometry_figures(
+    ops: CriterionOperators, mat: np.ndarray, junk: np.ndarray, sc: SchmidtCoefficients
+) -> tuple[float, float, float]:
+    """Output norm, fidelity and product overlap of the isometry image of `mat`.
+
+    Evaluated as in step 5 of the module docstring, without the image;
+    `junk` is ``_junk_state(ops, mat)``. The norm is gated by
+    :func:`_output_norm`.
+    """
+    half = _alice(ops.arm_a, mat)
+    norm = _output_norm(ops, half)
     c = sc.c / np.linalg.norm(sc.c)
     # Row k is the diagonal slice A_k M B_k^T.
-    diagonal = _bob(stack_b, half).reshape(ops.d, -1)
+    diagonal = _bob(ops.arm_b, half).reshape(ops.d, -1)
     on_target = c @ diagonal
     fid = min(float(np.vdot(on_target, on_target).real), 1.0)
-    amp = c @ (diagonal @ _junk_state(ops, mat).conj().ravel())
+    amp = c @ (diagonal @ junk.conj().ravel())
     # The overlap is at most the unclipped fidelity; trim the float dust
     # that the clip to 1 would otherwise expose.
     return norm, fid, min(float(abs(amp) ** 2), fid)
@@ -557,8 +608,8 @@ def apply_isometry(
     operators fed in were far from unitary and the run is rejected.
     """
     mat = r.state_matrix()
-    norm, fid, overlap = _isometry_figures(ops, mat, sc)
-    psi = _apply_isometry_matrix(ops.x_a @ ops.p_a, ops.x_b @ ops.p_b, mat)
+    norm, fid, overlap = _isometry_figures(ops, mat, _junk_state(ops, mat), sc)
+    psi = _apply_isometry_matrix(ops.arm_a, ops.arm_b, mat)
     flat = psi.reshape(ops.dim_a * ops.dim_b, ops.d * ops.d)
     return psi.reshape(-1), IsometryReport(
         output_norm=norm,
@@ -612,31 +663,43 @@ def measurement_equivalence(
 
     The image is never built whole: each residual is summed from slice
     norms as in step 6 of the module docstring, with exact slices only on
-    the block's own pair of ancilla values. Returns four residuals per
-    block, in :func:`blocks` order.
+    the block's own pair of ancilla values. Those norms take the isometry
+    to be one, so an output norm off 1 by more than ``NORM_BUDGET``
+    raises :class:`IsometryConsistencyError`, as in :func:`apply_isometry`.
+    Returns four residuals per block, in :func:`blocks` order.
     """
-    d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
     mat = r.state_matrix()
-    stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
-    junk = _junk_state(ops, mat)
+    _output_norm(ops, _alice(ops.arm_a, mat))
+    return _measurement_residuals(ops, mat, _junk_state(ops, mat), sc)
+
+
+def _measurement_residuals(
+    ops: CriterionOperators, mat: np.ndarray, junk: np.ndarray, sc: SchmidtCoefficients
+) -> list[MeasurementResidual]:
+    """The residuals of :func:`measurement_equivalence`, without its norm
+    gate; `junk` is ``_junk_state(ops, mat)``."""
+    d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
     bo = ops.block_ops
     table = bo.table
     n = len(table)
     pair = _column(table, "pair")
     # Every block's four observables applied to the state, in the order
     # A xs[0], A xs[1], B ys[0], B ys[1].
-    moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
-    sq = np.zeros((n, 4))
+    moved = np.empty((n, 4, dim_a, dim_b), np.result_type(bo.a, bo.b, mat))
+    np.matmul(bo.a, mat, out=moved[:, :2])
+    np.matmul(mat, np.swapaxes(bo.b, -1, -2), out=moved[:, 2:])
     # At d=2 every outcome and every label lies in each block's pair.
     if d > 2:
-        # k off the pair, one product per block, so that the working set
-        # stays at one block's d - 2 slices. Each pair is (lo, lo + 1 mod d),
-        # so the other outcomes are hi + 1, ..., hi + d - 2 mod d.
-        others = (pair[:, 1:] + np.arange(1, d - 1)) % d
-        for i in range(n):
-            sq[i] = _consume_sq_norms(stack_a[others[i]].reshape(-1, dim_a) @ moved[i], 4)
+        # k off the pair: the rows of v_a^dagger O|psi> labelled outside it,
+        # one product against each block's masked basis.
+        v_a, label_a = _round_ladder(ops.p_a)
+        off = (label_a != pair[:, :1]) & (label_a != pair[:, 1:])
+        sq = _consume_sq_norms((dagger(v_a) * off[:, :, None])[:, None] @ moved, 4 * n)
+        sq = sq.reshape(n, 4)
+    else:
+        sq = np.zeros((n, 4))
     # k on the pair: rows (observable, k, first party) of X_A^(k) P_A^(k) O |psi>.
-    rows = (stack_a[pair].reshape(n, 1, 2 * dim_a, dim_a) @ moved).reshape(n, 8 * dim_a, dim_b)
+    rows = (ops.arm_a[pair].reshape(n, 1, 2 * dim_a, dim_a) @ moved).reshape(n, 8 * dim_a, dim_b)
     # Released before the slices, which keeps the peak at a few moved stacks.
     del moved
     if d > 2:
@@ -651,9 +714,9 @@ def measurement_equivalence(
     )
     # One buffer serves both l, and taking t_kl J one k at a time keeps its
     # temporary at one moved stack.
-    slices = np.empty((n, 4, 2, dim_a, dim_b), np.result_type(rows, stack_b))
+    slices = np.empty((n, 4, 2, dim_a, dim_b), np.result_type(rows, ops.arm_b))
     for j in range(2):
-        np.matmul(rows, np.swapaxes(stack_b[pair[:, j]], -1, -2), out=slices.reshape(rows.shape))
+        np.matmul(rows, np.swapaxes(ops.arm_b[pair[:, j]], -1, -2), out=slices.reshape(rows.shape))
         for k in range(2):
             slices[:, :, k] -= ideal[:, :, k, j, None, None] * junk
         sq += _consume_sq_norms(slices, 4 * n).reshape(n, 4)
@@ -705,8 +768,10 @@ def extraction_report(r: Realization, sc: SchmidtCoefficients) -> ExtractionRepo
     """Run the whole pipeline on a realization and collect every residual."""
     ops = build_criterion_ops(r, sc)
     crit = check_criterion(ops, r, sc)
-    norm, fid, overlap = _isometry_figures(ops, r.state_matrix(), sc)
-    meas = measurement_equivalence(ops, r, sc)
+    mat = r.state_matrix()
+    junk = _junk_state(ops, mat)
+    norm, fid, overlap = _isometry_figures(ops, mat, junk, sc)
+    meas = _measurement_residuals(ops, mat, junk, sc)
     return ExtractionReport(
         projector_residuals=crit.projector_match,
         chain_residuals=crit.chain_map,

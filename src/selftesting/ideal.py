@@ -150,18 +150,27 @@ class Realization:
         n = None
         for label, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
             given = getattr(self, label)
-            group = [m if isinstance(m, Measurement) else Measurement(m) for m in given]
-            n = group[0].n_outcomes if n is None else n
-            for x, meas in enumerate(group):
-                if meas.dim != dim:
-                    raise DimensionError(f"{label} setting {x} acts on dim {meas.dim} != {dim}")
-                if meas.n_outcomes != n:
-                    raise ValueError(
-                        f"{label} setting {x} has {meas.n_outcomes} outcomes, expected {n}"
-                    )
+            # A party array has one shape for all its settings, so its
+            # setting 0 stands for them all.
+            if isinstance(given, np.ndarray):
+                shapes = [given.shape[1:]]
+            else:
+                given = [
+                    m.projectors if isinstance(m, Measurement) else np.asarray(m) for m in given
+                ]
+                shapes = [p.shape for p in given]
+            for shape in shapes:
+                if len(shape) != 3 or shape[1] != shape[2]:
+                    raise ValueError(f"projector stack must be (n, dim, dim), got {shape}")
+            n = shapes[0][0] if n is None else n
+            for x, (outcomes, setting_dim, _) in enumerate(shapes):
+                if setting_dim != dim:
+                    raise DimensionError(f"{label} setting {x} acts on dim {setting_dim} != {dim}")
+                if outcomes != n:
+                    raise ValueError(f"{label} setting {x} has {outcomes} outcomes, expected {n}")
             # At d = 32 a copy's page faults cost more than building the party.
             if not isinstance(given, np.ndarray):
-                given = np.stack([meas.projectors for meas in group])
+                given = np.stack(given)
             proj = _real_or_complex(given)
             proj.flags.writeable = False
             object.__setattr__(self, f"proj_{label[0]}", proj)

@@ -20,6 +20,7 @@ from selftesting import (
     sample_tables,
     verify_tables,
 )
+from selftesting import correlations
 from selftesting.chsh import block_scores
 from selftesting.correlations import _block_2x2, _constrained_mask, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
@@ -295,6 +296,24 @@ def test_verify_ignores_unconstrained_pair_entries():
     rep = verify_tables(CorrelationTables(d=2, tables=tables), sc)
     assert not rep.passed
     assert rep.nosignal_residual > 1e-4
+
+
+def test_verify_builds_the_reference_once_per_coefficients(monkeypatch):
+    # the reference gather is kept on the coefficients, read-only, so later
+    # calls neither rebuild it nor can change it
+    sc = random_coefficients(5, seed=11)
+    tables = [compute_tables(ideal_realization(sc)), reference_tables(sc)]
+    first = [verify_tables(t, sc) for t in tables]
+    calls = []
+    monkeypatch.setattr(correlations, "reference_tables", lambda *a: calls.append(a))
+    assert [verify_tables(t, sc) for t in tables] == first
+    assert calls == []
+    ref, mask = correlations._reference(sc)
+    assert not ref.flags.writeable and not mask.flags.writeable
+    # other coefficients of the same d get their own reference
+    other = random_coefficients(5, seed=12)
+    monkeypatch.undo()
+    assert not verify_tables(tables[0], other).passed
 
 
 def test_verify_requires_all_constrained_pairs():

@@ -400,12 +400,16 @@ def test_isometry_singlet_ancilla_state():
 
 
 def test_isometry_rejects_norm_drift():
+    # measurement equivalence takes both parties' arms to be an isometry,
+    # so it checks the same norm
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    ops.x_a[1] = 1.5 * ops.x_a[1]
+    ops.arm_a[1] *= 1.5
     with pytest.raises(IsometryConsistencyError):
         apply_isometry(ops, r, sc)
+    with pytest.raises(IsometryConsistencyError):
+        measurement_equivalence(ops, r, sc)
 
 
 def test_isometry_rejects_second_party_norm_drift():
@@ -414,11 +418,14 @@ def test_isometry_rejects_second_party_norm_drift():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    ops.x_b[1] *= 1.5
+    ops.arm_b[1] *= 1.5
+    mat = r.state_matrix()
     with pytest.raises(IsometryConsistencyError):
         apply_isometry(ops, r, sc)
     with pytest.raises(IsometryConsistencyError):
-        _isometry_figures(ops, r.state_matrix(), sc)
+        _isometry_figures(ops, mat, _junk_state(ops, mat), sc)
+    with pytest.raises(IsometryConsistencyError):
+        measurement_equivalence(ops, r, sc)
 
 
 def test_isometry_rejects_nan_norm():
@@ -623,6 +630,13 @@ def _reference_cases(d):
     return cases
 
 
+def _perturbed_cases(d):
+    """The ideal device of `_devices(d)` perturbed at three strengths."""
+    sc = random_coefficients(d, seed=1300 + d)
+    ideal = ideal_realization(sc)
+    return [(sc, perturbed_realization(ideal, eps, seed=1)) for eps in (1e-6, 1e-3, 1e-1)]
+
+
 def _density_matrix_figures(ops, r, sc):
     """Reference: output norm, fidelity and product overlap from the whole
     isometry image and its ancilla density matrix."""
@@ -694,8 +708,10 @@ def test_identity_checks_match_block_loop(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_measurement_residuals_match_full_image(d):
-    # even d covers the primed pair (d-1, 0) that wraps around
-    for sc, r in _reference_cases(d):
+    # even d covers the primed pair (d-1, 0) that wraps around; the image
+    # applies the first party's arms as they are, where the residuals read
+    # its off-pair outcomes through the rounded ladder
+    for sc, r in _reference_cases(d) + _perturbed_cases(d):
         ops = build_criterion_ops(r, sc)
         got = [v.residual for v in measurement_equivalence(ops, r, sc)]
         assert np.max(np.abs(got - _full_image_residuals(ops, r, sc))) <= 1e-14
@@ -703,12 +719,17 @@ def test_measurement_residuals_match_full_image(d):
 
 def _measurement_loop(ops, r, sc):
     """Reference: measurement equivalence one block at a time, each block's
-    four residuals summed from its own slice norms."""
+    four residuals summed from its own slice norms. The first party's
+    outcomes off the pair are read through its rounded ladder, the
+    eigenvectors of its label operator."""
     d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
     mat = r.state_matrix()
     stack_a, stack_b = ops.x_a @ ops.p_a, ops.x_b @ ops.p_b
     junk = _junk_state(ops, mat)
     basis = ops.v_b.conj()
+    label = sum(k * p for k, p in enumerate(ops.p_a))
+    w, v_a = np.linalg.eigh((label + dagger(label)) / 2)
+    label_a = np.clip(np.rint(w), 0, d - 1).astype(int)
     bo = ops.block_ops
     moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
     z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -723,7 +744,7 @@ def _measurement_loop(ops, r, sc):
         rest = np.ones(d, dtype=bool)
         rest[pair] = False
         inside = stack_a[pair].reshape(2 * dim_a, dim_a) @ mv
-        outside = stack_a[rest].reshape(-1, dim_a) @ mv
+        outside = dagger(v_a[:, rest[label_a]]) @ mv
         slices = inside.reshape(8 * dim_a, dim_b) @ stack_b[pair].reshape(2 * dim_b, dim_b).T
         slices = slices.reshape(4, 2, dim_a, 2, dim_b)
         slices -= ideal[:, :, None, :, None] * junk[:, None]
@@ -744,15 +765,54 @@ def _hidden_cases(d):
 
 
 @pytest.mark.parametrize(
-    "d, hidden", [(d, False) for d in (2, 3, 4, 5, 8, 16)] + [(2, True), (3, True)]
+    "d, hidden", [(d, False) for d in (2, 3, 4, 5, 8, 16)] + [(d, True) for d in (2, 3, 5, 8, 16)]
 )
 def test_measurement_matches_block_loop(d, hidden):
-    for sc, r in _hidden_cases(d) if hidden else _reference_cases(d):
+    cases = _hidden_cases(d) if hidden else _reference_cases(d) + _perturbed_cases(d)
+    for sc, r in cases:
         ops = build_criterion_ops(r, sc)
         got = measurement_equivalence(ops, r, sc)
         want = _measurement_loop(ops, r, sc)
         assert [replace(v, residual=0.0) for v in got] == [replace(v, residual=0.0) for v in want]
         assert np.max(np.abs([v.residual - w.residual for v, w in zip(got, want)])) <= 1e-15
+
+
+def _off_projective(r, eps, seed):
+    """`r` with a random Hermitian of norm `eps` moved from outcome 1 to
+    outcome 0 of its first-party setting 0: the ladder stays complete but is
+    idempotent only to about `eps`."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, r.dim_a, r.dim_a))
+    h = g[0] + 1j * g[1] + dagger(g[0] + 1j * g[1])
+    h *= eps / np.linalg.norm(h, 2)
+    p = r.alice[0].projectors + np.stack([h, -h, *np.zeros((r.n_outcomes - 2, r.dim_a, r.dim_a))])
+    return replace(r, alice=(Measurement(p), *r.alice[1:]))
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_measurement_residuals_within_tolerance_band(d):
+    # the off-pair term reads the first party through its rounded ladder,
+    # not through the device's projectors and chains; on a ladder that
+    # validation accepts but that is off projective by eps, the residuals
+    # move by O(eps ||O psi||), not by the sqrt(eps) ~ 3e-6 that a
+    # difference of squares would leave
+    eps = 1e-11
+    sc = random_coefficients(d, seed=1700 + d)
+    ideal = ideal_realization(sc)
+    for r in (ideal, embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=1, seed=7))):
+        off = _off_projective(r, eps, seed=3)
+        off.validate()
+        p = off.proj_a[0]
+        assert np.max(np.abs(p @ p - p)) > eps / 10
+        ops = build_criterion_ops(off, sc)
+        got = np.array([v.residual for v in measurement_equivalence(ops, off, sc)])
+        bo, mat = ops.block_ops, off.state_matrix()
+        moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
+        scale = eps * np.linalg.norm(moved, axis=(-2, -1)).ravel()
+        before = measurement_equivalence(build_criterion_ops(r, sc), r, sc)
+        assert np.all(np.abs(got - [v.residual for v in before]) <= 10 * scale)
+        # the full image applies the device's own projectors and chains
+        assert np.all(np.abs(got - _full_image_residuals(ops, off, sc)) <= scale)
 
 
 def test_measurement_working_set_stays_small():
@@ -836,11 +896,16 @@ def _criterion_ops_loop(r, sc):
     w, v = np.linalg.eigh((label + dagger(label)) / 2)
     labels = np.clip(np.rint(w), 0, d - 1).astype(int)
     steps = [f for pair in zip(frame_ops[:n_blocks], frame_ops[n_blocks:]) for f in pair]
+    p_b = np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))])
+    x_a = _chain(np.stack([f.xa for f in steps[: d - 1]]))
+    x_b = _chain(np.stack([f.xb for f in steps[: d - 1]]))
     return {
-        "p_b": np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))]),
+        "p_b": p_b,
         "p_cut": np.stack(p_cut),
-        "x_a": _chain(np.stack([f.xa for f in steps[: d - 1]])),
-        "x_b": _chain(np.stack([f.xb for f in steps[: d - 1]])),
+        "x_a": x_a,
+        "x_b": x_b,
+        "arm_a": np.stack([x @ p for x, p in zip(x_a, r.alice[0].projectors)]),
+        "arm_b": np.stack([x @ p for x, p in zip(x_b, p_b)]),
         "label_b": labels,
     }
 
@@ -879,8 +944,7 @@ def test_real_devices_stay_real_through_extraction(d):
     for r, dtype in ((ideal, np.float64), (embedded, np.complex128)):
         ops = build_criterion_ops(r, sc)
         _, rep = apply_isometry(ops, r, sc)
-        stacks = (ops.x_a @ ops.p_a, ops.x_b @ ops.p_b)
-        for a in (*ops.x_a, *ops.x_b, *ops.p_b, *stacks, rep.rho_ancilla):
+        for a in (*ops.x_a, *ops.x_b, *ops.p_b, *ops.arm_a, *ops.arm_b, rep.rho_ancilla):
             assert a.dtype == dtype
 
 

@@ -247,8 +247,13 @@ def test_settings_are_copied_and_party_arrays_adopted():
         (lambda a, b: (a, (*b[:3], b[3][:1])), ValueError, "bob setting 3 has 1 outcomes, expected 2"),
         (lambda a, b: ((a[0], np.zeros((2, 3, 3)), a[2]), b), DimensionError, "alice setting 1 acts on dim 3 != 2"),
         (lambda a, b: (a, (*b[:3], np.zeros((2, 2)))), ValueError, r"projector stack must be \(n, dim, dim\)"),
+        # a party handed in as one array is checked at once, with the
+        # message its setting 0 would give
+        (lambda a, b: (a, np.zeros((4, 3, 2, 2))), ValueError, "bob setting 0 has 3 outcomes, expected 2"),
+        (lambda a, b: (np.zeros((3, 2, 3, 3)), b), DimensionError, "alice setting 0 acts on dim 3 != 2"),
+        (lambda a, b: (a, np.zeros((4, 2, 2))), ValueError, r"must be \(n, dim, dim\), got \(2, 2\)"),
     ],
-    ids=["settings", "outcomes", "dim", "shape"],
+    ids=["settings", "outcomes", "dim", "shape", "array-outcomes", "array-dim", "array-shape"],
 )
 def test_party_structure_is_checked_at_construction(alice_bob, error, message):
     r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
