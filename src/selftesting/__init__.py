@@ -34,14 +34,13 @@ from .errors import (
 from .extraction import (
     CriterionOperators,
     ExtractionReport,
+    IdentityReport,
     apply_isometry,
-    block_identity_checks,
     build_block_operators,
     build_criterion_ops,
-    build_block_frame,
     check_criterion,
     extraction_report,
-    frame_identity_checks,
+    identity_checks,
     measurement_equivalence,
 )
 from .harness import EmbeddingSpec, SampleResult, embed_realization, sample_tables

@@ -195,7 +195,10 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "sample":
         r = io.load_realization(args.realization)
-        result = sample_tables(r, args.shots, args.seed)
+        try:
+            result = sample_tables(r, args.shots, args.seed)
+        except ValueError as e:
+            raise ParseError(str(e)) from None
         _output(result.estimated, args.output, io.tables_to_doc, io.save_tables)
         summary = {"shots_per_pair": result.shots_per_pair, "seed": result.seed,
                    "stderr_max": result.stderr_max}

@@ -8,17 +8,17 @@ stages mirror the proof structure:
    and each of its settings, the difference of the two outcome projectors
    is a two-outcome observable supported on the block; the sum is the
    block identity.
-2. Unitarized block frame. The first party's observables extend to
-   reflections by acting as +1 off the block. The second party's tilted
-   observables combine into ``(B0 + B1) / (2 cos mu)`` and
-   ``(B0 - B1) / (2 sin mu)``, whose sign-unitarizations play the roles of
-   Z and X on that side. On the normalized block state these satisfy the
-   two anchor identities: Z agreement across parties, and the flip
-   identity with slope tan(theta). The extraction reads the second
-   party's Z only on the blocks that cut the ladder (step 3) and its X
-   only on the d - 1 steps of the flip chains (step 4), so it unitarizes
-   just those, all in one stacked call; :func:`build_block_frame` gives
-   every block's whole frame for the identity checks.
+2. Unitarized block frame and anchor identities. The first party's
+   observables extend to reflections by acting as +1 off the block. The
+   second party's tilted observables combine into ``(B0 + B1) / (2 cos mu)``
+   and ``(B0 - B1) / (2 sin mu)``, whose sign-unitarizations play the roles
+   of Z and X on that side (:func:`_frame`). On the normalized block state
+   these satisfy the two anchor identities: Z agreement across parties,
+   and the flip identity with slope tan(theta). :func:`identity_checks`
+   reports both on every block, with the block identities. The extraction
+   reads the second party's Z only on the blocks that cut the ladder (step
+   3) and its X only on the d - 1 steps of the flip chains (step 4), so it
+   asks :func:`_frame` for just those, in one stacked call.
 3. Outcome projector ladder. The first party uses its computational
    projectors directly. The second party's ladder is first cut from the
    block frame: with P the orthogonal projector onto the eigenvectors of
@@ -130,18 +130,14 @@ from .schmidt import Block, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "BlockOperators",
-    "BlockIdentityReport",
-    "BlockFrame",
-    "FrameReport",
+    "IdentityReport",
     "CriterionOperators",
     "CriterionReport",
     "IsometryReport",
     "MeasurementResidual",
     "ExtractionReport",
     "build_block_operators",
-    "block_identity_checks",
-    "build_block_frame",
-    "frame_identity_checks",
+    "identity_checks",
     "build_criterion_ops",
     "check_criterion",
     "apply_isometry",
@@ -164,15 +160,15 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def sign_unitarize(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def sign_unitarize(h: np.ndarray) -> np.ndarray:
     """Sign function of the Hermitian part of `h`, or of each matrix of a stack.
 
-    Eigenvalues below ``-zero_tol`` map to -1; everything else, including
+    Eigenvalues below ``-ZERO_TOL`` map to -1; everything else, including
     the band around zero, maps to +1. The result is Hermitian and unitary,
     and commutes with ``(h + h^dagger) / 2``.
     """
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
-    signs = np.where(w < -zero_tol, -1.0, 1.0)
+    signs = np.where(w < -ZERO_TOL, -1.0, 1.0)
     return (v * signs[..., None, :]) @ dagger(v)
 
 
@@ -254,43 +250,9 @@ def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOpera
     return BlockOperators(table=table, a=a, ia=ia, b=b, ib=ib)
 
 
-@dataclass(frozen=True)
-class BlockIdentityReport:
-    """On-state residuals tying the four block identities together.
-
-    Indexed by block in :func:`blocks` order. ``cross[i, s, t]`` is the
-    norm of ``(1^{A_s} - 1^{B_t}) |psi>`` for block i's first-party setting
-    s and second-party setting t; ``mass_residual[i]`` is how far block i's
-    measured weight sits from the claimed one.
-    """
-
-    cross: np.ndarray
-    mass_residual: np.ndarray
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack."""
     return np.linalg.norm(x, axis=(-2, -1))
-
-
-def block_identity_checks(ops: BlockOperators, r: Realization) -> BlockIdentityReport:
-    """Residuals of the block-identity equalities on the state."""
-    mat = r.state_matrix()
-    ia, ib = _alice(ops.ia, mat), _bob(ops.ib, mat)
-    return BlockIdentityReport(
-        cross=_norms(ia[:, :, None] - ib[:, None]),
-        mass_residual=np.abs(_norms(ia[:, 0]) - np.sqrt(_column(ops.table, "mass"))),
-    )
-
-
-@dataclass(frozen=True)
-class BlockFrame:
-    """Unitarized Z/X frames of both parties, one per block in :func:`blocks` order."""
-
-    za: np.ndarray
-    xa: np.ndarray
-    zb: np.ndarray
-    xb: np.ndarray
 
 
 def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
@@ -298,42 +260,47 @@ def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
     return np.eye(observable.shape[-1]) - identity_block + observable
 
 
-def _tilted(ops: BlockOperators, at: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """The second party's tilted combinations ``z_star`` and ``x_star`` of
-    the blocks `at`, every block by default."""
-    mu = _column(ops.table[at], "mu")[:, None, None]
-    bu = _reflect(ops.ib[at], ops.b[at])
-    b0u, b1u = bu[:, 0], bu[:, 1]
-    return (b0u + b1u) / (2.0 * np.cos(mu)), (b0u - b1u) / (2.0 * np.sin(mu))
+def _frame(ops: BlockOperators, z_at: list[int], x_at: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The second party's unitarized Z of the blocks `z_at` and X of the
+    blocks `x_at`, in one stacked sign-unitarization.
 
-
-def build_block_frame(ops: BlockOperators) -> BlockFrame:
-    """Unitarized block frames from the block observables.
-
-    The first party's observables are extended to reflections directly.
-    The second party's combinations pick up a zero eigenspace only in
-    degenerate realizations; sign-unitarization sends it to +1.
+    The tilted combinations pick up a zero eigenspace only in degenerate
+    realizations; sign-unitarization sends it to +1.
     """
-    zb, xb = sign_unitarize(np.stack(_tilted(ops)), ZERO_TOL)
-    a = _reflect(ops.ia, ops.a)
-    return BlockFrame(za=a[:, 0], xa=a[:, 1], zb=zb, xb=xb)
+    mu = _column(ops.table, "mu")[:, None, None]
+    bu = _reflect(ops.ib, ops.b)
+    b0u, b1u = bu[:, 0], bu[:, 1]
+    z_star = (b0u + b1u) / (2.0 * np.cos(mu))
+    x_star = (b0u - b1u) / (2.0 * np.sin(mu))
+    u = sign_unitarize(np.concatenate((z_star[z_at], x_star[x_at])))
+    return u[: len(z_at)], u[len(z_at) :]
 
 
 @dataclass(frozen=True)
-class FrameReport:
-    """Residuals of the two anchor identities on each normalized block state,
-    in :func:`blocks` order."""
+class IdentityReport:
+    """On-state residuals of the block identities and the two anchor identities.
 
+    Indexed by block in :func:`blocks` order. ``cross[i, s, t]`` is the
+    norm of ``(1^{A_s} - 1^{B_t}) |psi>`` for block i's first-party setting
+    s and second-party setting t; ``mass_residual[i]`` is how far block i's
+    measured weight sits from the claimed one. ``z_residual[i]`` and
+    ``flip_residual[i]`` are Z agreement and the tan(theta) flip identity
+    on block i's state ``1_m^{A_0}|psi>`` normalized by the claimed mass.
+    """
+
+    cross: np.ndarray
+    mass_residual: np.ndarray
     z_residual: np.ndarray
     flip_residual: np.ndarray
 
 
-def frame_identity_checks(frame: BlockFrame, ops: BlockOperators, r: Realization) -> FrameReport:
-    """Check Z agreement and the tan(theta) flip identity on every block.
+def identity_checks(ops: BlockOperators, r: Realization) -> IdentityReport:
+    """Residuals of the block identities, Z agreement and the flip identity.
 
-    Both are evaluated on the block state ``1_m^{A_0}|psi>`` normalized by
-    the claimed mass, so a realization lying about its coefficients shows
-    up here rather than being silently renormalized away.
+    The anchor identities are evaluated on block states normalized by the
+    claimed mass, so a realization lying about its coefficients shows up
+    here rather than being silently renormalized away. A claimed mass at or
+    below ``MASS_FLOOR`` raises :class:`DegenerateBlockError`.
     """
     table = ops.table
     mass = _column(table, "mass")
@@ -343,13 +310,22 @@ def frame_identity_checks(frame: BlockFrame, ops: BlockOperators, r: Realization
         raise DegenerateBlockError(
             f"block ({blk.m}, primed={blk.primed}) claimed mass {blk.mass:.3e} below floor"
         )
-    mat = _alice(ops.ia[:, 0], r.state_matrix()) / np.sqrt(mass)[:, None, None]
+    root = np.sqrt(mass)
+    mat = r.state_matrix()
+    ia, ib = _alice(ops.ia, mat), _bob(ops.ib, mat)
+    every = list(range(len(table)))
+    zb, xb = _frame(ops, every, every)
+    a = _reflect(ops.ia, ops.a)
+    za, xa = a[:, 0], a[:, 1]
+    state = ia[:, 0] / root[:, None, None]
     eye = np.eye(r.dim_a)
-    lhs = _alice(frame.xa @ (eye - frame.za), mat)
+    lhs = _alice(xa @ (eye - za), state)
     tan = np.tan(_column(table, "theta"))[:, None, None]
-    rhs = tan * _bob(frame.xb, _alice(eye + frame.za, mat))
-    return FrameReport(
-        z_residual=_norms(_alice(frame.za, mat) - _bob(frame.zb, mat)),
+    rhs = tan * _bob(xb, _alice(eye + za, state))
+    return IdentityReport(
+        cross=_norms(ia[:, :, None] - ib[:, None]),
+        mass_residual=np.abs(_norms(ia[:, 0]) - root),
+        z_residual=_norms(_alice(za, state) - _bob(zb, state)),
         flip_residual=_norms(lhs - rhs),
     )
 
@@ -437,11 +413,8 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     step_at = step_at[: d - 1]
 
     # Only the cuts' Z and the steps' X are read: unitarize just those, in
-    # one stacked call. Both lie among the first d - 1 blocks, so at even d
-    # the wrap-around block (d-1, 0) is not even tilted.
-    z_star, x_star = _tilted(ops, slice(d - 1))
-    frames = sign_unitarize(np.concatenate((z_star[cut_at], x_star[step_at])), ZERO_TOL)
-    zb, xb = frames[: len(cut_at)], frames[len(cut_at) :]
+    # one stacked call.
+    zb, xb = _frame(ops, cut_at, step_at)
     # Exact block identities have eigenvalues 0 and 2 only.
     ib = ops.ib[cut_at]
     w, v = np.linalg.eigh(ib[:, 0] + ib[:, 1])

@@ -119,8 +119,9 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     ``(seed, x, y)`` so pairs are reproducible in isolation and the result
     does not depend on iteration order.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    # Generator.multinomial counts in int64.
+    if not 1 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError(f"shots must lie between 1 and 2**63 - 1, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     exact = compute_tables(r)

@@ -122,12 +122,12 @@ def _float_array(value: Any, path: str | Path, where: str) -> np.ndarray:
 def load_coefficients(path: str | Path) -> SchmidtCoefficients:
     doc = _read_json(path)
     d = _field(doc, "d", path)
-    c = _field(doc, "c", path)
-    if not isinstance(c, list) or not all(isinstance(v, (int, float)) for v in c):
+    c = _float_array(_field(doc, "c", path), path, "field 'c'")
+    if c.ndim != 1:
         raise ParseError(f"{path}: field 'c' must be a list of numbers")
     if not isinstance(d, int) or d != len(c):
         raise ParseError(f"{path}: field 'd' ({d!r}) does not match len(c) = {len(c)}")
-    return SchmidtCoefficients(np.array(c, dtype=float))
+    return SchmidtCoefficients(c)
 
 
 def save_coefficients(sc: SchmidtCoefficients, path: str | Path) -> None:

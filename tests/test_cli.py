@@ -185,9 +185,12 @@ def test_nan_option_is_usage_error(capsys, tmp_path, command, option):
         ("embed", "--seed", "-1", "argument --seed: '-1' is below 0"),
         ("embed", "--extra-a", "-1", "argument --extra-a: '-1' is below 0"),
         ("embed", "--extra-a", "40", "error: at most 32 extra dimensions per side"),
+        # an OverflowError traceback from Generator.multinomial, exit 1
+        ("sample", "--shots", str(2**63),
+         f"error: shots must lie between 1 and 2**63 - 1, got {2**63}\n"),
     ],
     ids=["sample-shots-0", "sample-seed-neg", "embed-seed-neg", "embed-extra-neg",
-         "embed-extra-40"],
+         "embed-extra-40", "sample-shots-2**63"],
 )
 def test_bad_integer_option_is_usage_error(capsys, tmp_path, command, option, value, message):
     # a bad count, seed or padding is a usage error (exit 2), not a traceback
@@ -473,6 +476,18 @@ def test_boolean_numbers_are_input_errors(capsys, tmp_path, command, name, text,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: {where} is true/false where a number is expected\n"
+
+
+def test_coefficient_beyond_float_range_is_input_error(capsys, tmp_path):
+    # np.array(c, dtype=float) raised OverflowError: a traceback and exit 1
+    path = tmp_path / "coeffs.json"
+    path.write_text('{"d": 2, "c": [%d, 0.6]}' % 10**400)
+    code, out, err = run_cli(capsys, "generate", "--coeffs-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: field 'c': entries must be numbers "
+        "(found a string, a null or an integer beyond 64 bits)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,36 @@
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import selftesting
+
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(selftesting.__path__) if m.name != "__main__"
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"selftesting.{name}")
+    assert module.__all__, f"selftesting.{name} declares no __all__"
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_reexports_are_public():
+    # every `from .module import name` in the package __init__ names a
+    # member of that module's __all__, so trimming an API cannot leave a
+    # stale export behind
+    tree = ast.parse(Path(selftesting.__file__).read_text(encoding="utf-8"))
+    stale = []
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
+    assert imports
+    for node in imports:
+        public = importlib.import_module(f"selftesting.{node.module}").__all__
+        stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    assert stale == []

@@ -13,17 +13,15 @@ from selftesting import (
     SchmidtCoefficients,
     angles,
     apply_isometry,
-    block_identity_checks,
     blocks,
     build_block_operators,
     build_criterion_ops,
-    build_block_frame,
     check_criterion,
     embed_realization,
     extraction,
     extraction_report,
     ideal_realization,
-    frame_identity_checks,
+    identity_checks,
     measurement_equivalence,
     target_state,
 )
@@ -38,8 +36,10 @@ from selftesting.extraction import (
     _apply_isometry_matrix,
     _bob,
     _chain,
+    _frame,
     _isometry_figures,
     _junk_state,
+    _reflect,
     _sq_norms,
     dagger,
     sign_unitarize,
@@ -101,11 +101,19 @@ def test_block_operators_d2_are_paulis():
     assert np.allclose(ops.b[0, 1], np.cos(mu) * SIGMA_Z - np.sin(mu) * SIGMA_X, atol=1e-14)
 
 
+def _whole_frame(ops):
+    """Both parties' unitarized Z and X of every block, in blocks order."""
+    every = list(range(len(ops.table)))
+    zb, xb = _frame(ops, every, every)
+    a = _reflect(ops.ia, ops.a)
+    return SimpleNamespace(za=a[:, 0], xa=a[:, 1], zb=zb, xb=xb)
+
+
 def test_block_identity_checks_ideal():
     for d in (2, 3, 4, 5):
         sc = random_coefficients(d, seed=900 + d)
         r = ideal_realization(sc)
-        rep = block_identity_checks(build_block_operators(r, sc), r)
+        rep = identity_checks(build_block_operators(r, sc), r)
         assert rep.cross.shape == (len(blocks(sc)), 2, 2)
         assert rep.mass_residual.shape == (len(blocks(sc)),)
         assert np.max(rep.cross) < 1e-12
@@ -115,7 +123,7 @@ def test_block_identity_checks_ideal():
 def test_block_frame_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
-    frame = build_block_frame(build_block_operators(r, sc))
+    frame = _whole_frame(build_block_operators(r, sc))
     assert np.allclose(frame.za[0], SIGMA_Z, atol=1e-12)
     assert np.allclose(frame.xa[0], SIGMA_X, atol=1e-12)
     assert np.allclose(frame.zb[0], SIGMA_Z, atol=1e-12)
@@ -127,7 +135,7 @@ def test_frame_identity_checks_ideal():
         sc = random_coefficients(d, seed=950 + d)
         r = ideal_realization(sc)
         ops = build_block_operators(r, sc)
-        rep = frame_identity_checks(build_block_frame(ops), ops, r)
+        rep = identity_checks(ops, r)
         assert rep.z_residual.shape == rep.flip_residual.shape == (len(blocks(sc)),)
         assert np.max(rep.z_residual) < 1e-12
         assert np.max(rep.flip_residual) < 1e-12
@@ -147,13 +155,12 @@ def test_frame_rejects_vanishing_claimed_mass():
         sc = SchmidtCoefficients(c)
         r = ideal_realization(sc)
         ops = build_block_operators(r, sc)
-        frame = build_block_frame(ops)
         low = [(blk.m, blk.primed) for blk in blocks(sc) if blk.mass <= MASS_FLOOR]
         assert low == low_blocks
         # the message names the first block below the floor
         m, primed = low[0]
         with pytest.raises(DegenerateBlockError, match=rf"^block \({m}, primed={primed}\) claimed"):
-            frame_identity_checks(frame, ops, r)
+            identity_checks(ops, r)
 
 
 def test_criterion_ops_ideal_structure():
@@ -224,7 +231,7 @@ def test_block_frames_hermitian_unitary_embedded():
     r = embed_realization(
         ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=1, seed=7)
     )
-    frame = build_block_frame(build_block_operators(r, sc))
+    frame = _whole_frame(build_block_operators(r, sc))
     for stack in (frame.za, frame.xa, frame.zb, frame.xb):
         assert len(stack) == len(blocks(sc))
         for u in stack:
@@ -237,7 +244,7 @@ def test_flip_chain_products():
     sc = random_coefficients(4, seed=15)
     r = ideal_realization(sc)
     ops = build_criterion_ops(r, sc)
-    frame = build_block_frame(build_block_operators(r, sc))
+    frame = _whole_frame(build_block_operators(r, sc))
     assert len(frame.xa) == len(blocks(sc))
     # frames follow blocks(sc): unprimed 0, unprimed 1, primed 0, primed 1
     xa_u0 = frame.xa[0]
@@ -690,15 +697,15 @@ def test_block_operators_match_block_loop(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_identity_checks_match_block_loop(d):
-    for sc, r in _reference_cases(d):
+    for sc, r in _reference_cases(d) + _perturbed_cases(d):
         ops = build_block_operators(r, sc)
-        frame = build_block_frame(ops)
+        frame = _whole_frame(ops)
         ref_frames = [_block_frame_loop(b) for b in _block_operators_loop(r, sc)]
         for name in ("za", "xa", "zb", "xb"):
             ref = np.array([getattr(f, name) for f in ref_frames])
             assert np.max(np.abs(getattr(frame, name) - ref)) <= 1e-15
-        reports = (block_identity_checks(ops, r), frame_identity_checks(frame, ops, r))
-        got = {f.name: getattr(rep, f.name) for rep in reports for f in fields(rep)}
+        rep = identity_checks(ops, r)
+        got = {f.name: getattr(rep, f.name) for f in fields(rep)}
         want = _identity_checks_loop(r, sc)
         assert got.keys() == want.keys()
         for name, ref in want.items():

@@ -35,6 +35,15 @@ def test_sample_tables_rejects_negative_seed():
         sample_tables(r, 10, -1)
 
 
+@pytest.mark.parametrize("shots", [0, 2**63], ids=["zero", "beyond-int64"])
+def test_sample_tables_rejects_shots_out_of_range(shots):
+    # 2**63 raised OverflowError from Generator.multinomial
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    message = rf"^shots must lie between 1 and 2\*\*63 - 1, got {shots}$"
+    with pytest.raises(ValueError, match=message):
+        sample_tables(r, shots, 0)
+
+
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(19)
     for dim in (2, 3, 7):

@@ -196,6 +196,26 @@ def test_load_tables_rejects_non_numbers(tmp_path, entry):
 
 
 @pytest.mark.parametrize(
+    "c, message",
+    [
+        # raised OverflowError from np.array(c, dtype=float)
+        ("[%d, 0.6]" % 10**400, f"field 'c': {NOT_NUMBERS}"),
+        ('["0.8", 0.6]', f"field 'c': {NOT_NUMBERS}"),
+        ("[null, 0.6]", f"field 'c': {NOT_NUMBERS}"),
+        ("[[0.8], [0.6]]", "field 'c' must be a list of numbers"),
+        ("0.8", "field 'c' must be a list of numbers"),
+    ],
+    ids=["integer-beyond-float", "string", "null", "nested", "scalar"],
+)
+def test_load_coefficients_rejects_non_numbers(tmp_path, c, message):
+    path = tmp_path / "c.json"
+    path.write_text('{"d": 2, "c": %s}' % c)
+    with pytest.raises(ParseError) as err:
+        load_coefficients(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
     "keys, where",
     [(("state", 0, 0), "'state'"), (("alice", 1, 0, 1, 1, 0), "'alice' setting 1 outcome 0")],
     ids=["state", "projector"],
