@@ -45,6 +45,6 @@ for s in block_scores(tables, sc4):
 # The tilt per block is a function of the coefficient ratio alone; the
 # wrap-around block of even d pairs the last outcome with the first.
 wrap = block_scores(tables, sc4)[-1]
-block = blocks(sc4)[-1]
+table = blocks(sc4)
 print(f"\nwrap block pair {wrap.pair}: tilt {wrap.alpha:.6f} "
-      f"(block table says {block.pair}, {block.alpha:.6f})")
+      f"(block table says {tuple(table.pair[-1].tolist())}, {table.alpha[-1]:.6f})")

@@ -47,12 +47,11 @@ from .harness import EmbeddingSpec, SampleResult, embed_realization, sample_tabl
 from .ideal import Measurement, Realization, ideal_realization
 from .schmidt import (
     AngleSchedule,
-    Block,
+    BlockTable,
     SchmidtCoefficients,
     angles,
     blocks,
     corner,
-    pairs,
     target_state,
 )
 

@@ -62,7 +62,7 @@ def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockSco
     t.require_d(sc.d)
     table = blocks(sc)
     got = _constrained_tables(t)
-    rows, cols = _block_cells(sc.d)
+    rows, cols = _block_cells(table)
     family = np.arange(2)[:, None, None]
     # Family by cell by block by table, then the four correlators, each
     # family by block.
@@ -71,11 +71,11 @@ def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockSco
     # Row sums of each family's first table, each the pairwise sum of one
     # C-ordered row, read at the rows lo and hi of every block.
     lo, hi = got[:, 0].sum(axis=-1)[family, rows[:, ::2]].swapaxes(0, 1)
-    alpha = np.array([b.alpha for b in table]).reshape(2, -1)
-    mass = np.array([b.mass for b in table]).reshape(2, -1)
-    beta = alpha * (lo - hi) + e00 + e01 + e10 - e11
+    alpha, mass = table.alpha, table.mass
+    beta = (alpha.reshape(2, -1) * (lo - hi) + e00 + e01 + e10 - e11).ravel()
     target = np.sqrt(8.0 + 2.0 * alpha * alpha) * mass
+    columns = (table.m, table.primed, table.pair, mass, alpha, beta, target)
     return [
-        BlockScore(b.m, b.primed, b.pair, b.mass, b.alpha, float(bv), float(tv))
-        for b, bv, tv in zip(table, beta.ravel(), target.ravel())
+        BlockScore(m, primed, tuple(pair), *values)
+        for m, primed, pair, *values in zip(*(a.tolist() for a in columns))
     ]

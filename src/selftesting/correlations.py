@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CoverageError, DimensionError, HermiticityError
 from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization
-from .schmidt import SETTINGS, SchmidtCoefficients, blocks, corner, pairs
+from .schmidt import SETTINGS, BlockTable, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "CorrelationTables",
@@ -198,7 +198,7 @@ def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray
     return np.array([[z, z], x])
 
 
-def _block_cells(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_cells(table: BlockTable) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of both families' block entries, each (2, 4, n):
     family (unprimed, primed) by cell by block.
 
@@ -207,7 +207,7 @@ def _block_cells(d: int) -> tuple[np.ndarray, np.ndarray]:
     row-major order of :func:`_block_2x2`. Both families have ``d // 2``
     blocks.
     """
-    lo_hi = np.array([pairs(d, False), pairs(d, True)])
+    lo_hi = table.pair.reshape(2, -1, 2)
     return lo_hi[..., [0, 0, 1, 1]].swapaxes(1, 2), lo_hi[..., [0, 1, 0, 1]].swapaxes(1, 2)
 
 
@@ -219,10 +219,9 @@ def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
     weight when d is odd. All blocks of both families are evaluated at once
     and written into one stack with one index assignment.
     """
-    d, c = sc.d, sc.c
-    rows, cols = _block_cells(d)
-    mu = np.array([b.mu for b in blocks(sc)]).reshape(2, -1)
-    cells = _block_2x2(c[rows[:, 0]], c[rows[:, 2]], mu)
+    d, c, table = sc.d, sc.c, blocks(sc)
+    rows, cols = _block_cells(table)
+    cells = _block_2x2(c[rows[:, 0]], c[rows[:, 2]], table.mu.reshape(2, -1))
     out = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
     # [x_eff, y_eff, a, b, family, block] to [family, pair, cell, block]
     out[_XS[..., None, None], _YS[..., None, None], rows[:, None], cols[:, None]] = (
@@ -317,14 +316,15 @@ def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
     if cached is None:
         ref = _constrained_tables(reference_tables(sc))
         ref.flags.writeable = False
-        mask = np.broadcast_to(_constrained_mask(sc.d)[:, None], ref.shape)
+        mask = np.broadcast_to(_constrained_mask(sc)[:, None], ref.shape)
         cached = vars(sc)["_reference"] = (ref, mask)
     return cached
 
 
-def _constrained_mask(d: int) -> np.ndarray:
+def _constrained_mask(sc: SchmidtCoefficients) -> np.ndarray:
     """(2, d, d) masks of the cells with block (or corner) weight, unprimed first."""
-    rows, cols = _block_cells(d)
+    d = sc.d
+    rows, cols = _block_cells(blocks(sc))
     mask = np.zeros((2, d, d), dtype=bool)
     mask[np.arange(2)[:, None, None], rows, cols] = True
     if d % 2:

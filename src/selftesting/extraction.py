@@ -126,7 +126,7 @@ import numpy as np
 
 from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
 from .ideal import Realization
-from .schmidt import Block, SchmidtCoefficients, blocks, corner
+from .schmidt import BlockTable, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "BlockOperators",
@@ -207,21 +207,16 @@ class BlockOperators:
 
     ``table`` is the block table in :func:`blocks` order. Each array has
     shape ``(n_blocks, 2, dim, dim)``: ``a[i, j]`` is the first party's
-    observable of block ``table[i]`` for setting ``table[i].xs[j]``, ``b[i, j]``
-    the second party's for ``table[i].ys[j]``, and ``ia``/``ib`` are the
+    observable of block i for setting ``table.xs[i, j]``, ``b[i, j]`` the
+    second party's for ``table.ys[i, j]``, and ``ia``/``ib`` are the
     matching block identities (sums instead of differences).
     """
 
-    table: tuple[Block, ...]
+    table: BlockTable
     a: np.ndarray
     ia: np.ndarray
     b: np.ndarray
     ib: np.ndarray
-
-
-def _column(table: tuple[Block, ...], name: str) -> np.ndarray:
-    """One field of every block, as an array in table order."""
-    return np.array([getattr(blk, name) for blk in table])
 
 
 def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOperators:
@@ -235,18 +230,17 @@ def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOpera
             f"realization has {r.n_outcomes} outcomes, but the coefficients give d = {sc.d}"
         )
     table = blocks(sc)
-    lo, hi = _column(table, "pair").T[:, :, None]
+    lo, hi = table.pair.T[:, :, None]
 
-    def split(proj: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+    def split(proj: np.ndarray, settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # [block, setting j]: every block's own settings at its own outcome.
-        settings = _column(table, side)
         total, p_hi = proj[settings, lo], proj[settings, hi]
         diff = total - p_hi
         total += p_hi
         return diff, total
 
-    a, ia = split(r.proj_a, "xs")
-    b, ib = split(r.proj_b, "ys")
+    a, ia = split(r.proj_a, table.xs)
+    b, ib = split(r.proj_b, table.ys)
     return BlockOperators(table=table, a=a, ia=ia, b=b, ib=ib)
 
 
@@ -267,7 +261,7 @@ def _frame(ops: BlockOperators, z_at: list[int], x_at: list[int]) -> tuple[np.nd
     The tilted combinations pick up a zero eigenspace only in degenerate
     realizations; sign-unitarization sends it to +1.
     """
-    mu = _column(ops.table, "mu")[:, None, None]
+    mu = ops.table.mu[:, None, None]
     bu = _reflect(ops.ib, ops.b)
     b0u, b1u = bu[:, 0], bu[:, 1]
     z_star = (b0u + b1u) / (2.0 * np.cos(mu))
@@ -303,12 +297,12 @@ def identity_checks(ops: BlockOperators, r: Realization) -> IdentityReport:
     below ``MASS_FLOOR`` raises :class:`DegenerateBlockError`.
     """
     table = ops.table
-    mass = _column(table, "mass")
+    mass = table.mass
     low = np.flatnonzero(mass <= MASS_FLOOR)
     if low.size:
-        blk = table[low[0]]
+        i = low[0]
         raise DegenerateBlockError(
-            f"block ({blk.m}, primed={blk.primed}) claimed mass {blk.mass:.3e} below floor"
+            f"block ({table.m[i]}, primed={table.primed[i]}) claimed mass {mass[i]:.3e} below floor"
         )
     root = np.sqrt(mass)
     mat = r.state_matrix()
@@ -320,7 +314,7 @@ def identity_checks(ops: BlockOperators, r: Realization) -> IdentityReport:
     state = ia[:, 0] / root[:, None, None]
     eye = np.eye(r.dim_a)
     lhs = _alice(xa @ (eye - za), state)
-    tan = np.tan(_column(table, "theta"))[:, None, None]
+    tan = np.tan(table.theta)[:, None, None]
     rhs = tan * _bob(xb, _alice(eye + za, state))
     return IdentityReport(
         cross=_norms(ia[:, :, None] - ib[:, None]),
@@ -423,8 +417,8 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     # The unprimed cuts, the first n_blocks, give both outcomes of their
     # pair; the odd-d corner cut gives only its hi.
     p_cut = np.zeros((d, r.dim_b, r.dim_b), dtype=z_cut.dtype)
-    p_cut[_column(table[:n_blocks], "lo")] = (support + z_cut)[:n_blocks] / 2.0
-    p_cut[_column(table, "hi")[cut_at]] = (support - z_cut) / 2.0
+    p_cut[table.pair[:n_blocks, 0]] = (support + z_cut)[:n_blocks] / 2.0
+    p_cut[table.pair[cut_at, 1]] = (support - z_cut) / 2.0
 
     # Round the cut ladder to a projective one.
     v, labels = _round_ladder(p_cut)
@@ -655,7 +649,7 @@ def _measurement_residuals(
     bo = ops.block_ops
     table = bo.table
     n = len(table)
-    pair = _column(table, "pair")
+    pair = table.pair
     # Every block's four observables applied to the state, in the order
     # A xs[0], A xs[1], B ys[0], B ys[1].
     moved = np.empty((n, 4, dim_a, dim_b), np.result_type(bo.a, bo.b, mat))
@@ -681,7 +675,7 @@ def _measurement_residuals(
         off = (ops.label_b != pair[:, :1]) & (ops.label_b != pair[:, 1:])
         sq += _consume_sq_norms(rows @ (ops.v_b.conj() * off[:, None, :]), 4 * n).reshape(n, 4)
     # Both k and l on the pair, one l at a time, less the ideal image t_kl J.
-    c, mu = sc.c[pair], _column(table, "mu")[:, None]
+    c, mu = sc.c[pair], table.mu[:, None]
     ideal = (np.concatenate((c, c * np.cos(mu), c * np.sin(mu)), axis=1) @ _IDEAL_IMAGES).reshape(
         n, 4, 2, 2
     )
@@ -693,13 +687,13 @@ def _measurement_residuals(
         for k in range(2):
             slices[:, :, k] -= ideal[:, :, k, j, None, None] * junk
         sq += _consume_sq_norms(slices, 4 * n).reshape(n, 4)
-    residuals = np.sqrt(sq).tolist()
+    # Python scalars, row by row: block, then its settings xs and ys.
+    settings = np.concatenate((table.xs, table.ys), axis=1)
+    columns = (table.m, table.primed, settings, np.sqrt(sq))
     return [
-        MeasurementResidual(side, setting, blk.m, blk.primed, res)
-        for blk, row in zip(table, residuals)
-        for (side, setting), res in zip(
-            (("A", blk.xs[0]), ("A", blk.xs[1]), ("B", blk.ys[0]), ("B", blk.ys[1])), row
-        )
+        MeasurementResidual(side, setting, m, primed, res)
+        for m, primed, row_settings, row in zip(*(a.tolist() for a in columns))
+        for side, setting, res in zip("AABB", row_settings, row)
     ]
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, HermiticityError, NormalizationError
-from .schmidt import SETTINGS, Block, SchmidtCoefficients, blocks, corner, target_state
+from .schmidt import SETTINGS, BlockTable, SchmidtCoefficients, blocks, corner, target_state
 
 __all__ = [
     "Measurement",
@@ -209,8 +209,8 @@ def _alice_vectors(mu: np.ndarray, i: int) -> np.ndarray:
     """Eigenvectors for outcomes (lo, hi): Z for setting i=0, X for i=1.
 
     Like every function passed to :func:`_party`, returns an
-    ``(outcome, coordinate, block)`` array: entry ``[o, k, m]`` is the
-    coefficient on block m's k-th basis vector (``e_lo``, then ``e_hi``) of
+    ``(outcome, coordinate, block)`` array: entry ``[o, k, b]`` is the
+    coefficient on block b's k-th basis vector (``e_lo``, then ``e_hi``) of
     the eigenvector for its o-th outcome. The first party's vectors do not
     depend on the tilts ``mu``, so the block axis has length 1.
     """
@@ -225,7 +225,7 @@ def _bob_vectors(mu: np.ndarray, i: int) -> np.ndarray:
 
     Outcome lo gets the +1 eigenvector cos(mu/2) e_lo + sign sin(mu/2) e_hi,
     outcome hi the orthogonal -1 eigenvector, as an ``(outcome, coordinate,
-    block)`` array over the tilts ``mu`` of a family's blocks.
+    block)`` array over the tilts ``mu`` of the blocks.
     """
     sign = 1.0 if i == 0 else -1.0
     ch, sh = np.cos(mu / 2), np.sin(mu / 2)
@@ -233,33 +233,33 @@ def _bob_vectors(mu: np.ndarray, i: int) -> np.ndarray:
 
 
 def _party(
-    d: int, table: tuple[Block, ...], party: int, vectors: Callable[[np.ndarray, int], np.ndarray]
+    d: int, table: BlockTable, party: int, vectors: Callable[[np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
     """One party's projectors as one (settings, d, d, d) array.
 
-    ``party`` is 0 for the first party and 1 for the second; the i-th of a
-    family's settings for it measures ``vectors(mu, i)`` on every block of
-    the family, plus the family's corner. A setting shared by both
-    families (the first party's Z basis) is written twice, identically.
+    ``party`` is 0 for the first party and 1 for the second; block i's
+    j-th setting for it, ``table.xs[i, j]`` or ``table.ys[i, j]``, measures
+    ``vectors(mu, j)`` on the block, and each family's settings measure the
+    family's corner too. A setting shared by both families (the first
+    party's Z basis) is written twice, identically.
 
-    Each setting's rank-one projectors are written with one index
-    assignment: outcome ``pair[o]`` of every block gets ``u[o, k] u[o, l]``
-    at ``(pair[k], pair[l])``. Adding 0.0 turns each -0.0 into 0.0, so a
-    saved ideal realization holds no signed zeros.
+    Each setting index j is written with one index assignment: outcome
+    ``pair[o]`` of every block gets ``u[o, k] u[o, l]`` at ``(pair[k],
+    pair[l])`` of the block's setting. Adding 0.0 turns each -0.0 into 0.0,
+    so a saved ideal realization holds no signed zeros.
     """
     p = np.zeros(((ALICE_SETTINGS, BOB_SETTINGS)[party], d, d, d))
-    for primed in (False, True):
-        family = [b for b in table if b.primed == primed]
-        pair = np.array([b.pair for b in family]).T
-        mu = np.array([b.mu for b in family])
-        top = corner(d, primed)
-        for i, setting in enumerate(SETTINGS[primed][party]):
-            u = vectors(mu, i)
-            p[setting, pair[:, None, None], pair[None, :, None], pair[None, None, :]] = (
-                u[:, :, None] * u[:, None, :] + 0.0
-            )
-            if top is not None:
-                p[setting, top, top, top] = 1.0
+    pair = table.pair.T
+    settings = (table.xs, table.ys)[party]
+    for j in range(2):
+        u = vectors(table.mu, j)
+        p[settings[:, j], pair[:, None, None], pair[None, :, None], pair[None, None, :]] = (
+            u[:, :, None] * u[:, None, :] + 0.0
+        )
+    if d % 2:
+        tops = np.array([[corner(d, primed)] for primed in SETTINGS])
+        family = np.array([both[party] for both in SETTINGS.values()])
+        p[family, tops, tops, tops] = 1.0
     return p
 
 

@@ -14,14 +14,14 @@ Formats (all plain JSON):
 Files are read as UTF-8, and one that is not UTF-8 text raises
 :class:`ParseError`. Malformed documents raise it with the offending field
 (including non-numeric entries such as a string or a null where a number
-is expected, ragged matrices, a key repeated within one object, and a JSON
-``true`` or ``false`` anywhere: no field of these formats is boolean), and
-so do tables that :class:`CorrelationTables` refuses (no pair, a wrong d
-or shape, non-finite entries) and realizations that construction or
-validation refuses with a ``ValueError`` (settings with different outcome
-counts, non-finite state, broken projectors); domain violations with their
-own type (bad normalization, non-Hermitian projectors) surface as that
-type.
+is expected, an object where a list is expected, ragged matrices, a key
+repeated within one object, and a JSON ``true`` or ``false`` anywhere: no
+field of these formats is boolean), and so do tables that
+:class:`CorrelationTables` refuses (no pair, a wrong d or shape,
+non-finite entries) and realizations that construction or validation
+refuses with a ``ValueError`` (settings with different outcome counts,
+non-finite state, broken projectors); domain violations with their own
+type (bad normalization, non-Hermitian projectors) surface as that type.
 """
 
 from __future__ import annotations
@@ -105,8 +105,11 @@ def _float_array(value: Any, path: str | Path, where: str) -> np.ndarray:
     """A JSON value as a float array; non-numeric or ragged data is a ParseError.
 
     The value is read without a dtype, so a string or a null shows as a
-    string or object array instead of being parsed or read as NaN.
+    string or object array instead of being parsed or read as NaN. A JSON
+    object, which numpy would read as one opaque entry, is named as such.
     """
+    if isinstance(value, dict):
+        raise ParseError(f"{path}: {where} must be a list of numbers, not an object")
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as e:
@@ -125,7 +128,9 @@ def load_coefficients(path: str | Path) -> SchmidtCoefficients:
     c = _float_array(_field(doc, "c", path), path, "field 'c'")
     if c.ndim != 1:
         raise ParseError(f"{path}: field 'c' must be a list of numbers")
-    if not isinstance(d, int) or d != len(c):
+    if not isinstance(d, int):
+        raise ParseError(f"{path}: field 'd' must be an integer, got {d!r}")
+    if d != len(c):
         raise ParseError(f"{path}: field 'd' ({d!r}) does not match len(c) = {len(c)}")
     return SchmidtCoefficients(c)
 

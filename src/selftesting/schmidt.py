@@ -47,9 +47,8 @@ from .errors import (
 
 __all__ = [
     "SchmidtCoefficients",
-    "Block",
+    "BlockTable",
     "blocks",
-    "pairs",
     "corner",
     "SETTINGS",
     "AngleSchedule",
@@ -102,29 +101,18 @@ class SchmidtCoefficients:
         return int(self.c.size)
 
     @cached_property
-    def _blocks(self) -> tuple[Block, ...]:
-        c = self.c
-        return tuple(
-            Block(
-                primed, m, lo, hi, *SETTINGS[primed],
-                *_block_angles(c[lo], c[hi]),
-                mass=float(c[lo] ** 2 + c[hi] ** 2),
-            )
-            for primed in (False, True)
-            for m, (lo, hi) in enumerate(pairs(self.d, primed))
-        )
-
-
-def pairs(d: int, primed: bool) -> list[tuple[int, int]]:
-    """Outcome pairs (lo, hi) of one family's blocks, in block order m.
-
-    Unprimed: ``(2m, 2m+1)``. Primed: ``(2m+1, (2m+2) mod d)``, so for even
-    d the last pair wraps around to (d-1, 0).
-    """
-    if d < 2:
-        raise DimensionError(f"d must be at least 2, got {d}")
-    first = int(primed)
-    return [(2 * m + first, (2 * m + first + 1) % d) for m in range(d // 2)]
+    def _blocks(self) -> BlockTable:
+        c, d = self.c, self.d
+        primed = np.repeat([False, True], d // 2)
+        m = np.tile(np.arange(d // 2), 2)
+        lo = 2 * m + primed
+        pair = np.stack((lo, (lo + 1) % d), axis=1)
+        xs, ys = np.repeat(list(SETTINGS.values()), d // 2, axis=0).swapaxes(0, 1)
+        # One scalar evaluation per block, each block's values independent
+        # of how many blocks there are.
+        rows = [(*_block_angles(c_lo, c_hi), c_lo**2 + c_hi**2) for c_lo, c_hi in c[pair]]
+        theta, mu, alpha, mass = np.array(rows).T.copy()
+        return BlockTable(primed, m, pair, xs, ys, theta, mu, alpha, mass)
 
 
 def corner(d: int, primed: bool) -> int | None:
@@ -135,31 +123,36 @@ def corner(d: int, primed: bool) -> int | None:
     return 0 if primed else d - 1
 
 
-@dataclass(frozen=True)
-class Block:
-    """One 2x2 tilted-CHSH sub-test of the self-test.
+@dataclass(frozen=True, eq=False)
+class BlockTable:
+    """Every 2x2 tilted-CHSH sub-test of the self-test, as read-only columns.
 
-    The block pairs outcomes ``(lo, hi)``; ``xs`` and ``ys`` are the two
-    first-party and two second-party settings its functional reads, the
-    first of each being the block's Z-like setting. ``theta``, ``mu`` and
-    ``alpha`` are its angles and ``mass = c_lo^2 + c_hi^2`` its weight in
-    the target state.
+    Row i is one block, unprimed first, each family in order m. ``primed``,
+    ``m``, ``theta``, ``mu``, ``alpha`` and ``mass`` have shape (n,);
+    ``pair``, ``xs`` and ``ys`` shape (n, 2). Block i pairs the outcomes
+    ``pair[i] = (lo, hi)``; ``xs[i]`` and ``ys[i]`` are the two first-party
+    and two second-party settings its functional reads, the first of each
+    being the block's Z-like setting. ``theta``, ``mu`` and ``alpha`` are
+    its angles and ``mass = c_lo^2 + c_hi^2`` its weight in the target
+    state. ``len`` is the number of blocks; ``==`` is identity.
     """
 
-    primed: bool
-    m: int
-    lo: int
-    hi: int
-    xs: tuple[int, int]
-    ys: tuple[int, int]
-    theta: float
-    mu: float
-    alpha: float
-    mass: float
+    primed: np.ndarray
+    m: np.ndarray
+    pair: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    theta: np.ndarray
+    mu: np.ndarray
+    alpha: np.ndarray
+    mass: np.ndarray
 
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.m)
 
 
 def _block_angles(lo: float, hi: float) -> tuple[float, float, float]:
@@ -172,11 +165,11 @@ def _block_angles(lo: float, hi: float) -> tuple[float, float, float]:
     return theta, mu, alpha
 
 
-def blocks(sc: SchmidtCoefficients) -> tuple[Block, ...]:
+def blocks(sc: SchmidtCoefficients) -> BlockTable:
     """Every block of both families, unprimed first, each in order m.
 
     The table is computed on the first call and kept on `sc`: every later
-    call returns the same tuple.
+    call returns the same object.
     """
     return sc._blocks
 
@@ -185,8 +178,8 @@ def blocks(sc: SchmidtCoefficients) -> tuple[Block, ...]:
 class AngleSchedule:
     """Per-block angles for both block families, as arrays over m.
 
-    A view of :func:`blocks`: unprimed and primed families both have
-    ``floor(d/2)`` blocks. theta and mu sit in (0, pi/2), alpha in (-2, 2)
+    A view of :func:`blocks`: each array is a read-only view of one family's
+    half of a table column, and both families have ``floor(d/2)`` blocks. theta and mu sit in (0, pi/2), alpha in (-2, 2)
     with the sign of cos(2 theta).
     """
 
@@ -206,19 +199,10 @@ class AngleSchedule:
 def angles(sc: SchmidtCoefficients) -> AngleSchedule:
     """Angle schedule derived from the coefficient vector."""
     table = blocks(sc)
-
-    def column(name: str, primed: bool) -> np.ndarray:
-        return np.array([getattr(b, name) for b in table if b.primed == primed], dtype=float)
-
-    return AngleSchedule(
-        d=sc.d,
-        theta=column("theta", False),
-        mu=column("mu", False),
-        alpha=column("alpha", False),
-        theta_primed=column("theta", True),
-        mu_primed=column("mu", True),
-        alpha_primed=column("alpha", True),
+    (theta, theta_primed), (mu, mu_primed), (alpha, alpha_primed) = (
+        column.reshape(2, -1) for column in (table.theta, table.mu, table.alpha)
     )
+    return AngleSchedule(sc.d, theta, mu, alpha, theta_primed, mu_primed, alpha_primed)
 
 
 def target_state(sc: SchmidtCoefficients) -> np.ndarray:

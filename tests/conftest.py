@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import settings
 
 import selftesting
-from selftesting import SchmidtCoefficients
+from selftesting import SchmidtCoefficients, blocks
 from selftesting.harness import haar_unitary
 from selftesting.ideal import Measurement, Realization
 
@@ -29,6 +31,20 @@ def random_coefficients(d: int, seed: int) -> SchmidtCoefficients:
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.2, 1.0, size=d)
     return SchmidtCoefficients(c / np.linalg.norm(c))
+
+
+def block_rows(sc: SchmidtCoefficients) -> list[SimpleNamespace]:
+    """The rows of ``blocks(sc)``, indexed from its columns as Python scalars:
+    one namespace per block, with every column plus ``lo`` and ``hi`` of its
+    pair, and ``pair``, ``xs`` and ``ys`` as tuples."""
+    table = blocks(sc)
+    rows = []
+    for i in range(len(table)):
+        row = SimpleNamespace(**{f.name: getattr(table, f.name)[i].tolist() for f in fields(table)})
+        row.pair, row.xs, row.ys = tuple(row.pair), tuple(row.xs), tuple(row.ys)
+        row.lo, row.hi = row.pair
+        rows.append(row)
+    return rows
 
 
 def perturbed_realization(r: Realization, eps: float, seed: int) -> Realization:

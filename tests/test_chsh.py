@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_coefficients
+from conftest import block_rows, random_coefficients
 from selftesting import (
     BlockScore,
     CorrelationTables,
@@ -14,7 +14,6 @@ from selftesting import (
     SchmidtCoefficients,
     angles,
     block_scores,
-    blocks,
     compute_tables,
     embed_realization,
     ideal_realization,
@@ -47,7 +46,7 @@ def _score_loop(t, sc):
     """Per-block reference for block_scores: each block scored on its own."""
     t.require_d(sc.d)
     out = []
-    for b in blocks(sc):
+    for b in block_rows(sc):
         a0, a0b0, a0b1, a1b0, a1b1 = _correlators(t, b)
         beta = b.alpha * a0 + a0b0 + a0b1 + a1b0 - a1b1
         target = float(np.sqrt(8.0 + 2.0 * b.alpha * b.alpha) * b.mass)
@@ -57,7 +56,7 @@ def _score_loop(t, sc):
 
 def test_maximal_d2_correlators_and_score():
     sc = SchmidtCoefficients(np.array([1.0, 1.0]) / np.sqrt(2))
-    a0, a0b0, a0b1, a1b0, a1b1 = _correlators(reference_tables(sc), blocks(sc)[0])
+    a0, a0b0, a0b1, a1b0, a1b1 = _correlators(reference_tables(sc), block_rows(sc)[0])
     assert abs(a0) < 1e-14
     assert abs(a0b0 - 1 / np.sqrt(2)) < 1e-14
     assert abs(a0b1 - 1 / np.sqrt(2)) < 1e-14
@@ -70,7 +69,7 @@ def test_maximal_d2_correlators_and_score():
 
 def test_marginal_correlator_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
-    a0 = _correlators(reference_tables(sc), blocks(sc)[0])[0]
+    a0 = _correlators(reference_tables(sc), block_rows(sc)[0])[0]
     assert abs(a0 - (0.64 - 0.36)) < 1e-14
 
 
@@ -157,7 +156,7 @@ def test_correlator_magnitudes_bounded_by_mass():
     for d in (2, 3, 6):
         sc = random_coefficients(d, seed=900 + d)
         t = compute_tables(ideal_realization(sc))
-        for b in blocks(sc):
+        for b in block_rows(sc):
             for value in _correlators(t, b):
                 assert abs(value) <= b.mass + 1e-9
 

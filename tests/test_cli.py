@@ -518,3 +518,35 @@ def test_strings_and_nulls_are_input_errors(capsys, tmp_path, command, keys, val
         f"error: {path}: {where}: entries must be numbers "
         "(found a string, a null or an integer beyond 64 bits)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        # both said "entries must be numbers (found a string, a null or an
+        # integer beyond 64 bits)"
+        ("generate", '{"d": 2, "c": {"a": 0.8}}', "field 'c'"),
+        ("verify", '{"d": 2, "tables": {"0,0": {}}}', "table '0,0'"),
+    ],
+    ids=["coefficients", "table"],
+)
+def test_object_where_a_list_belongs_is_input_error(capsys, tmp_path, command, text, where):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    if command == "generate":
+        args = ("--coeffs-file", str(path))
+    else:
+        args = (str(path), "--coeffs", "0.8,0.6")
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {where} must be a list of numbers, not an object\n"
+
+
+@pytest.mark.parametrize("d", ["2.0", '"2"'], ids=["float", "string"])
+def test_non_integer_d_in_coeffs_file_is_input_error(capsys, tmp_path, d):
+    # was reported as "field 'd' (2.0) does not match len(c) = 2"
+    path = tmp_path / "c.json"
+    path.write_text('{"d": %s, "c": [0.8, 0.6]}' % d)
+    code, out, err = run_cli(capsys, "generate", "--coeffs-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: field 'd' must be an integer, got {json.loads(d)!r}\n"

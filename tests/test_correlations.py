@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import projector_stack, random_coefficients, random_ranges
+from conftest import block_rows, projector_stack, random_coefficients, random_ranges
 from selftesting import (
     CorrelationTables,
     EmbeddingSpec,
@@ -24,7 +24,7 @@ from selftesting import correlations
 from selftesting.chsh import block_scores
 from selftesting.correlations import _block_2x2, _constrained_mask, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
-from selftesting.schmidt import SETTINGS, blocks, corner, pairs
+from selftesting.schmidt import SETTINGS, blocks, corner
 
 # c=(0.8, 0.6): T_{0,0}[0,0] = 0.64 cos^2(mu/2)
 T00_86 = 0.64 * 0.8606936605154758
@@ -96,7 +96,7 @@ def _reference_loop(sc: SchmidtCoefficients) -> dict[tuple[int, int], np.ndarray
     d, c = sc.d, sc.c
     out = {}
     for primed, (xs, ys) in SETTINGS.items():
-        family = [b for b in blocks(sc) if b.primed == primed]
+        family = [b for b in block_rows(sc) if b.primed == primed]
         top = corner(d, primed)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
@@ -117,14 +117,15 @@ def test_reference_tables_match_block_loop(d):
     assert got.pairs() == sorted(want)
     for pair, tab in want.items():
         assert np.array_equal(got.table(*pair), tab), pair
+    table = blocks(sc)
     for primed in (False, True):
         mask = np.zeros((d, d), dtype=bool)
-        for pair in pairs(d, primed):
+        for pair in table.pair[table.primed == primed]:
             mask[np.ix_(pair, pair)] = True
         top = corner(d, primed)
         if top is not None:
             mask[top, top] = True
-        assert np.array_equal(_constrained_mask(d)[int(primed)], mask)
+        assert np.array_equal(_constrained_mask(sc)[int(primed)], mask)
 
 
 def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import perturbed_realization, random_coefficients
+from conftest import block_rows, perturbed_realization, random_coefficients
 from selftesting import (
     EmbeddingSpec,
     SchmidtCoefficients,
@@ -87,7 +87,7 @@ def test_block_operators_d2_are_paulis():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     r = ideal_realization(sc)
     ops = build_block_operators(r, sc)
-    assert ops.table == blocks(sc)
+    assert ops.table is blocks(sc)
     for a in (ops.a, ops.ia, ops.b, ops.ib):
         assert a.shape == (2, 2, 2, 2)
     # the unprimed block, pairing (0, 1)
@@ -155,7 +155,7 @@ def test_frame_rejects_vanishing_claimed_mass():
         sc = SchmidtCoefficients(c)
         r = ideal_realization(sc)
         ops = build_block_operators(r, sc)
-        low = [(blk.m, blk.primed) for blk in blocks(sc) if blk.mass <= MASS_FLOOR]
+        low = [(blk.m, blk.primed) for blk in block_rows(sc) if blk.mass <= MASS_FLOOR]
         assert low == low_blocks
         # the message names the first block below the floor
         m, primed = low[0]
@@ -455,7 +455,7 @@ def _oblique_device(c0):
     sc = SchmidtCoefficients(np.array([c0, np.sqrt(1 - c0**2)]))
     r = ideal_realization(sc)
     bob = list(r.bob)
-    for y in blocks(sc)[0].ys:
+    for y in blocks(sc).ys[0].tolist():
         p0, p1 = r.bob[y].projectors
         _, u = np.linalg.eigh(p1)
         shift = 0.9e-10 * np.outer(u[:, 0], u[:, 1].conj())
@@ -513,7 +513,7 @@ def _block_operators_loop(r, sc):
     identities ``ia0 .. ib1`` built on their own, from the projectors of the
     block's own settings."""
     out = []
-    for blk in blocks(sc):
+    for blk in block_rows(sc):
         pa = [r.alice[x].projectors for x in blk.xs]
         pb = [r.bob[y].projectors for y in blk.ys]
         lo, hi = blk.lo, blk.hi
@@ -689,7 +689,7 @@ def test_block_operators_match_block_loop(d):
     for sc, r in _reference_cases(d):
         ops = build_block_operators(r, sc)
         want = _block_operators_loop(r, sc)
-        assert ops.table == tuple(b.block for b in want)
+        assert ops.table is blocks(sc)
         for name in ("a", "ia", "b", "ib"):
             ref = np.array([[getattr(b, name + "0"), getattr(b, name + "1")] for b in want])
             assert np.array_equal(getattr(ops, name), ref)
@@ -741,7 +741,7 @@ def _measurement_loop(ops, r, sc):
     moved = np.concatenate((_alice(bo.a, mat), _bob(bo.b, mat)), axis=1)
     z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     out = []
-    for blk, mv in zip(bo.table, moved):
+    for blk, mv in zip(block_rows(sc), moved):
         pair = list(blk.pair)
         cos, sin = np.cos(blk.mu), np.sin(blk.mu)
         c = sc.c[pair]

@@ -204,8 +204,9 @@ def test_load_tables_rejects_non_numbers(tmp_path, entry):
         ("[null, 0.6]", f"field 'c': {NOT_NUMBERS}"),
         ("[[0.8], [0.6]]", "field 'c' must be a list of numbers"),
         ("0.8", "field 'c' must be a list of numbers"),
+        ('{"a": 0.8}', "field 'c' must be a list of numbers, not an object"),
     ],
-    ids=["integer-beyond-float", "string", "null", "nested", "scalar"],
+    ids=["integer-beyond-float", "string", "null", "nested", "scalar", "object"],
 )
 def test_load_coefficients_rejects_non_numbers(tmp_path, c, message):
     path = tmp_path / "c.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from selftesting import (
     build_block_operators,
     corner,
     ideal_realization,
-    pairs,
     reference_tables,
     schmidt,
     target_state,
@@ -23,6 +24,7 @@ from selftesting.errors import (
     DimensionError,
     NormalizationError,
 )
+from selftesting.schmidt import BlockTable
 
 # arctan(0.6 / 0.8) and the tilt data it induces
 THETA_86 = 0.6435011087932844
@@ -73,25 +75,30 @@ BLOCK_TABLE = {
     5: ([(0, 1), (2, 3)], [(1, 2), (3, 4)], 4, 0),
     6: ([(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4), (5, 0)], None, None),
     7: ([(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4), (5, 6)], 6, 0),
+    8: ([(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 4), (5, 6), (7, 0)], None, None),
+    9: ([(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 4), (5, 6), (7, 8)], 8, 0),
 }
 SETTINGS = {False: ((0, 1), (0, 1)), True: ((0, 2), (2, 3))}
 
 
+def _pairs(d):
+    return blocks(random_coefficients(d, seed=20 + d)).pair.tolist()
+
+
 def test_pair_structure_even():
-    assert pairs(2, False) == [(0, 1)]
-    assert pairs(2, True) == [(1, 0)]
-    assert pairs(4, False) == [(0, 1), (2, 3)]
-    assert pairs(4, True) == [(1, 2), (3, 0)]
-    assert pairs(6, False) == [(0, 1), (2, 3), (4, 5)]
-    assert pairs(6, True) == [(1, 2), (3, 4), (5, 0)]
+    # the last primed pair wraps around to (d-1, 0)
+    assert _pairs(2) == [[0, 1], [1, 0]]
+    assert _pairs(4) == [[0, 1], [2, 3], [1, 2], [3, 0]]
+    assert _pairs(6) == [[0, 1], [2, 3], [4, 5], [1, 2], [3, 4], [5, 0]]
+    assert _pairs(8) == [[0, 1], [2, 3], [4, 5], [6, 7], [1, 2], [3, 4], [5, 6], [7, 0]]
 
 
 def test_pair_structure_odd():
     # odd d: outcome d-1 has no unprimed home, outcome 0 no primed home
-    assert pairs(3, False) == [(0, 1)]
-    assert pairs(3, True) == [(1, 2)]
-    assert pairs(5, False) == [(0, 1), (2, 3)]
-    assert pairs(5, True) == [(1, 2), (3, 4)]
+    assert _pairs(3) == [[0, 1], [1, 2]]
+    assert _pairs(5) == [[0, 1], [2, 3], [1, 2], [3, 4]]
+    assert _pairs(7) == [[0, 1], [2, 3], [4, 5], [1, 2], [3, 4], [5, 6]]
+    assert _pairs(9) == [[0, 1], [2, 3], [4, 5], [6, 7], [1, 2], [3, 4], [5, 6], [7, 8]]
 
 
 def test_block_table():
@@ -100,25 +107,42 @@ def test_block_table():
     for d, (unprimed, primed, corner_u, corner_p) in BLOCK_TABLE.items():
         sc = random_coefficients(d, seed=20 + d)
         table = blocks(sc)
-        want = [
-            (fam, m, lo, hi, *SETTINGS[fam])
-            for fam, fam_pairs in ((False, unprimed), (True, primed))
-            for m, (lo, hi) in enumerate(fam_pairs)
-        ]
-        assert [(b.primed, b.m, b.lo, b.hi, b.xs, b.ys) for b in table] == want
-        assert pairs(d, False) == unprimed and pairs(d, True) == primed
+        assert len(table) == 2 * (d // 2)
+        families = ((False, unprimed), (True, primed))
+        want = [(fam, m) for fam, fam_pairs in families for m in range(len(fam_pairs))]
+        assert list(zip(table.primed.tolist(), table.m.tolist())) == want
+        assert table.pair.tolist() == [list(pair) for pair in unprimed + primed]
+        for name, side in (("xs", 0), ("ys", 1)):
+            want = [list(SETTINGS[fam][side]) for fam, fam_pairs in families for _ in fam_pairs]
+            assert getattr(table, name).tolist() == want
         assert corner(d, False) == corner_u and corner(d, True) == corner_p
-        for b in table:
-            assert b.pair == (b.lo, b.hi)
-            assert b.mass == sc.c[b.lo] ** 2 + sc.c[b.hi] ** 2
+        # each family's pairs and its corner cover every outcome once
+        for fam, top in ((False, corner_u), (True, corner_p)):
+            covered = table.pair[table.primed == fam].ravel().tolist()
+            covered += [] if top is None else [top]
+            assert sorted(covered) == list(range(d))
+        assert table.mass.tolist() == [sc.c[lo] ** 2 + sc.c[hi] ** 2 for lo, hi in table.pair]
         # angles() is a view of the table, family by family in order m
         sched = angles(sc)
         for name in ("theta", "mu", "alpha"):
             got = np.concatenate([getattr(sched, name), getattr(sched, name + "_primed")])
-            assert np.array_equal(got, [getattr(b, name) for b in table])
+            assert np.array_equal(got, getattr(table, name))
         # block_scores lists its blocks in table order
         scores = block_scores(reference_tables(sc), sc)
-        assert [(s.primed, s.m, s.pair) for s in scores] == [(b.primed, b.m, b.pair) for b in table]
+        assert [(s.primed, s.m, list(s.pair)) for s in scores] == list(
+            zip(table.primed.tolist(), table.m.tolist(), table.pair.tolist())
+        )
+
+
+def test_block_table_is_read_only_and_kept():
+    sc = random_coefficients(5, seed=25)
+    table = blocks(sc)
+    assert blocks(sc) is table
+    for f in fields(BlockTable):
+        column = getattr(table, f.name)
+        assert column.shape == ((4, 2) if f.name in ("pair", "xs", "ys") else (4,))
+        with pytest.raises(ValueError):
+            column[0] = column[1]
 
 
 def test_coefficients_are_a_read_only_copy():
@@ -127,11 +151,11 @@ def test_coefficients_are_a_read_only_copy():
     source = np.array([0.8, 0.6])
     sc = SchmidtCoefficients(source)
     table = blocks(sc)
-    want = [(b.theta, b.mu, b.alpha, b.mass) for b in table]
+    want = [getattr(table, name).tolist() for name in ("theta", "mu", "alpha", "mass")]
     source[0] = 0.6
     assert sc.c.tolist() == [0.8, 0.6]
     assert blocks(sc) is table
-    assert [(b.theta, b.mu, b.alpha, b.mass) for b in blocks(sc)] == want
+    assert [getattr(table, name).tolist() for name in ("theta", "mu", "alpha", "mass")] == want
     with pytest.raises(ValueError):
         sc.c[0] = 0.5
 
@@ -154,13 +178,6 @@ def test_block_table_is_computed_once(monkeypatch):
     build_block_operators(r, sc)
     assert blocks(sc) is blocks(sc)
     assert len(calls) == len(blocks(sc)) == 6
-
-
-def test_pair_structure_rejects_small_d():
-    with pytest.raises(DimensionError):
-        pairs(1, False)
-    with pytest.raises(DimensionError):
-        pairs(0, True)
 
 
 def test_angles_d2():
@@ -207,9 +224,11 @@ def test_angle_identity_tan_mu():
 def test_alpha_range_and_sign():
     for d in range(2, 10):
         sc = random_coefficients(d, seed=60 + d)
-        for b in blocks(sc):
-            assert -2.0 < b.alpha < 2.0
-            assert np.sign(b.alpha) == np.sign(sc.c[b.lo] - sc.c[b.hi]) or b.alpha == 0.0
+        table = blocks(sc)
+        lo, hi = table.pair.T
+        assert np.all((-2.0 < table.alpha) & (table.alpha < 2.0))
+        same = np.sign(table.alpha) == np.sign(sc.c[lo] - sc.c[hi])
+        assert np.all(same | (table.alpha == 0.0))
 
 
 def test_target_state():
