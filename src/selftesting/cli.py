@@ -21,9 +21,9 @@ import numpy as np
 
 from . import io
 from .chsh import block_scores
-from .correlations import reference_tables, verify_tables
+from .correlations import VERIFY_TOL, reference_tables, verify_tables
 from .errors import ParseError, SelfTestingError
-from .extraction import extraction_report
+from .extraction import FIDELITY_MIN, RESIDUAL_TOL, extraction_report
 from .harness import EmbeddingSpec, embed_realization, sample_tables
 from .ideal import ideal_realization
 from .schmidt import SchmidtCoefficients
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a table file against the reference")
     p.add_argument("tables", help="tables JSON file")
     _add_coeff_args(p)
-    p.add_argument("--tol", type=_number, default=1e-8, help="entrywise tolerance")
+    p.add_argument("--tol", type=_number, default=VERIFY_TOL, help="entrywise tolerance")
 
     p = sub.add_parser("chsh", help="per-block tilted-CHSH scores of a table file")
     p.add_argument("tables", help="tables JSON file")
@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="run the certification pipeline on a realization")
     p.add_argument("realization", help="realization JSON file")
     _add_coeff_args(p)
-    p.add_argument("--tol", type=_number, default=1e-6, help="residual tolerance")
-    p.add_argument("--fidelity-threshold", type=_number, default=1 - 1e-6,
+    p.add_argument("--tol", type=_number, default=RESIDUAL_TOL, help="residual tolerance")
+    p.add_argument("--fidelity-threshold", type=_number, default=FIDELITY_MIN,
                    help="minimum acceptable extraction fidelity")
 
     p = sub.add_parser("embed", help="pad and rotate a realization")

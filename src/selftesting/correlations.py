@@ -20,7 +20,10 @@ of ``values``, so no result depends on the layout of the caller's arrays.
 routes to the same numbers for an ideal realization. The first applies the
 Born rule to a concrete state and projectors; the second evaluates the
 closed-form block entries from the coefficients alone. Keeping both routes
-separate is what makes the equivalence test meaningful.
+separate is what makes the equivalence test meaningful. The closed form is
+evaluated once per coefficient vector: one cached scatter writes the eight
+reference tables and the mask of their block cells together, and both
+:func:`reference_tables` and :func:`verify_tables` read it.
 """
 
 from __future__ import annotations
@@ -211,26 +214,52 @@ def _block_cells(table: BlockTable) -> tuple[np.ndarray, np.ndarray]:
     return lo_hi[..., [0, 0, 1, 1]].swapaxes(1, 2), lo_hi[..., [0, 1, 0, 1]].swapaxes(1, 2)
 
 
+def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """The eight reference tables of `sc` in one read-only (2, 4, d, d)
+    array, family by pair as :func:`_constrained_tables` gathers them, and
+    the read-only mask of their block (and corner) cells, of the same shape.
+
+    One scatter writes both: a single index assignment puts every block of
+    both families at its :func:`_block_cells` and marks the same cells in
+    the mask, and when d is odd each family's corner (k, k) gets its full
+    coefficient weight in both. Computed on the first call and kept on
+    `sc`, as its block table is (:func:`selftesting.schmidt.blocks`): `sc`
+    is immutable, so they never go stale.
+    """
+    # `vars`, as functools.cached_property stores its value: `sc` is frozen.
+    cached = vars(sc).get("_reference")
+    if cached is None:
+        d, c, table = sc.d, sc.c, blocks(sc)
+        rows, cols = _block_cells(table)
+        family, pair = np.ogrid[:2, :4]
+        ref = np.zeros((2, 4, d, d))
+        mask = np.zeros(ref.shape, dtype=bool)
+        cells = _block_2x2(c[rows[:, 0]], c[rows[:, 2]], table.mu.reshape(2, -1))
+        at = (family[..., None, None], pair[..., None, None], rows[:, None], cols[:, None])
+        # [x_eff, y_eff, a, b, family, block] to [family, pair, cell, block]
+        ref[at] = cells.reshape(4, 4, 2, -1).transpose(2, 0, 1, 3)
+        mask[at] = True
+        if d % 2:
+            tops = np.array([[corner(d, primed)] for primed in SETTINGS])
+            at = (family, pair, tops, tops)
+            ref[at] = np.float_power(c[tops], 2)
+            mask[at] = True
+        ref.flags.writeable = mask.flags.writeable = False
+        cached = vars(sc)["_reference"] = (ref, mask)
+    return cached
+
+
 def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
     """Closed-form tables for the 8 constrained pairs.
 
     Each pair of a family's settings is block diagonal over that family's
     blocks, with the family's corner (k, k) carrying its full coefficient
-    weight when d is odd. All blocks of both families are evaluated at once
-    and written into one stack with one index assignment.
+    weight when d is odd. The tables are the cached scatter of
+    :func:`_reference`, so one closed-form evaluation per coefficient
+    vector serves this and :func:`verify_tables`.
     """
-    d, c, table = sc.d, sc.c, blocks(sc)
-    rows, cols = _block_cells(table)
-    cells = _block_2x2(c[rows[:, 0]], c[rows[:, 2]], table.mu.reshape(2, -1))
-    out = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
-    # [x_eff, y_eff, a, b, family, block] to [family, pair, cell, block]
-    out[_XS[..., None, None], _YS[..., None, None], rows[:, None], cols[:, None]] = (
-        cells.reshape(4, 4, 2, -1).transpose(2, 0, 1, 3)
-    )
-    if d % 2:
-        tops = np.array([[corner(d, primed)] for primed in SETTINGS])
-        out[_XS, _YS, tops, tops] = np.float_power(c[tops], 2)
-    return CorrelationTables(d=d, tables={p: out[p] for p in constrained_pairs()})
+    d, (ref, _) = sc.d, _reference(sc)
+    return CorrelationTables(d=d, tables=dict(zip(constrained_pairs(), ref.reshape(8, d, d))))
 
 
 def no_signaling_check(t: CorrelationTables) -> float:
@@ -269,8 +298,12 @@ class VerificationReport:
     passed: bool
 
 
+#: Default tolerance of :func:`verify_tables`, every residual against it.
+VERIFY_TOL = 1e-8
+
+
 def verify_tables(
-    t: CorrelationTables, sc: SchmidtCoefficients, tol: float = 1e-8
+    t: CorrelationTables, sc: SchmidtCoefficients, tol: float = VERIFY_TOL
 ) -> VerificationReport:
     """Check a table set against the closed-form reference.
 
@@ -300,34 +333,3 @@ def verify_tables(
         sum_residual=sum_res,
         passed=passed,
     )
-
-
-def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """The eight reference tables of `sc` in one read-only (2, 4, d, d)
-    gather, as :func:`_constrained_tables` takes them, and the read-only
-    mask of their block cells, of the same shape.
-
-    Computed on the first call and kept on `sc`, as its block table is
-    (:func:`selftesting.schmidt.blocks`): `sc` is immutable, so they never
-    go stale.
-    """
-    # `vars`, as functools.cached_property stores its value: `sc` is frozen.
-    cached = vars(sc).get("_reference")
-    if cached is None:
-        ref = _constrained_tables(reference_tables(sc))
-        ref.flags.writeable = False
-        mask = np.broadcast_to(_constrained_mask(sc)[:, None], ref.shape)
-        cached = vars(sc)["_reference"] = (ref, mask)
-    return cached
-
-
-def _constrained_mask(sc: SchmidtCoefficients) -> np.ndarray:
-    """(2, d, d) masks of the cells with block (or corner) weight, unprimed first."""
-    d = sc.d
-    rows, cols = _block_cells(blocks(sc))
-    mask = np.zeros((2, d, d), dtype=bool)
-    mask[np.arange(2)[:, None, None], rows, cols] = True
-    if d % 2:
-        tops = [corner(d, primed) for primed in SETTINGS]
-        mask[[0, 1], tops, tops] = True
-    return mask

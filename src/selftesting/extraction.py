@@ -154,6 +154,11 @@ NORM_BUDGET = 1e-6
 #: Eigenvalues within this of zero are sent to +1 by `sign_unitarize`.
 ZERO_TOL = 1e-10
 
+#: Default verdict bounds of `ExtractionReport.passes`: the least fidelity
+#: and the largest criterion or measurement residual it accepts.
+FIDELITY_MIN = 1 - 1e-6
+RESIDUAL_TOL = 1e-6
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
@@ -254,7 +259,9 @@ def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
     return np.eye(observable.shape[-1]) - identity_block + observable
 
 
-def _frame(ops: BlockOperators, z_at: list[int], x_at: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _frame(
+    ops: BlockOperators, z_at: list[int], x_at: list[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The second party's unitarized Z of the blocks `z_at` and X of the
     blocks `x_at`, in one stacked sign-unitarization.
 
@@ -401,10 +408,8 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     cut_at = list(range(n_blocks))
     if corner(d, primed=False) is not None:
         cut_at.append(len(table) - 1)
-    # Flip chains climb the ladder through unprimed block 0, primed block
-    # 0, unprimed block 1, ...: step i is the block pairing (i, i+1).
-    step_at = [i for pair in zip(range(n_blocks), range(n_blocks, len(table))) for i in pair]
-    step_at = step_at[: d - 1]
+    # Flip chains climb the ladder: step i is the block whose pair starts at i.
+    step_at = np.argsort(table.pair[:, 0])[: d - 1]
 
     # Only the cuts' Z and the steps' X are read: unitarize just those, in
     # one stacked call.
@@ -597,27 +602,6 @@ class MeasurementResidual:
     residual: float
 
 
-def _ideal_image_basis() -> np.ndarray:
-    """The ideal images of step 6 on a block's pair, as a linear map.
-
-    Row r times ``(c_lo, c_hi, c_lo cos mu, c_hi cos mu, c_lo sin mu,
-    c_hi sin mu)[r]``, summed over r, gives the entries ``(observable, k,
-    l)``: ``Z diag(c)`` and ``X diag(c)`` for the first party's two
-    observables, ``diag(c) (cos mu Z +- sin mu X)`` for the second's.
-    """
-    z, x, zero = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
-    lo_hi = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    rows = (
-        [(z @ e, x @ e, zero, zero) for e in lo_hi]
-        + [(zero, zero, e @ z, e @ z) for e in lo_hi]
-        + [(zero, zero, e @ x, -(e @ x)) for e in lo_hi]
-    )
-    return np.array(rows).reshape(6, 16)
-
-
-_IDEAL_IMAGES = _ideal_image_basis()
-
-
 def measurement_equivalence(
     ops: CriterionOperators, r: Realization, sc: SchmidtCoefficients
 ) -> list[MeasurementResidual]:
@@ -674,11 +658,14 @@ def _measurement_residuals(
         # the pair, as the columns of each block's masked basis.
         off = (ops.label_b != pair[:, :1]) & (ops.label_b != pair[:, 1:])
         sq += _consume_sq_norms(rows @ (ops.v_b.conj() * off[:, None, :]), 4 * n).reshape(n, 4)
-    # Both k and l on the pair, one l at a time, less the ideal image t_kl J.
-    c, mu = sc.c[pair], table.mu[:, None]
-    ideal = (np.concatenate((c, c * np.cos(mu), c * np.sin(mu)), axis=1) @ _IDEAL_IMAGES).reshape(
-        n, 4, 2, 2
-    )
+    # Both k and l on the pair, one l at a time, less the ideal image t_kl J:
+    # [block, observable, k, l] of Z diag(c) and X diag(c) for the first
+    # party, diag(c) (cos mu Z +- sin mu X) for the second.
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    c, mu = sc.c[pair], table.mu[:, None, None, None]
+    c_k, c_l = c[:, None, :, None], c[:, None, None, :]
+    cz, sx = np.cos(mu) * z, np.sin(mu) * x
+    ideal = np.concatenate((z * c_l, x * c_l, c_k * (cz + sx), c_k * (cz - sx)), axis=1)
     # One buffer serves both l, and taking t_kl J one k at a time keeps its
     # temporary at one moved stack.
     slices = np.empty((n, 4, 2, dim_a, dim_b), np.result_type(rows, ops.arm_b))
@@ -723,7 +710,9 @@ class ExtractionReport:
     def max_measurement_residual(self) -> float:
         return float(np.max([v.residual for v in self.measurement_residuals]))
 
-    def passes(self, *, fidelity_min: float = 1 - 1e-6, residual_tol: float = 1e-6) -> bool:
+    def passes(
+        self, *, fidelity_min: float = FIDELITY_MIN, residual_tol: float = RESIDUAL_TOL
+    ) -> bool:
         return (
             self.fidelity >= fidelity_min
             and self.max_criterion_residual() <= residual_tol

@@ -105,21 +105,26 @@ def _float_array(value: Any, path: str | Path, where: str) -> np.ndarray:
     """A JSON value as a float array; non-numeric or ragged data is a ParseError.
 
     The value is read without a dtype, so a string or a null shows as a
-    string or object array instead of being parsed or read as NaN. A JSON
-    object, which numpy would read as one opaque entry, is named as such.
+    string or object array instead of being parsed or read as NaN. When the
+    read fails, a JSON object anywhere in the value, which numpy would read
+    as one opaque entry, is named as such.
     """
-    if isinstance(value, dict):
-        raise ParseError(f"{path}: {where} must be a list of numbers, not an object")
     try:
         arr = np.asarray(value)
+        numeric = arr.dtype.kind in "iuf"
+        problem = "entries must be numbers (found a string, a null or an integer beyond 64 bits)"
     except (TypeError, ValueError) as e:
-        raise ParseError(f"{path}: {where}: {e}") from None
-    if arr.dtype.kind not in "iuf":
-        raise ParseError(
-            f"{path}: {where}: entries must be numbers "
-            "(found a string, a null or an integer beyond 64 bits)"
-        )
+        numeric, problem = False, str(e)
+    if not numeric:
+        if _holds_object(value):
+            raise ParseError(f"{path}: {where} must be a list of numbers, not an object")
+        raise ParseError(f"{path}: {where}: {problem}")
     return arr.astype(float, copy=False)
+
+
+def _holds_object(value: Any) -> bool:
+    """Whether `value` is a JSON object or a list holding one at any depth."""
+    return isinstance(value, dict) or (isinstance(value, list) and any(map(_holds_object, value)))
 
 
 def load_coefficients(path: str | Path) -> SchmidtCoefficients:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import package_env
-from selftesting.cli import main
+from selftesting.cli import build_parser, main
+from selftesting.correlations import verify_tables
+from selftesting.extraction import ExtractionReport
 
 
 def run_cli(capsys, *argv):
@@ -160,21 +163,23 @@ def test_chsh_tol_flags_wrong_claim(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, option",
-    [("verify", "--tol"), ("chsh", "--tol"), ("extract", "--tol"),
-     ("extract", "--fidelity-threshold")],
+    "command, option, value",
+    [("verify", "--tol", "nan"), ("chsh", "--tol", "nan"), ("extract", "--tol", "nan"),
+     ("extract", "--fidelity-threshold", "nan"), ("verify", "--tol", "abc")],
+    ids=["verify---tol", "chsh---tol", "extract---tol", "extract---fidelity-threshold",
+         "verify---tol-abc"],
 )
-def test_nan_option_is_usage_error(capsys, tmp_path, command, option):
+def test_nan_option_is_usage_error(capsys, tmp_path, command, option, value):
     # every comparison with NaN is False, so `chsh --tol nan` passed any table
     path = tmp_path / "in.json"
     source = "ideal" if command == "extract" else "generate"
     run_cli(capsys, source, "--coeffs", "0.8,0.6", "-o", str(path))
     with pytest.raises(SystemExit) as exc:
-        main([command, str(path), "--coeffs", "0.6,0.8", option, "nan"])
+        main([command, str(path), "--coeffs", "0.6,0.8", option, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {option}: 'nan' is not a number" in captured.err
+    assert f"argument {option}: {value!r} is not a number" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -188,12 +193,15 @@ def test_nan_option_is_usage_error(capsys, tmp_path, command, option):
         # an OverflowError traceback from Generator.multinomial, exit 1
         ("sample", "--shots", str(2**63),
          f"error: shots must lie between 1 and 2**63 - 1, got {2**63}\n"),
+        ("sample", "--shots", "abc", "argument --shots: 'abc' is not an integer"),
+        ("extract", "--coeffs", "a,b", "error: --coeffs 'a,b' is not a comma-separated float list"),
     ],
     ids=["sample-shots-0", "sample-seed-neg", "embed-seed-neg", "embed-extra-neg",
-         "embed-extra-40", "sample-shots-2**63"],
+         "embed-extra-40", "sample-shots-2**63", "sample-shots-abc", "extract-coeffs-abc"],
 )
 def test_bad_integer_option_is_usage_error(capsys, tmp_path, command, option, value, message):
-    # a bad count, seed or padding is a usage error (exit 2), not a traceback
+    # a bad count, seed or padding is a usage error (exit 2), not a traceback;
+    # so is a coefficient list that is not numbers
     real = tmp_path / "r.json"
     run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(real))
     try:
@@ -204,6 +212,17 @@ def test_bad_integer_option_is_usage_error(capsys, tmp_path, command, option, va
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # each default is named once, beside the function that applies it
+    parser = build_parser()
+    verify = parser.parse_args(["verify", "t.json"])
+    extract = parser.parse_args(["extract", "r.json"])
+    assert verify.tol == inspect.signature(verify_tables).parameters["tol"].default
+    passes = inspect.signature(ExtractionReport.passes).parameters
+    assert extract.tol == passes["residual_tol"].default
+    assert extract.fidelity_threshold == passes["fidelity_min"].default
 
 
 def test_ideal_extract_pipeline(capsys, tmp_path):
@@ -384,26 +403,33 @@ def test_malformed_numbers_are_input_errors(capsys, tmp_path, command, keys, val
     assert "Traceback" not in proc.stderr
 
 
+def _zero(size):
+    return [[[0.0, 0.0]] * size for _ in range(size)]
+
+
 @pytest.mark.parametrize(
-    "side, setting, outcome, size, message",
+    "keys, change, message",
     [
-        ("alice", 1, None, 2, "alice setting 1 has 3 outcomes, expected 2"),
-        ("bob", 3, None, 2, "bob setting 3 has 3 outcomes, expected 2"),
-        ("alice", 0, 1, 3, "'alice' setting 0 outcome 1 must be a 2x2 matrix of [re, im] pairs, got shape (3, 3, 2)"),
-        ("bob", 2, 0, 3, "'bob' setting 2 outcome 0 must be a 2x2 matrix of [re, im] pairs, got shape (3, 3, 2)"),
+        (("alice", 1), lambda s: s + [_zero(2)], "alice setting 1 has 3 outcomes, expected 2"),
+        (("bob", 3), lambda s: s + [_zero(2)], "bob setting 3 has 3 outcomes, expected 2"),
+        (("alice", 0, 1), lambda m: _zero(3), "'alice' setting 0 outcome 1 must be a 2x2 matrix of [re, im] pairs, got shape (3, 3, 2)"),
+        (("bob", 2, 0), lambda m: _zero(3), "'bob' setting 2 outcome 0 must be a 2x2 matrix of [re, im] pairs, got shape (3, 3, 2)"),
+        (("bob",), lambda side: side[:3], "'bob' must list 4 settings"),
+        (("alice", 2), lambda s: [], "'alice' setting 2 must be a non-empty list"),
     ],
-    ids=["extra-outcome-alice", "extra-outcome-bob", "wrong-dim-alice", "wrong-dim-bob"],
+    ids=["extra-outcome-alice", "extra-outcome-bob", "wrong-dim-alice", "wrong-dim-bob",
+         "missing-setting", "empty-setting"],
 )
-def test_malformed_setting_is_input_error(capsys, tmp_path, side, setting, outcome, size, message):
-    # one setting with an extra (zero) outcome, or one matrix of the wrong dim
+def test_malformed_setting_is_input_error(capsys, tmp_path, keys, change, message):
+    # one setting with an extra (zero) outcome, one matrix of the wrong dim,
+    # a setting missing or one with no outcomes
     path = tmp_path / "r.json"
     run_cli(capsys, "ideal", "--coeffs", "0.8,0.6", "-o", str(path))
     doc = json.loads(path.read_text())
-    zero = [[[0.0, 0.0]] * size for _ in range(size)]
-    if outcome is None:
-        doc[side][setting].append(zero)
-    else:
-        doc[side][setting][outcome] = zero
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = change(parent[keys[-1]])
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "extract", str(path), "--coeffs", "0.8,0.6")
     assert (code, out) == (2, "")
@@ -527,8 +553,12 @@ def test_strings_and_nulls_are_input_errors(capsys, tmp_path, command, keys, val
         # integer beyond 64 bits)"
         ("generate", '{"d": 2, "c": {"a": 0.8}}', "field 'c'"),
         ("verify", '{"d": 2, "tables": {"0,0": {}}}', "table '0,0'"),
+        # said "entries must be numbers (...)" and numpy's "inhomogeneous
+        # shape" text: an object inside the list was not named
+        ("generate", '{"d": 2, "c": [{"a": 0.8}, 0.6]}', "field 'c'"),
+        ("verify", '{"d": 2, "tables": {"0,0": [{}, [0.1, 0.2]]}}', "table '0,0'"),
     ],
-    ids=["coefficients", "table"],
+    ids=["coefficients", "table", "coefficient-entry", "table-row"],
 )
 def test_object_where_a_list_belongs_is_input_error(capsys, tmp_path, command, text, where):
     path = tmp_path / "in.json"

@@ -22,7 +22,7 @@ from selftesting import (
 )
 from selftesting import correlations
 from selftesting.chsh import block_scores
-from selftesting.correlations import _block_2x2, _constrained_mask, constrained_pairs
+from selftesting.correlations import _block_2x2, _reference, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
 from selftesting.schmidt import SETTINGS, blocks, corner
 
@@ -125,7 +125,8 @@ def test_reference_tables_match_block_loop(d):
         top = corner(d, primed)
         if top is not None:
             mask[top, top] = True
-        assert np.array_equal(_constrained_mask(sc)[int(primed)], mask)
+        # every pair of the family shares its mask
+        assert np.array_equal(_reference(sc)[1][int(primed)], np.broadcast_to(mask, (4, d, d)))
 
 
 def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:
@@ -300,21 +301,33 @@ def test_verify_ignores_unconstrained_pair_entries():
 
 
 def test_verify_builds_the_reference_once_per_coefficients(monkeypatch):
-    # the reference gather is kept on the coefficients, read-only, so later
-    # calls neither rebuild it nor can change it
-    sc = random_coefficients(5, seed=11)
-    tables = [compute_tables(ideal_realization(sc)), reference_tables(sc)]
-    first = [verify_tables(t, sc) for t in tables]
+    # one closed-form evaluation per coefficient vector serves every later
+    # verify_tables and reference_tables call, in either order, and the
+    # cached arrays are read-only, so no call can change them
     calls = []
-    monkeypatch.setattr(correlations, "reference_tables", lambda *a: calls.append(a))
-    assert [verify_tables(t, sc) for t in tables] == first
-    assert calls == []
-    ref, mask = correlations._reference(sc)
-    assert not ref.flags.writeable and not mask.flags.writeable
+    block_2x2 = correlations._block_2x2
+
+    def counted(*args):
+        calls.append(args)
+        return block_2x2(*args)
+
+    monkeypatch.setattr(correlations, "_block_2x2", counted)
+    for seed, verify_first in ((11, True), (12, False)):
+        sc = random_coefficients(5, seed=seed)
+        ideal = compute_tables(ideal_realization(sc))
+        calls.clear()
+        reports = [
+            verify_tables(ideal, sc) if (step % 2 == 0) == verify_first
+            else verify_tables(reference_tables(sc), sc)
+            for step in range(4)
+        ]
+        assert len(calls) == 1
+        assert all(rep.passed for rep in reports) and reports[2:] == reports[:2]
+        ref, mask = _reference(sc)
+        assert not ref.flags.writeable and not mask.flags.writeable
     # other coefficients of the same d get their own reference
-    other = random_coefficients(5, seed=12)
-    monkeypatch.undo()
-    assert not verify_tables(tables[0], other).passed
+    assert not verify_tables(ideal, random_coefficients(5, seed=13)).passed
+    assert len(calls) == 2
 
 
 def test_verify_requires_all_constrained_pairs():

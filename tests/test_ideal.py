@@ -32,6 +32,12 @@ def test_measurement_validation_catches_broken_projectors():
         bad.validate()
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)])
+def test_measurement_stack_shape_is_checked(shape):
+    with pytest.raises(ValueError, match=r"projector stack must be \(n, dim, dim\)"):
+        Measurement(np.zeros(shape))
+
+
 def _validate_loop(meas: Measurement, tol: float = MEASUREMENT_TOL) -> None:
     """Pairwise reference for Measurement.validate: one product per (j, k >= j)."""
     p = meas.projectors
@@ -400,6 +406,28 @@ def test_realization_state_is_target():
     r = ideal_realization(sc)
     assert r.dim_a == 3 and r.dim_b == 3
     assert np.allclose(np.diag(r.state_matrix()), sc.c)
+
+
+def _one_dim_alice(r: Realization) -> Realization:
+    """`r` with a first party of local dimension 1, as construction allows."""
+    alice = np.zeros((3, 2, 1, 1))
+    alice[:, 0] = 1.0
+    return Realization(1, r.dim_b, r.state[: r.dim_b], alice, r.proj_b)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (_one_dim_alice, DimensionError, "local dimensions must be at least 2, got 1, 2"),
+        (lambda r: Realization(r.dim_a, r.dim_b, r.state[:3], r.alice, r.bob), ValueError,
+         r"state length 3 != dim_a\*dim_b = 4"),
+    ],
+    ids=["dim-1", "state-length"],
+)
+def test_realization_validate_rejects_bad_dimensions(make, error, message):
+    broken = make(ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6]))))
+    with pytest.raises(error, match=message):
+        broken.validate()
 
 
 def test_realization_validate_rejects_unnormalized_state():

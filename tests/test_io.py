@@ -72,6 +72,26 @@ def test_load_rejects_missing_fields(tmp_path):
     assert "tables" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_coefficients, "[0.8, 0.6]", "expected a JSON object at top level"),
+        (load_tables, '{"d": 2, "tables": [[0.5, 0.5]]}', "field 'tables' must be an object"),
+        (load_realization, '{"dimA": 2.0, "dimB": 2, "state": [], "alice": [], "bob": []}',
+         "'dimA' and 'dimB' must be integers"),
+        (load_realization, '{"dimA": 2, "dimB": 2, "state": [[1, 0]], "alice": [], "bob": []}',
+         "'state' must be a list of dimA*dimB [re, im] pairs, got shape (1, 2)"),
+    ],
+    ids=["top-level", "tables", "dim", "state-shape"],
+)
+def test_load_rejects_malformed_structure(tmp_path, load, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_load_coefficients_d_mismatch(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"d": 3, "c": [0.8, 0.6]}')
