@@ -13,10 +13,11 @@ ideal tables meet that bound exactly on every block; the classical
 
 A correlator ``<Ai Bj>`` is ``P(lo,lo) - P(lo,hi) - P(hi,lo) + P(hi,hi)``
 on the block's outcome pair (lo, hi) in the table of settings
-``(xs[i], ys[j])``, as listed by :func:`selftesting.schmidt.blocks`. Each
-family's four tables are read at the same block cells that
-:func:`selftesting.correlations.reference_tables` writes, all eight
-constrained tables in one gather.
+``(xs[i], ys[j])``, as listed by :func:`selftesting.schmidt.blocks`. The
+cells of every block are read in one gather from the (3, 4, d, d) array
+``CorrelationTables.values``, addressed by the block table's columns
+``xs``, ``ys`` and ``pair``: the same cells that
+:func:`selftesting.correlations.reference_tables` writes.
 
 Marginals ``<A0>`` are taken as full row sums of the relevant table, so
 off-block weight (absent in ideal tables, present in noisy ones) is
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationTables, _block_cells, _constrained_tables
+from .correlations import CorrelationTables
 from .schmidt import SchmidtCoefficients, blocks
 
 __all__ = ["BlockScore", "block_scores"]
@@ -57,22 +58,19 @@ def block_scores(t: CorrelationTables, sc: SchmidtCoefficients) -> list[BlockSco
 
     Tables of another d than `sc` raise :class:`DimensionError`, and a
     missing constrained pair raises :class:`CoverageError` naming the first
-    one in block order.
+    one in :func:`selftesting.correlations.constrained_pairs` order.
     """
-    t.require_d(sc.d)
+    t.require_constrained(sc.d)
     table = blocks(sc)
-    got = _constrained_tables(t)
-    rows, cols = _block_cells(table)
-    family = np.arange(2)[:, None, None]
-    # Family by cell by block by table, then the four correlators, each
-    # family by block.
-    cells = got[family, :, rows, cols]
-    e00, e01, e10, e11 = np.moveaxis(cells[:, 0] - cells[:, 1] - cells[:, 2] + cells[:, 3], -1, 0)
-    # Row sums of each family's first table, each the pairwise sum of one
-    # C-ordered row, read at the rows lo and hi of every block.
-    lo, hi = got[:, 0].sum(axis=-1)[family, rows[:, ::2]].swapaxes(0, 1)
+    v, xs, ys, pair = t.values, table.xs.T, table.ys.T, table.pair.T
+    # Indexed [i, j, a, b, block]: cell (a, b) of settings (xs[i], ys[j]).
+    cells = v[xs[:, None, None, None], ys[:, None, None], pair[:, None], pair]
+    e = cells[:, :, 0, 0] - cells[:, :, 0, 1] - cells[:, :, 1, 0] + cells[:, :, 1, 1]
+    # Row sums of each block's first table, each the pairwise sum of one
+    # C-ordered row, read at the rows lo and hi of the block.
+    lo, hi = v[xs[0], ys[0], pair].sum(axis=-1)
     alpha, mass = table.alpha, table.mass
-    beta = (alpha.reshape(2, -1) * (lo - hi) + e00 + e01 + e10 - e11).ravel()
+    beta = alpha * (lo - hi) + e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
     target = np.sqrt(8.0 + 2.0 * alpha * alpha) * mass
     columns = (table.m, table.primed, table.pair, mass, alpha, beta, target)
     return [

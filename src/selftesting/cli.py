@@ -213,11 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ParseError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
-        # A missing, unreadable or unwritable path, or a directory given as a file.
+    except (ParseError, OSError) as e:
+        # OSError: a missing, unreadable or unwritable path, or a directory
+        # given as a file.
         sys.stderr.write(f"error: {e}\n")
         return 2
     except SelfTestingError as e:

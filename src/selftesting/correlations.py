@@ -15,6 +15,10 @@ one. An absent pair is zero in ``values`` but means "no statement", not
 "all zeros": :meth:`CorrelationTables.table` raises :class:`CoverageError`
 for it, and every check masks it out. Every reduction is a sum over axes
 of ``values``, so no result depends on the layout of the caller's arrays.
+This is the only layout: the constrained tables are addressed through the
+block table's columns, block k's cell (a, b) of settings
+``(xs[k, i], ys[k, j])`` being ``values[xs[k, i], ys[k, j], pair[k, a],
+pair[k, b]]``.
 
 :func:`compute_tables` and :func:`reference_tables` are two independent
 routes to the same numbers for an ideal realization. The first applies the
@@ -22,8 +26,9 @@ Born rule to a concrete state and projectors; the second evaluates the
 closed-form block entries from the coefficients alone. Keeping both routes
 separate is what makes the equivalence test meaningful. The closed form is
 evaluated once per coefficient vector: one cached scatter writes the eight
-reference tables and the mask of their block cells together, and both
-:func:`reference_tables` and :func:`verify_tables` read it.
+reference tables, in the same (3, 4, d, d) layout, and the mask of their
+block cells together, and both :func:`reference_tables` and
+:func:`verify_tables` read it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .errors import CoverageError, DimensionError, HermiticityError
 from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization
-from .schmidt import SETTINGS, BlockTable, SchmidtCoefficients, blocks, corner
+from .schmidt import SETTINGS, SchmidtCoefficients, blocks, corner
 
 __all__ = [
     "CorrelationTables",
@@ -45,8 +50,6 @@ __all__ = [
     "verify_tables",
     "no_signaling_check",
     "constrained_pairs",
-    "ALICE_SETTINGS",
-    "BOB_SETTINGS",
 ]
 
 IMAG_TOL = 1e-10
@@ -118,29 +121,14 @@ class CorrelationTables:
     def pairs(self) -> list[tuple[int, int]]:
         return [(x, y) for x, y in np.argwhere(self.present).tolist()]
 
-    def require_d(self, d: int) -> None:
-        """Raise :class:`DimensionError` unless these tables have `d` outcomes."""
+    def require_constrained(self, d: int) -> None:
+        """Raise :class:`DimensionError` unless these tables have `d`
+        outcomes, and :class:`CoverageError` naming the first constrained
+        pair, in :func:`constrained_pairs` order, that they lack."""
         if self.d != d:
             raise DimensionError(f"tables have d = {self.d}, but the coefficients give d = {d}")
-
-
-#: The constrained pairs as two (2, 4) index arrays of x and y: family
-#: (unprimed, primed) by pair, in :func:`constrained_pairs` order.
-_XS, _YS = np.array(constrained_pairs()).reshape(2, 4, 2).transpose(2, 0, 1)
-
-
-def _constrained_tables(t: CorrelationTables) -> np.ndarray:
-    """The eight constrained tables in one gather, shape (2, 4, d, d): family
-    by pair, in :func:`constrained_pairs` order.
-
-    A missing pair raises :class:`CoverageError` naming the first one in
-    that order.
-    """
-    held = t.present[_XS, _YS]
-    if not held.all():
-        first = np.argmin(held)
-        t.table(int(_XS.flat[first]), int(_YS.flat[first]))  # raises
-    return t.values[_XS, _YS]
+        for x, y in constrained_pairs():
+            self.table(x, y)
 
 
 def compute_tables(r: Realization) -> CorrelationTables:
@@ -201,47 +189,37 @@ def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray
     return np.array([[z, z], x])
 
 
-def _block_cells(table: BlockTable) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of both families' block entries, each (2, 4, n):
-    family (unprimed, primed) by cell by block.
-
-    Rows ``[lo, lo, hi, hi]`` against columns ``[lo, hi, lo, hi]``: the
-    entries (lo, lo), (lo, hi), (hi, lo), (hi, hi) of every block, in the
-    row-major order of :func:`_block_2x2`. Both families have ``d // 2``
-    blocks.
-    """
-    lo_hi = table.pair.reshape(2, -1, 2)
-    return lo_hi[..., [0, 0, 1, 1]].swapaxes(1, 2), lo_hi[..., [0, 1, 0, 1]].swapaxes(1, 2)
-
-
 def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """The eight reference tables of `sc` in one read-only (2, 4, d, d)
-    array, family by pair as :func:`_constrained_tables` gathers them, and
-    the read-only mask of their block (and corner) cells, of the same shape.
+    """The reference tables of `sc` in one read-only (3, 4, d, d) array,
+    laid out as ``CorrelationTables.values``, and the read-only mask of
+    their block (and corner) cells, of the same shape. The four
+    unconstrained pairs are zero and unmasked.
 
-    One scatter writes both: a single index assignment puts every block of
-    both families at its :func:`_block_cells` and marks the same cells in
-    the mask, and when d is odd each family's corner (k, k) gets its full
-    coefficient weight in both. Computed on the first call and kept on
-    `sc`, as its block table is (:func:`selftesting.schmidt.blocks`): `sc`
-    is immutable, so they never go stale.
+    One scatter writes both: a single index assignment puts block k's cell
+    (a, b) of settings ``(xs[k, i], ys[k, j])`` at ``(pair[k, a], pair[k,
+    b])`` and marks the same cells in the mask, and when d is odd each
+    family's corner (k, k) gets its full coefficient weight in both.
+    Computed on the first call and kept on `sc`, as its block table is
+    (:func:`selftesting.schmidt.blocks`): `sc` is immutable, so they never
+    go stale.
     """
     # `vars`, as functools.cached_property stores its value: `sc` is frozen.
     cached = vars(sc).get("_reference")
     if cached is None:
         d, c, table = sc.d, sc.c, blocks(sc)
-        rows, cols = _block_cells(table)
-        family, pair = np.ogrid[:2, :4]
-        ref = np.zeros((2, 4, d, d))
+        xs, ys, pair = table.xs.T, table.ys.T, table.pair.T
+        ref = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
         mask = np.zeros(ref.shape, dtype=bool)
-        cells = _block_2x2(c[rows[:, 0]], c[rows[:, 2]], table.mu.reshape(2, -1))
-        at = (family[..., None, None], pair[..., None, None], rows[:, None], cols[:, None])
-        # [x_eff, y_eff, a, b, family, block] to [family, pair, cell, block]
-        ref[at] = cells.reshape(4, 4, 2, -1).transpose(2, 0, 1, 3)
+        # Indexed [i, j, a, b, block], as _block_2x2 returns the cells.
+        at = (xs[:, None, None, None], ys[:, None, None], pair[:, None], pair)
+        ref[at] = _block_2x2(*c[pair], table.mu)
         mask[at] = True
         if d % 2:
-            tops = np.array([[corner(d, primed)] for primed in SETTINGS])
-            at = (family, pair, tops, tops)
+            # Indexed [i, j, family]: each family's corner at the settings
+            # of the family's first block.
+            first = [0, d // 2]
+            tops = np.array([corner(d, primed) for primed in SETTINGS])
+            at = (xs[:, None, first], ys[:, first], tops, tops)
             ref[at] = np.float_power(c[tops], 2)
             mask[at] = True
         ref.flags.writeable = mask.flags.writeable = False
@@ -258,8 +236,8 @@ def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
     :func:`_reference`, so one closed-form evaluation per coefficient
     vector serves this and :func:`verify_tables`.
     """
-    d, (ref, _) = sc.d, _reference(sc)
-    return CorrelationTables(d=d, tables=dict(zip(constrained_pairs(), ref.reshape(8, d, d))))
+    ref, _ = _reference(sc)
+    return CorrelationTables(d=sc.d, tables={(x, y): ref[x, y] for x, y in constrained_pairs()})
 
 
 def no_signaling_check(t: CorrelationTables) -> float:
@@ -307,21 +285,25 @@ def verify_tables(
 ) -> VerificationReport:
     """Check a table set against the closed-form reference.
 
-    Every constrained pair must be present in `t` (else
-    :class:`CoverageError`); pairs beyond the constrained eight are
+    ``t.values`` is matched cell by cell against the (3, 4, d, d)
+    reference of :func:`_reference`: its block cells give the block
+    residual, and the other cells of the eight constrained pairs give each
+    pair's off-block mass. Every constrained pair must be present in `t`
+    (else :class:`CoverageError`); pairs beyond the constrained eight are
     ignored for the entrywise match but still participate in the
     no-signaling and sum-to-one checks. Tables of another d than `sc`
     raise :class:`DimensionError`.
     """
-    t.require_d(sc.d)
-    got = _constrained_tables(t)
+    t.require_constrained(sc.d)
     ref, mask = _reference(sc)
     # Fold with numpy, which propagates a NaN that the builtin max would drop.
-    block_res = float(np.max(np.abs(got - ref)[mask]))
-    # Both families leave the same number of cells off their blocks. The
-    # gather is one C-ordered array, so each pair's mass is the pairwise sum
-    # of its own off-block cells in row-major order.
-    off_mass = float(np.max(np.abs(got[~mask]).reshape(2, 4, -1).sum(axis=-1)))
+    block_res = float(np.max(np.abs(t.values - ref)[mask]))
+    # The cells of the constrained pairs off their blocks. Both families
+    # leave the same number of them, and `values` is C-ordered, so each
+    # pair's mass is the pairwise sum of its own off-block cells in
+    # row-major order.
+    off = ~mask & mask.any(axis=(2, 3), keepdims=True)
+    off_mass = float(np.max(np.abs(t.values[off]).reshape(8, -1).sum(axis=-1)))
     ns = no_signaling_check(t)
     sum_res = float(np.max(np.abs(t.values.sum(axis=(2, 3))[t.present] - 1.0)))
     passed = block_res <= tol and off_mass <= tol and ns <= tol and sum_res <= tol

@@ -119,6 +119,9 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     ``(seed, x, y)`` so pairs are reproducible in isolation and the result
     does not depend on iteration order.
     """
+    # The frequencies divide by `shots`, but the draw truncates it.
+    if not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     # Generator.multinomial counts in int64.
     if not 1 <= shots <= np.iinfo(np.int64).max:
         raise ValueError(f"shots must lie between 1 and 2**63 - 1, got {shots}")

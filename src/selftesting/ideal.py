@@ -38,8 +38,11 @@ __all__ = [
     "Measurement",
     "Realization",
     "ideal_realization",
+    "ALICE_SETTINGS",
+    "BOB_SETTINGS",
 ]
 
+#: Settings of the first and of the second party.
 ALICE_SETTINGS = 3
 BOB_SETTINGS = 4
 
@@ -150,27 +153,18 @@ class Realization:
         n = None
         for label, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
             given = getattr(self, label)
-            # A party array has one shape for all its settings, so its
-            # setting 0 stands for them all.
-            if isinstance(given, np.ndarray):
-                shapes = [given.shape[1:]]
-            else:
-                given = [
-                    m.projectors if isinstance(m, Measurement) else np.asarray(m) for m in given
-                ]
-                shapes = [p.shape for p in given]
-            for shape in shapes:
-                if len(shape) != 3 or shape[1] != shape[2]:
-                    raise ValueError(f"projector stack must be (n, dim, dim), got {shape}")
-            n = shapes[0][0] if n is None else n
-            for x, (outcomes, setting_dim, _) in enumerate(shapes):
-                if setting_dim != dim:
-                    raise DimensionError(f"{label} setting {x} acts on dim {setting_dim} != {dim}")
-                if outcomes != n:
-                    raise ValueError(f"{label} setting {x} has {outcomes} outcomes, expected {n}")
+            settings = [m if isinstance(m, Measurement) else Measurement(m) for m in given]
+            n = settings[0].n_outcomes if n is None else n
+            for x, m in enumerate(settings):
+                if m.dim != dim:
+                    raise DimensionError(f"{label} setting {x} acts on dim {m.dim} != {dim}")
+                if m.n_outcomes != n:
+                    raise ValueError(
+                        f"{label} setting {x} has {m.n_outcomes} outcomes, expected {n}"
+                    )
             # At d = 32 a copy's page faults cost more than building the party.
             if not isinstance(given, np.ndarray):
-                given = np.stack(given)
+                given = np.stack([m.projectors for m in settings])
             proj = _real_or_complex(given)
             proj.flags.writeable = False
             object.__setattr__(self, f"proj_{label[0]}", proj)
@@ -201,8 +195,8 @@ class Realization:
                 f"state squared norm {norm_sq!r} off 1 beyond {MEASUREMENT_TOL:.0e}"
             )
         # One setting at a time: stacked products per party are slower at d = 32.
-        for stack in (*self.proj_a, *self.proj_b):
-            Measurement(stack).validate()
+        for m in self.alice + self.bob:
+            m.validate()
 
 
 def _alice_vectors(mu: np.ndarray, i: int) -> np.ndarray:

@@ -32,9 +32,9 @@ from typing import Any
 
 import numpy as np
 
-from .correlations import ALICE_SETTINGS, BOB_SETTINGS, CorrelationTables
+from .correlations import CorrelationTables
 from .errors import ParseError
-from .ideal import Realization
+from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization
 from .schmidt import SchmidtCoefficients
 
 __all__ = [

@@ -112,6 +112,14 @@ class SchmidtCoefficients:
         # of how many blocks there are.
         rows = [(*_block_angles(c_lo, c_hi), c_lo**2 + c_hi**2) for c_lo, c_hi in c[pair]]
         theta, mu, alpha, mass = np.array(rows).T.copy()
+        inside = (0.0 < theta) & (theta < np.pi / 2) & (0.0 < mu) & (mu < np.pi / 2)
+        if not inside.all():
+            k = np.argmin(inside)
+            lo, hi = pair[k]
+            raise AngleRangeError(
+                f"block (m, primed) = ({m[k]}, {primed[k]}) on pair ({lo}, {hi}), c_lo/c_hi = "
+                f"{c[lo] / c[hi]:.3e}: angles left (0, pi/2): theta={theta[k]}, mu={mu[k]}"
+            )
         return BlockTable(primed, m, pair, xs, ys, theta, mu, alpha, mass)
 
 
@@ -160,8 +168,6 @@ def _block_angles(lo: float, hi: float) -> tuple[float, float, float]:
     sin2t = float(np.sin(2 * theta))
     mu = float(np.arctan(sin2t))
     alpha = float(2 * np.cos(2 * theta) / np.sqrt(1 + sin2t * sin2t))
-    if not (0.0 < theta < np.pi / 2 and 0.0 < mu < np.pi / 2):
-        raise AngleRangeError(f"block angles left (0, pi/2): theta={theta}, mu={mu}")
     return theta, mu, alpha
 
 
@@ -179,8 +185,9 @@ class AngleSchedule:
     """Per-block angles for both block families, as arrays over m.
 
     A view of :func:`blocks`: each array is a read-only view of one family's
-    half of a table column, and both families have ``floor(d/2)`` blocks. theta and mu sit in (0, pi/2), alpha in (-2, 2)
-    with the sign of cos(2 theta).
+    half of a table column, and both families have ``floor(d/2)`` blocks.
+    theta and mu sit in (0, pi/2), alpha in (-2, 2) with the sign of
+    cos(2 theta).
     """
 
     d: int

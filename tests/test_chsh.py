@@ -44,7 +44,7 @@ def _correlators(t, b):
 
 def _score_loop(t, sc):
     """Per-block reference for block_scores: each block scored on its own."""
-    t.require_d(sc.d)
+    t.require_constrained(sc.d)
     out = []
     for b in block_rows(sc):
         a0, a0b0, a0b1, a1b0, a1b1 = _correlators(t, b)

@@ -126,7 +126,14 @@ def test_reference_tables_match_block_loop(d):
         if top is not None:
             mask[top, top] = True
         # every pair of the family shares its mask
-        assert np.array_equal(_reference(sc)[1][int(primed)], np.broadcast_to(mask, (4, d, d)))
+        xs, ys = SETTINGS[primed]
+        got = _reference(sc)[1][np.ix_(xs, ys)]
+        assert np.array_equal(got, np.broadcast_to(mask, (2, 2, d, d)))
+    # the unconstrained pairs hold no reference cell
+    unconstrained = np.ones((3, 4), dtype=bool)
+    unconstrained[tuple(zip(*constrained_pairs()))] = False
+    ref, mask = _reference(sc)
+    assert not mask[unconstrained].any() and not ref[unconstrained].any()
 
 
 def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:
@@ -298,6 +305,21 @@ def test_verify_ignores_unconstrained_pair_entries():
     rep = verify_tables(CorrelationTables(d=2, tables=tables), sc)
     assert not rep.passed
     assert rep.nosignal_residual > 1e-4
+    # whatever the four unconstrained pairs hold, the block scores and the
+    # entrywise checks never read them
+    for d in (2, 3, 8):
+        sc = random_coefficients(d, seed=90 + d)
+        t = compute_tables(ideal_realization(sc))
+        rng = np.random.default_rng(d)
+        tables = {p: t.table(*p) for p in t.pairs()}
+        for p in set(tables) - set(constrained_pairs()):
+            tables[p] = rng.uniform(-5.0, 5.0, (d, d))
+        assert len(tables) - len(constrained_pairs()) == 4
+        filled = CorrelationTables(d=d, tables=tables)
+        assert block_scores(filled, sc) == block_scores(t, sc)
+        got, want = verify_tables(filled, sc), verify_tables(t, sc)
+        assert got.block_residual == want.block_residual
+        assert got.offblock_mass == want.offblock_mass
 
 
 def test_verify_builds_the_reference_once_per_coefficients(monkeypatch):

@@ -34,3 +34,19 @@ def test_package_reexports_are_public():
         public = importlib.import_module(f"selftesting.{node.module}").__all__
         stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert stale == []
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_private_imports_between_modules(name):
+    # a module reads a sibling only through its public names, so a private
+    # layout stays behind the module that owns it
+    path = Path(selftesting.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == []

@@ -35,13 +35,27 @@ def test_sample_tables_rejects_negative_seed():
         sample_tables(r, 10, -1)
 
 
-@pytest.mark.parametrize("shots", [0, 2**63], ids=["zero", "beyond-int64"])
-def test_sample_tables_rejects_shots_out_of_range(shots):
-    # 2**63 raised OverflowError from Generator.multinomial
+@pytest.mark.parametrize(
+    "shots, message",
+    [
+        (0, r"^shots must lie between 1 and 2\*\*63 - 1, got 0$"),
+        (2**63, rf"^shots must lie between 1 and 2\*\*63 - 1, got {2**63}$"),
+        (10.5, r"^shots must be an integer, got 10\.5$"),
+    ],
+    ids=["zero", "beyond-int64", "non-integer"],
+)
+def test_sample_tables_rejects_shots_out_of_range(shots, message):
+    # 2**63 raised OverflowError from Generator.multinomial; 10.5 drew 10
+    # shots and divided the counts by 10.5, so the tables summed to 0.952
     r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
-    message = rf"^shots must lie between 1 and 2\*\*63 - 1, got {shots}$"
     with pytest.raises(ValueError, match=message):
         sample_tables(r, shots, 0)
+
+
+def test_sample_tables_accepts_numpy_integer_shots():
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    got, want = sample_tables(r, np.int64(10), 0), sample_tables(r, 10, 0)
+    assert np.array_equal(got.estimated.values, want.estimated.values)
 
 
 def test_haar_unitary_is_unitary():

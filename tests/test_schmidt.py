@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -20,6 +21,7 @@ from selftesting import (
     verify_tables,
 )
 from selftesting.errors import (
+    AngleRangeError,
     CoefficientRangeError,
     DimensionError,
     NormalizationError,
@@ -33,6 +35,21 @@ ALPHA_86 = 0.40397689977733287
 # d=4, c=(0.8, 0.4, 0.4, 0.2): first unprimed block and the wrap block
 ALPHA_D4_M0 = 6 / np.sqrt(41)
 ALPHA_D4_WRAP = -30 / np.sqrt(353)
+
+
+@pytest.mark.parametrize(
+    "ratio, d, block, ratio_text",
+    [(0.5, 54, "(26, True) on pair (53, 0)", "1.110e-16"),
+     (0.3, 32, "(15, True) on pair (31, 0)", "6.177e-17")],
+)
+def test_angle_range_error_names_its_block(ratio, d, block, ratio_text):
+    # a geometric state's wrap block pairs its smallest coefficient with its
+    # largest; below about 1.1e-16, theta rounds to pi/2
+    c = ratio ** np.arange(d)
+    sc = SchmidtCoefficients(c / np.linalg.norm(c))
+    message = rf"^block \(m, primed\) = {re.escape(block)}, c_lo/c_hi = {ratio_text}: "
+    with pytest.raises(AngleRangeError, match=message + r"angles left \(0, pi/2\)"):
+        blocks(sc)
 
 
 def test_validation_rejects_zero_coefficient():
