@@ -73,7 +73,10 @@ def test_invalid_realization_is_input_error(capsys, tmp_path):
     overlapping["alice"][0][1] = overlapping["alice"][0][0]
     nan_state = json.loads(real.read_text())
     nan_state["state"][0] = [float("nan"), 0.0]
-    for doc, why in ((overlapping, "overlap"), (nan_state, "non-finite")):
+    for doc, why in (
+        (overlapping, "alice setting 0: outcomes 0,1 projectors overlap"),
+        (nan_state, "non-finite"),
+    ):
         real.write_text(json.dumps(doc))
         for argv in (["extract", str(real), "--coeffs", "0.8,0.6"], ["sample", str(real)]):
             code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,96 @@ def test_validate_rejects_nonfinite_projectors():
     stack[1, 0, 1] = complex(0.0, np.inf)
     with pytest.raises(ValueError, match="non-finite"):
         Measurement(stack).validate()
+
+
+def _party_loop(r: Realization) -> tuple[type, str] | None:
+    """Pairwise reference for Realization.validate's projector checks: the
+    first failing setting's `_validate_loop` verdict, named by its setting."""
+    for party, stacks in (("alice", r.proj_a), ("bob", r.proj_b)):
+        for x, stack in enumerate(stacks):
+            got = _verdict(lambda: _validate_loop(Measurement(stack)))
+            if got is not None:
+                return got[0], f"{party} setting {x}: {got[1]}"
+    return None
+
+
+def _defective_realization(d: int, seed: int) -> tuple[str, Realization]:
+    """Ideal realization with one seeded defect in one setting.
+
+    Ideal stacks are sparse: each projector lives on one block's pair, so
+    most diagonals of products are skipped. The "overlap" defect leans
+    outcome k's vector into outcome j's range, which links two disjoint
+    supports. The "column" defect puts a sub-tolerance entry into P_j at
+    a row in its support and a column c in P_k's support, then scales P_k
+    by 100: the column support of P_j meets the row support of P_k while
+    their row supports stay disjoint, and P_j P_k exceeds the tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    r = ideal_realization(random_coefficients(d, seed=seed))
+    proj = [r.proj_a.copy(), r.proj_b.copy()]
+    p = proj[rng.integers(2)]
+    x = int(rng.integers(len(p)))
+    kind = ("none", "hermiticity", "idempotency", "overlap", "completeness", "column")[seed % 6]
+    eps = 10.0 ** rng.uniform(-12, -3)
+    support = [set(np.flatnonzero(np.diagonal(q))) for q in p[x]]
+    j, k = sorted(rng.choice(d, size=2, replace=False))
+    while kind == "column" and support[j] & support[k]:
+        j, k = sorted(rng.choice(d, size=2, replace=False))
+    if kind == "hermiticity":
+        p[x, j, k, j] += eps
+    elif kind == "idempotency":
+        p[x, j] *= 1 + eps
+    elif kind == "overlap":
+        p[x] = _planted_overlap(p[x], j, k, eps)
+    elif kind == "completeness":
+        p[x, j] = 0.0
+    elif kind == "column":
+        a = min(support[j])
+        c = max(support[k], key=lambda i: p[x, k, i, i])
+        p[x, j, a, c] += 5e-11
+        p[x, k] *= 100.0
+    return kind, Realization(r.dim_a, r.dim_b, r.state, *proj)
+
+
+@pytest.mark.parametrize("d", [4, 9, 32])
+def test_realization_validate_matches_pairwise_loop_on_sparse_stacks(d):
+    first_words = set()
+    for seed in range(60):
+        kind, r = _defective_realization(d, seed)
+        want = _party_loop(r)
+        assert _verdict(r.validate) == want, (seed, kind)
+        if kind == "column":
+            assert "projectors overlap" in want[1], seed
+        if want is not None:
+            first_words.add(want[1].split(": ")[1].split()[0])
+    assert first_words == {"projector", "outcome", "outcomes", "projectors"}
+
+
+def test_realization_validate_reports_settings_in_order():
+    r = ideal_realization(random_coefficients(5, seed=5))
+    alice, bob = r.proj_a.copy(), r.proj_b.copy()
+    alice[1] = _planted_overlap(alice[1], 0, 3, 1e-6)
+    bob[3, 2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^alice setting 1: outcomes 0,3 projectors overlap"):
+        Realization(r.dim_a, r.dim_b, r.state, alice, bob).validate()
+
+
+@pytest.mark.parametrize("x", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_realization_validate_nonfinite_setting_without_warnings(x, bad):
+    r = ideal_realization(random_coefficients(8, seed=8))
+    bob = r.proj_b.copy()
+    bob[x, 5, 2, 6] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^bob setting {x}: projectors contain non-finite"):
+            Realization(r.dim_a, r.dim_b, r.state, r.alice, bob).validate()
+
+
+@pytest.mark.parametrize("spec", [EmbeddingSpec(3, 2, None), EmbeddingSpec(2, 1, 7)])
+def test_realization_validate_passes_padded_and_rotated(spec):
+    for d in (2, 3, 8, 16, 32):
+        embed_realization(ideal_realization(random_coefficients(d, seed=d)), spec).validate()
 
 
 def test_ideal_realization_is_real():
