@@ -51,7 +51,6 @@ from .schmidt import (
     SchmidtCoefficients,
     angles,
     blocks,
-    corner,
     target_state,
 )
 

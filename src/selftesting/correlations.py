@@ -3,7 +3,7 @@
 A table set holds one d x d matrix per setting pair (x, y), entry [a][b]
 being P(a, b | x, y). Twelve pairs exist; eight of them are constrained by
 the self-test and are the ones :func:`reference_tables` emits: the pairs of
-one family's settings carry that family's blocks and corner (see
+one family's settings carry that family's blocks (see
 :func:`selftesting.schmidt.blocks`). The remaining four pairs are
 intentionally unconstrained: they may hold anything a device produces, and
 the verifier ignores them.
@@ -18,7 +18,9 @@ of ``values``, so no result depends on the layout of the caller's arrays.
 This is the only layout: the constrained tables are addressed through the
 block table's columns, block k's cell (a, b) of settings
 ``(xs[k, i], ys[k, j])`` being ``values[xs[k, i], ys[k, j], pair[k, a],
-pair[k, b]]``.
+pair[k, b]]``. An outcome k that no block of a constrained pair holds (for
+odd d, one outcome per family) is deterministic there: its one cell is
+``(k, k)``, with the full weight ``c_k^2``.
 
 :func:`compute_tables` and :func:`reference_tables` are two independent
 routes to the same numbers for an ideal realization. The first applies the
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import CoverageError, DimensionError, HermiticityError
 from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization
-from .schmidt import SETTINGS, SchmidtCoefficients, blocks, corner
+from .schmidt import SETTINGS, SchmidtCoefficients, blocks
 
 __all__ = [
     "CorrelationTables",
@@ -61,7 +63,8 @@ def constrained_pairs() -> list[tuple[int, int]]:
     return [(x, y) for xs, ys in SETTINGS.values() for x in xs for y in ys]
 
 
-def _is_int(value: object) -> bool:
+# Not in __all__: shared with harness, which checks its inputs by the same rule.
+def is_int(value: object) -> bool:
     """A Python or numpy integer, but not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -74,8 +77,9 @@ class CorrelationTables:
     copied. `d` must be an integer >= 2, every key two integers in range,
     every table of shape (d, d) with finite entries (a NaN compares false
     against every tolerance, so it would pass any check made on it), and
-    the mapping must not be empty; anything else is a ``ValueError``.
-    ``==`` is identity.
+    the mapping must not be empty; anything else is a ``ValueError``. A
+    complex table is taken as its real part if its imaginary part is zero,
+    and refused otherwise. ``==`` is identity.
     """
 
     d: int
@@ -84,7 +88,7 @@ class CorrelationTables:
     present: np.ndarray = field(init=False)
 
     def __post_init__(self, tables: Mapping[tuple[int, int], np.ndarray]) -> None:
-        if not _is_int(self.d) or self.d < 2:
+        if not is_int(self.d) or self.d < 2:
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
         self.d = d = int(self.d)
         # Checked before anything is allocated, so that the array is never
@@ -92,16 +96,18 @@ class CorrelationTables:
         if not tables:
             raise ValueError("a table set needs at least one setting pair")
         for key, tab in tables.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_int, key))):
                 raise ValueError(f"setting pair {key!r} is not two integers")
             if not (0 <= key[0] < ALICE_SETTINGS and 0 <= key[1] < BOB_SETTINGS):
                 raise ValueError(f"setting pair {key} out of range")
             if np.shape(tab) != (d, d):
                 raise ValueError(f"table {key} has shape {np.shape(tab)}, expected {(d, d)}")
+            if np.iscomplexobj(tab) and np.any(np.imag(tab)):
+                raise ValueError(f"table {key} has a nonzero imaginary part")
         self.values = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
         self.present = np.zeros((ALICE_SETTINGS, BOB_SETTINGS), dtype=bool)
         for (x, y), tab in tables.items():
-            self.values[x, y] = tab
+            self.values[x, y] = np.real(tab)
             self.present[x, y] = True
         bad = np.argwhere(~np.isfinite(self.values).all(axis=(2, 3)))
         if bad.size:
@@ -192,13 +198,14 @@ def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray
 def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """The reference tables of `sc` in one read-only (3, 4, d, d) array,
     laid out as ``CorrelationTables.values``, and the read-only mask of
-    their block (and corner) cells, of the same shape. The four
-    unconstrained pairs are zero and unmasked.
+    their cells, of the same shape. The four unconstrained pairs are zero
+    and unmasked.
 
     One scatter writes both: a single index assignment puts block k's cell
     (a, b) of settings ``(xs[k, i], ys[k, j])`` at ``(pair[k, a], pair[k,
-    b])`` and marks the same cells in the mask, and when d is odd each
-    family's corner (k, k) gets its full coefficient weight in both.
+    b])`` and marks the same cells in the mask. Then each row k of a
+    constrained pair that holds no block cell gets ``c_k^2`` at (k, k), and
+    is masked there.
     Computed on the first call and kept on `sc`, as its block table is
     (:func:`selftesting.schmidt.blocks`): `sc` is immutable, so they never
     go stale.
@@ -214,14 +221,9 @@ def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
         at = (xs[:, None, None, None], ys[:, None, None], pair[:, None], pair)
         ref[at] = _block_2x2(*c[pair], table.mu)
         mask[at] = True
-        if d % 2:
-            # Indexed [i, j, family]: each family's corner at the settings
-            # of the family's first block.
-            first = [0, d // 2]
-            tops = np.array([corner(d, primed) for primed in SETTINGS])
-            at = (xs[:, None, first], ys[:, first], tops, tops)
-            ref[at] = np.float_power(c[tops], 2)
-            mask[at] = True
+        x, y, k = np.nonzero(mask.any(axis=(2, 3))[..., None] & ~mask.any(axis=3))
+        ref[x, y, k, k] = np.float_power(c[k], 2)
+        mask[x, y, k, k] = True
         ref.flags.writeable = mask.flags.writeable = False
         cached = vars(sc)["_reference"] = (ref, mask)
     return cached
@@ -231,8 +233,8 @@ def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
     """Closed-form tables for the 8 constrained pairs.
 
     Each pair of a family's settings is block diagonal over that family's
-    blocks, with the family's corner (k, k) carrying its full coefficient
-    weight when d is odd. The tables are the cached scatter of
+    blocks, and an outcome k that none of them holds carries its full
+    coefficient weight at (k, k). The tables are the cached scatter of
     :func:`_reference`, so one closed-form evaluation per coefficient
     vector serves this and :func:`verify_tables`.
     """

@@ -24,8 +24,11 @@ stages mirror the proof structure:
    block frame: with P the orthogonal projector onto the eigenvectors of
    the combined block identity ``1_m^{B_0} + 1_m^{B_1}`` with eigenvalue
    above 1, and Zt the compressed Z, the cut pair is ``(P + Zt)/2`` and
-   ``(P - Zt)/2``. When d is odd the top outcome is the unprimed corner
-   and is cut from the last primed block instead. The cut ladder is
+   ``(P - Zt)/2``. Each outcome is cut from the first block, in table
+   order, whose pair holds it: as ``(P + Zt)/2`` if it is that block's lo,
+   as ``(P - Zt)/2`` if it is its hi. So the unprimed blocks cut every
+   outcome they hold, and for odd d the last primed block cuts the top
+   outcome d - 1, which no unprimed block holds. The cut ladder is
    orthogonal only for exact inputs, so it is rounded: each eigenvector of
    the Hermitian part of the label operator ``L = sum_k k P_cut^(k)`` gets
    the nearest label in 0..d-1, and ``P^(k)`` projects onto the
@@ -126,7 +129,7 @@ import numpy as np
 
 from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
 from .ideal import Realization
-from .schmidt import BlockTable, SchmidtCoefficients, blocks, corner
+from .schmidt import BlockTable, SchmidtCoefficients, blocks
 
 __all__ = [
     "BlockOperators",
@@ -260,7 +263,7 @@ def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
 
 
 def _frame(
-    ops: BlockOperators, z_at: list[int], x_at: list[int] | np.ndarray
+    ops: BlockOperators, z_at: list[int] | np.ndarray, x_at: list[int] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The second party's unitarized Z of the blocks `z_at` and X of the
     blocks `x_at`, in one stacked sign-unitarization.
@@ -391,6 +394,29 @@ def _round_ladder(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.clip(np.rint(w), 0, d - 1).astype(int)
 
 
+def _ladder(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the second party's ladder and the flip chains read the blocks.
+
+    Returns ``cut_at``, the blocks that cut the ladder, ascending; ``take``,
+    for each outcome k, its row in the stack of the cut blocks' ``(P + Zt)/2``
+    followed by their ``(P - Zt)/2``; and ``step_at``, the block of each
+    chain step i, the one whose pair starts at i. Outcome k is cut from the
+    first block, in table order, whose pair holds it, on the ``+`` side if k
+    is that block's lo. Computed on the first call and kept on `sc`, as the
+    reference tables are.
+    """
+    # `vars`, as functools.cached_property stores its value: `sc` is frozen.
+    cached = vars(sc).get("_ladder")
+    if cached is None:
+        pair = blocks(sc).pair
+        # Each outcome's first cell in the pairs, read in table order.
+        block, side = np.divmod(np.unique(pair, return_index=True)[1], 2)
+        cut_at, row = np.unique(block, return_inverse=True)
+        step_at = np.argsort(pair[:, 0])[: sc.d - 1]
+        cached = vars(sc)["_ladder"] = (cut_at, side * len(cut_at) + row, step_at)
+    return cached
+
+
 def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOperators:
     """Assemble the projector ladders and the flip chains.
 
@@ -400,16 +426,7 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     """
     d = sc.d
     ops = build_block_operators(r, sc)
-    table = ops.table
-    n_blocks = d // 2
-
-    # Second party's ladder: cut each unprimed block's frame in two. For odd
-    # d the unprimed corner is the second outcome of the last primed block.
-    cut_at = list(range(n_blocks))
-    if corner(d, primed=False) is not None:
-        cut_at.append(len(table) - 1)
-    # Flip chains climb the ladder: step i is the block whose pair starts at i.
-    step_at = np.argsort(table.pair[:, 0])[: d - 1]
+    cut_at, take, step_at = _ladder(sc)
 
     # Only the cuts' Z and the steps' X are read: unitarize just those, in
     # one stacked call.
@@ -419,11 +436,7 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     w, v = np.linalg.eigh(ib[:, 0] + ib[:, 1])
     support = (v * (w > 1.0)[..., None, :]) @ dagger(v)
     z_cut = support @ zb @ support
-    # The unprimed cuts, the first n_blocks, give both outcomes of their
-    # pair; the odd-d corner cut gives only its hi.
-    p_cut = np.zeros((d, r.dim_b, r.dim_b), dtype=z_cut.dtype)
-    p_cut[table.pair[:n_blocks, 0]] = (support + z_cut)[:n_blocks] / 2.0
-    p_cut[table.pair[cut_at, 1]] = (support - z_cut) / 2.0
+    p_cut = np.concatenate((support + z_cut, support - z_cut))[take] / 2.0
 
     # Round the cut ladder to a projective one.
     v, labels = _round_ladder(p_cut)

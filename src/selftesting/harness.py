@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationTables, compute_tables
+from .correlations import CorrelationTables, compute_tables, is_int
 from .ideal import Realization
 
 __all__ = [
@@ -30,7 +30,9 @@ class EmbeddingSpec:
     ``extra_a`` and ``extra_b`` unused dimensions are appended on the
     respective sides; `seed` selects the pair of local rotations applied
     afterwards. ``seed=None`` keeps both rotations at the identity, so
-    pure padding can be tested for exact table preservation.
+    pure padding can be tested for exact table preservation. Each field is
+    a Python or numpy integer, not a bool (`seed` may also be None);
+    anything else is a ``ValueError`` that names the field.
     """
 
     extra_a: int = 0
@@ -38,6 +40,9 @@ class EmbeddingSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (is_int(value) or (name == "seed" and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.extra_a < 0 or self.extra_b < 0:
             raise ValueError("extra dimensions must be non-negative")
         if self.extra_a > 32 or self.extra_b > 32:
@@ -117,11 +122,14 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     Each pair draws one multinomial with `shots` trials from its exact
     outcome distribution, on an independent PCG64 sub-stream seeded with
     ``(seed, x, y)`` so pairs are reproducible in isolation and the result
-    does not depend on iteration order.
+    does not depend on iteration order. `shots` and `seed` are Python or
+    numpy integers, not bools; anything else is a ``ValueError`` that names
+    the argument.
     """
     # The frequencies divide by `shots`, but the draw truncates it.
-    if not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
+    for name, value in (("shots", shots), ("seed", seed)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     # Generator.multinomial counts in int64.
     if not 1 <= shots <= np.iinfo(np.int64).max:
         raise ValueError(f"shots must lie between 1 and 2**63 - 1, got {shots}")

@@ -2,8 +2,7 @@
 
 The two parties measure a shared d-level pair. Each setting measures one
 two-level observable on every block of its family (see
-:func:`selftesting.schmidt.blocks` for the blocks, their settings and their
-corners):
+:func:`selftesting.schmidt.blocks` for the blocks and their settings):
 
 * first party: the block's first setting measures Z (the computational
   basis), its second setting the flip observable X;
@@ -11,9 +10,10 @@ corners):
   ``cos(mu) Z + sin(mu) X`` and ``cos(mu) Z - sin(mu) X``.
 
 Within a block the +1 eigenvector is assigned to the block's first outcome
-label and the -1 eigenvector to the second. A family's corner outcome keeps
-its computational projector. All projectors are rank one, and each
-measurement's projectors sum to the identity exactly by construction.
+label and the -1 eigenvector to the second. An outcome that no block of a
+setting holds (for odd d, one outcome per family) keeps its computational
+projector there. All projectors are rank one, and each measurement's
+projectors sum to the identity exactly by construction.
 
 In memory each party is one read-only, C-ordered (settings, n, dim, dim)
 array indexed [setting, outcome, row, column]: ``proj_a`` holds the first
@@ -34,12 +34,11 @@ keeps only the diagonals 0, 1 and, for even d, d - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, HermiticityError, NormalizationError
-from .schmidt import SETTINGS, BlockTable, SchmidtCoefficients, blocks, corner, target_state
+from .schmidt import BlockTable, SchmidtCoefficients, blocks, target_state
 
 __all__ = [
     "Measurement",
@@ -238,71 +237,49 @@ class Realization:
         _check_projectors(self.proj_b, "bob")
 
 
-def _alice_vectors(mu: np.ndarray, i: int) -> np.ndarray:
-    """Eigenvectors for outcomes (lo, hi): Z for setting i=0, X for i=1.
-
-    Like every function passed to :func:`_party`, returns an
-    ``(outcome, coordinate, block)`` array: entry ``[o, k, b]`` is the
-    coefficient on block b's k-th basis vector (``e_lo``, then ``e_hi``) of
-    the eigenvector for its o-th outcome. The first party's vectors do not
-    depend on the tilts ``mu``, so the block axis has length 1.
-    """
-    if i == 0:
-        return np.eye(2)[:, :, None]
-    s = 1.0 / np.sqrt(2)
-    return np.array([[s, s], [s, -s]])[:, :, None]
-
-
-def _bob_vectors(mu: np.ndarray, i: int) -> np.ndarray:
-    """Eigenvectors of cos(mu) Z + sign * sin(mu) X, sign + for i=0 and - for i=1.
-
-    Outcome lo gets the +1 eigenvector cos(mu/2) e_lo + sign sin(mu/2) e_hi,
-    outcome hi the orthogonal -1 eigenvector, as an ``(outcome, coordinate,
-    block)`` array over the tilts ``mu`` of the blocks.
-    """
-    sign = 1.0 if i == 0 else -1.0
-    ch, sh = np.cos(mu / 2), np.sin(mu / 2)
-    return np.array([[ch, sign * sh], [-sign * sh, ch]])
-
-
-def _party(
-    d: int, table: BlockTable, party: int, vectors: Callable[[np.ndarray, int], np.ndarray]
-) -> np.ndarray:
+def _party(d: int, settings: np.ndarray, table: BlockTable, u: np.ndarray) -> np.ndarray:
     """One party's projectors as one (settings, d, d, d) array.
 
-    ``party`` is 0 for the first party and 1 for the second; block i's
-    j-th setting for it, ``table.xs[i, j]`` or ``table.ys[i, j]``, measures
-    ``vectors(mu, j)`` on the block, and each family's settings measure the
-    family's corner too. A setting shared by both families (the first
-    party's Z basis) is written twice, identically.
+    ``settings`` holds the party's two settings of each block,
+    ``table.xs`` or ``table.ys``; the party has ``settings.max() + 1``
+    settings. ``u[j]`` is the ``(outcome, coordinate, block)`` array of the
+    eigenvectors that block i's setting ``settings[i, j]`` measures: entry
+    ``[o, k, i]`` is the coefficient on the block's k-th basis vector
+    (``e_lo``, then ``e_hi``) of the eigenvector for its o-th outcome. A
+    block axis of length 1 serves every block.
 
-    Each setting index j is written with one index assignment: outcome
-    ``pair[o]`` of every block gets ``u[o, k] u[o, l]`` at ``(pair[k],
-    pair[l])`` of the block's setting. Adding 0.0 turns each -0.0 into 0.0,
-    so a saved ideal realization holds no signed zeros.
+    Every outcome of every setting starts as its computational projector
+    ``|k><k|``. Then one index assignment writes every block of both
+    setting columns: outcome ``pair[o]`` gets ``u[j, o, k] u[j, o, l]`` at
+    ``(pair[k], pair[l])``, its own diagonal cell included. So each outcome
+    that a block of the setting holds is overwritten, and one that no block
+    holds keeps ``|k><k|``. A setting shared by both families (the first
+    party's Z basis) is written twice, identically. Adding 0.0 turns each
+    -0.0 into 0.0, so a saved ideal realization holds no signed zeros.
     """
-    p = np.zeros(((ALICE_SETTINGS, BOB_SETTINGS)[party], d, d, d))
+    p = np.zeros((settings.max() + 1, d, d, d))
+    k = np.arange(d)
+    p[:, k, k, k] = 1.0
     pair = table.pair.T
-    settings = (table.xs, table.ys)[party]
-    for j in range(2):
-        u = vectors(table.mu, j)
-        p[settings[:, j], pair[:, None, None], pair[None, :, None], pair[None, None, :]] = (
-            u[:, :, None] * u[:, None, :] + 0.0
-        )
-    if d % 2:
-        tops = np.array([[corner(d, primed)] for primed in SETTINGS])
-        family = np.array([both[party] for both in SETTINGS.values()])
-        p[family, tops, tops, tops] = 1.0
+    # Indexed [j, o, k, l, block], as the products u[j, o, k] u[j, o, l].
+    at = (settings.T[:, None, None, None], pair[:, None, None], pair[:, None], pair)
+    p[at] = u[:, :, :, None] * u[:, :, None, :] + 0.0
     return p
 
 
 def ideal_realization(sc: SchmidtCoefficients) -> Realization:
     """Target state plus ideal measurements on both sides."""
     table = blocks(sc)
+    # First party: Z, then X; second party: cos(mu) Z + sin(mu) X, then
+    # cos(mu) Z - sin(mu) X, outcome lo on the +1 eigenvector.
+    s = 1.0 / np.sqrt(2)
+    u_a = np.array([[[1.0, 0.0], [0.0, 1.0]], [[s, s], [s, -s]]])[..., None]
+    ch, sh = np.cos(table.mu / 2), np.sin(table.mu / 2)
+    u_b = np.array([[[ch, sh], [-sh, ch]], [[ch, -sh], [sh, ch]]])
     return Realization(
         dim_a=sc.d,
         dim_b=sc.d,
         state=target_state(sc),
-        alice=_party(sc.d, table, 0, _alice_vectors),
-        bob=_party(sc.d, table, 1, _bob_vectors),
+        alice=_party(sc.d, table.xs, table, u_a),
+        bob=_party(sc.d, table.ys, table, u_b),
     )

@@ -6,16 +6,17 @@ table of 2x2 blocks (:func:`blocks`), one tilted-CHSH sub-test each, in two
 overlapping families of ``floor(d/2)`` blocks:
 
 * unprimed block m pairs outcomes ``(2m, 2m+1)`` and uses first-party
-  settings (0, 1) and second-party settings (0, 1); when d is odd the last
-  outcome ``d-1`` is left over as the family's corner.
+  settings (0, 1) and second-party settings (0, 1); when d is odd no
+  unprimed block holds the last outcome ``d-1``.
 * primed block m pairs outcomes ``(2m+1, (2m+2) mod d)`` and uses
   first-party settings (0, 2) and second-party settings (2, 3); for even d
   the last primed block wraps around to pair ``(d-1, 0)``, while for odd d
-  the corner outcome 0 is left over.
+  no primed block holds outcome 0.
 
-Every outcome is covered by the union of the two families, which is what
-lets the flip chain walk the full ladder of outcomes. A corner outcome
-keeps its computational projector in every setting of its family.
+Every outcome is held by some block of the union of the two families,
+which is what lets the flip chain walk the full ladder of outcomes. An
+outcome that no block of a setting holds keeps its computational
+projector in that setting, and its full weight ``c_k^2`` in the tables.
 
 Each block carries its mass ``c_lo^2 + c_hi^2`` and three derived angles.
 With ``theta = arctan(c_hi / c_lo)`` for the block's ordered pair (lo, hi):
@@ -49,7 +50,6 @@ __all__ = [
     "SchmidtCoefficients",
     "BlockTable",
     "blocks",
-    "corner",
     "SETTINGS",
     "AngleSchedule",
     "angles",
@@ -121,14 +121,6 @@ class SchmidtCoefficients:
                 f"{c[lo] / c[hi]:.3e}: angles left (0, pi/2): theta={theta[k]}, mu={mu[k]}"
             )
         return BlockTable(primed, m, pair, xs, ys, theta, mu, alpha, mass)
-
-
-def corner(d: int, primed: bool) -> int | None:
-    """The outcome no block of the family covers: d-1 unprimed and 0 primed
-    for odd d, none for even d."""
-    if d % 2 == 0:
-        return None
-    return 0 if primed else d - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from selftesting import correlations
 from selftesting.chsh import block_scores
 from selftesting.correlations import _block_2x2, _reference, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
-from selftesting.schmidt import SETTINGS, blocks, corner
+from selftesting.schmidt import SETTINGS, blocks
 
 # c=(0.8, 0.6): T_{0,0}[0,0] = 0.64 cos^2(mu/2)
 T00_86 = 0.64 * 0.8606936605154758
@@ -90,14 +90,20 @@ def test_reference_frozen_entries():
     assert abs(tm.table(1, 0)[0, 1] - T10_MAX_OFF) < 1e-14
 
 
+def _corner(d: int, primed: bool) -> int | None:
+    """The outcome no block of the family holds: d-1 unprimed and 0 primed
+    for odd d, none for even d."""
+    return {False: d - 1, True: 0}[primed] if d % 2 else None
+
+
 def _reference_loop(sc: SchmidtCoefficients) -> dict[tuple[int, int], np.ndarray]:
     """Reference closed form: each block written on its own, one ``np.ix_`` per
-    block per setting pair."""
+    block per setting pair, and each family's corner at its full weight."""
     d, c = sc.d, sc.c
     out = {}
     for primed, (xs, ys) in SETTINGS.items():
         family = [b for b in block_rows(sc) if b.primed == primed]
-        top = corner(d, primed)
+        top = _corner(d, primed)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 tab = np.zeros((d, d))
@@ -122,7 +128,7 @@ def test_reference_tables_match_block_loop(d):
         mask = np.zeros((d, d), dtype=bool)
         for pair in table.pair[table.primed == primed]:
             mask[np.ix_(pair, pair)] = True
-        top = corner(d, primed)
+        top = _corner(d, primed)
         if top is not None:
             mask[top, top] = True
         # every pair of the family shares its mask
@@ -187,6 +193,19 @@ def test_tables_reject_nonfinite_entries():
     tables[(2, 3)][1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         CorrelationTables(d=2, tables=tables)
+
+
+def test_tables_reject_nonzero_imaginary_part():
+    # the imaginary part was dropped with only a ComplexWarning
+    with pytest.raises(ValueError, match=r"^table \(0, 0\) has a nonzero imaginary part$"):
+        CorrelationTables(2, {(0, 0): np.eye(2) * (0.5 + 0.1j)})
+    with pytest.raises(ValueError, match=r"^table \(1, 2\) has a nonzero imaginary part$"):
+        CorrelationTables(2, {(0, 0): np.eye(2) / 2, (1, 2): [[0.5, 0.0], [0.0, 0.5 + 1e-300j]]})
+    # a complex table whose imaginary part is zero is its real part, with no
+    # ComplexWarning (an error under this suite's warning filters)
+    t = CorrelationTables(2, {(0, 0): np.eye(2) * (0.5 + 0j)})
+    assert t.values.dtype == np.float64
+    assert np.array_equal(t.table(0, 0), np.eye(2) / 2)
 
 
 def test_tables_are_read_only():

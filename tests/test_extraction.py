@@ -45,7 +45,6 @@ from selftesting.extraction import (
     sign_unitarize,
 )
 from selftesting.ideal import Measurement
-from selftesting.schmidt import corner
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -888,7 +887,8 @@ def _criterion_ops_loop(r, sc):
     frame_ops = [_block_frame_loop(b) for b in block_ops]
     n_blocks = d // 2
     cuts = list(zip(block_ops[:n_blocks], frame_ops[:n_blocks]))
-    if corner(d, primed=False) is not None:
+    # For odd d no unprimed block holds d-1: the last primed block cuts it.
+    if d % 2:
         cuts.append((block_ops[-1], frame_ops[-1]))
     p_cut = [np.zeros((r.dim_b, r.dim_b)) for _ in range(d)]
     for b, frame in cuts:
@@ -917,7 +917,7 @@ def _criterion_ops_loop(r, sc):
     }
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 15])
 def test_criterion_ops_match_block_loop(d):
     for sc, r in _reference_cases(d):
         ops = build_criterion_ops(r, sc)

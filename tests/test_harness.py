@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,49 @@ def test_embedding_spec_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
         EmbeddingSpec(extra_a=1, extra_b=0, seed=-1)
     EmbeddingSpec(seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"extra_a": 1.5}, "extra_a"),
+        ({"extra_a": True}, "extra_a"),
+        ({"extra_b": np.float64(2.0)}, "extra_b"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": False}, "seed"),
+    ],
+    ids=["float", "bool", "numpy-float", "string-seed", "bool-seed"],
+)
+def test_embedding_spec_rejects_non_integers(kwargs, name):
+    # 1.5 and True constructed and then failed inside numpy in
+    # embed_realization; "3" raised "'<' not supported"
+    value = next(iter(kwargs.values()))
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        EmbeddingSpec(**kwargs)
+
+
+def test_embedding_spec_accepts_numpy_integers():
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    got = embed_realization(r, EmbeddingSpec(np.int64(2), np.int32(1), np.uint8(7)))
+    want = embed_realization(r, EmbeddingSpec(2, 1, 7))
+    assert np.array_equal(got.proj_a, want.proj_a) and np.array_equal(got.state, want.state)
+
+
+@pytest.mark.parametrize(
+    "shots, seed, message",
+    [
+        (True, 0, r"^shots must be an integer, got True$"),
+        (10, 1.5, r"^seed must be an integer, got 1\.5$"),
+        (10, True, r"^seed must be an integer, got True$"),
+    ],
+    ids=["bool-shots", "float-seed", "bool-seed"],
+)
+def test_sample_tables_rejects_non_integers(shots, seed, message):
+    # True drew one shot and reported shots_per_pair=True; 1.5 raised
+    # numpy's "seed must be integer"
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    with pytest.raises(ValueError, match=message):
+        sample_tables(r, shots, seed)
 
 
 def test_sample_tables_rejects_negative_seed():

@@ -19,7 +19,7 @@ from selftesting.cli import main
 from selftesting.errors import DimensionError, HermiticityError, NormalizationError
 from selftesting.ideal import MEASUREMENT_TOL
 from selftesting.io import load_realization, realization_to_doc, save_realization
-from selftesting.schmidt import corner, target_state
+from selftesting.schmidt import target_state
 
 # cos^2(mu/2) for c=(0.8, 0.6): overlap of Bob's first tilted vector with e_0
 BOB_OVERLAP_86 = 0.8606936605154758
@@ -387,7 +387,7 @@ def _ideal_loop(sc: SchmidtCoefficients) -> Realization:
         out = {}
         for primed in (False, True):
             family = [b for b in block_rows(sc) if b.primed == primed]
-            top = corner(d, primed)
+            top = {False: d - 1, True: 0}[primed] if d % 2 else None
             for i, setting in enumerate(getattr(family[0], side)):
                 if setting in out:
                     continue

@@ -13,7 +13,6 @@ from selftesting import (
     block_scores,
     blocks,
     build_block_operators,
-    corner,
     ideal_realization,
     reference_tables,
     schmidt,
@@ -132,7 +131,9 @@ def test_block_table():
         for name, side in (("xs", 0), ("ys", 1)):
             want = [list(SETTINGS[fam][side]) for fam, fam_pairs in families for _ in fam_pairs]
             assert getattr(table, name).tolist() == want
-        assert corner(d, False) == corner_u and corner(d, True) == corner_p
+        # odd d leaves d-1 outside every unprimed block and 0 outside every
+        # primed one; even d leaves nothing out
+        assert (corner_u, corner_p) == ((d - 1, 0) if d % 2 else (None, None))
         # each family's pairs and its corner cover every outcome once
         for fam, top in ((False, corner_u), (True, corner_p)):
             covered = table.pair[table.primed == fam].ravel().tolist()
