@@ -24,7 +24,7 @@ odd d, one outcome per family) is deterministic there: its one cell is
 
 :func:`compute_tables` and :func:`reference_tables` are two independent
 routes to the same numbers for an ideal realization. The first applies the
-Born rule to a concrete state and projectors; the second evaluates the
+Born rule to a concrete state and measurement bases; the second evaluates the
 closed-form block entries from the coefficients alone. Keeping both routes
 separate is what makes the equivalence test meaningful. The closed form is
 evaluated once per coefficient vector: one cached scatter writes the eight
@@ -40,8 +40,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, DimensionError, HermiticityError
-from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization
+from .errors import CoverageError, DimensionError
+from .ideal import ALICE_SETTINGS, BOB_SETTINGS, Realization, dagger, is_int
 from .schmidt import SETTINGS, SchmidtCoefficients, blocks
 
 __all__ = [
@@ -54,19 +54,10 @@ __all__ = [
     "constrained_pairs",
 ]
 
-IMAG_TOL = 1e-10
-
-
 def constrained_pairs() -> list[tuple[int, int]]:
     """Setting pairs the self-test pins down: unprimed family first, each in
     row-major order."""
     return [(x, y) for xs, ys in SETTINGS.values() for x in xs for y in ys]
-
-
-# Not in __all__: shared with harness, which checks its inputs by the same rule.
-def is_int(value: object) -> bool:
-    """A Python or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -140,29 +131,31 @@ class CorrelationTables:
 def compute_tables(r: Realization) -> CorrelationTables:
     """Born-rule tables of a realization, for all 12 setting pairs.
 
-    Entry [a][b] is ``<psi| P^x_a (x) Q^y_b |psi>``. With the state as its
-    coefficient matrix ``m`` this is ``sum_{i,l} (P^x_a m)[i,l] (m* Q^y_b)[i,l]``,
-    so each table is one matrix product: the stack ``P^x m`` of the first
-    party's setting x, flattened to one row per outcome, against the stack
-    ``m* Q^y`` of the second party's setting y. Each party's stacks are one
-    stacked product of its projector array. The imaginary residue of
-    each entry must stay below 1e-10 (projector stacks are Hermitian, so
-    anything larger signals corrupted inputs).
+    Entry [a][b] is ``<psi| P^x_a (x) Q^y_b |psi>``. With each setting as
+    an orthonormal basis plus outcome labels (``r.basis_a`` and
+    ``r.labels_a``, likewise the second party) and the state as its
+    coefficient matrix ``m``, the amplitudes of pair (x, y) on the basis
+    columns are ``U_x^dagger m conj(W_y)``: one stacked product for the
+    first party's 3 settings, then one for the 12 pairs. Entry [a][b] sums
+    the squared moduli of the amplitudes whose columns are labelled a and
+    b. For a party given as projector stacks these are the tables of its
+    bases as rounded on first use, which match the Born rule on the stacks
+    to within their distance from projective ones (see
+    :func:`selftesting.ideal.round_ladder`); its stacks must be finite and
+    Hermitian, else this raises as :meth:`Realization.validate` does.
     """
-    m = r.state_matrix()
-    left = (r.proj_a @ m).reshape(ALICE_SETTINGS, -1, m.size)
-    right = (m.conj() @ r.proj_b).reshape(BOB_SETTINGS, -1, m.size)
-    # One 2-D product per pair: a broadcast stacked product is twice as
-    # slow at d = 32.
-    out = np.array([[lx @ ry.T for ry in right] for lx in left])
-    worst = np.max(np.abs(out.imag), axis=(2, 3))
-    if np.any(worst > IMAG_TOL):
-        x, y = np.argwhere(worst > IMAG_TOL)[0].tolist()
-        raise HermiticityError(
-            f"pair ({x},{y}) has imaginary probability residue {worst[x, y]:.3e}"
-        )
-    tables = {pair: out.real[pair] for pair in np.ndindex(ALICE_SETTINGS, BOB_SETTINGS)}
-    return CorrelationTables(d=r.n_outcomes, tables=tables)
+    m, n = r.state_matrix(), r.n_outcomes
+    amp = (dagger(r.basis_a) @ m)[:, None] @ r.basis_b.conj()
+    sq = np.square(amp.real)
+    if np.iscomplexobj(amp):
+        sq += np.square(amp.imag)
+    # Cell of each amplitude in the (3, 4, n, n) tables, flattened.
+    cell = np.arange(ALICE_SETTINGS * BOB_SETTINGS).reshape(ALICE_SETTINGS, BOB_SETTINGS, 1, 1)
+    cell = (cell * n + r.labels_a[:, None, :, None]) * n + r.labels_b[:, None, :]
+    out = np.bincount(cell.ravel(), sq.ravel(), ALICE_SETTINGS * BOB_SETTINGS * n * n)
+    out = out.reshape(ALICE_SETTINGS, BOB_SETTINGS, n, n)
+    tables = {pair: out[pair] for pair in np.ndindex(ALICE_SETTINGS, BOB_SETTINGS)}
+    return CorrelationTables(d=n, tables=tables)
 
 
 def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray:

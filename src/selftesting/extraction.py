@@ -29,13 +29,14 @@ stages mirror the proof structure:
    as ``(P - Zt)/2`` if it is its hi. So the unprimed blocks cut every
    outcome they hold, and for odd d the last primed block cuts the top
    outcome d - 1, which no unprimed block holds. The cut ladder is
-   orthogonal only for exact inputs, so it is rounded: each eigenvector of
-   the Hermitian part of the label operator ``L = sum_k k P_cut^(k)`` gets
-   the nearest label in 0..d-1, and ``P^(k)`` projects onto the
-   eigenvectors labelled k. These are orthogonal and complete by
-   construction; the range no block covers has label 0. The on-state
-   rounding displacement ``sum_k ||(P^(k) - P_cut^(k))|psi>||^2`` is
-   reported and vanishes for exact inputs.
+   orthogonal only for exact inputs, so it is rounded
+   (:func:`selftesting.ideal.round_ladder`): each eigenvector of the
+   Hermitian part of the label operator ``L = sum_k k P_cut^(k)`` gets the
+   nearest label in 0..d-1, and ``P^(k)`` projects onto the eigenvectors
+   labelled k. These are orthogonal and complete by construction; the
+   range no block covers has label 0. The on-state rounding displacement
+   ``sum_k ||(P^(k) - P_cut^(k))|psi>||^2`` is reported and vanishes for
+   exact inputs.
 4. Flip chains. Walking the outcome ladder alternates unprimed and primed
    flips: ``X^(2m+1) = X^(2m) X_m`` and ``X^(2m+2) = X^(2m+1) Y_m``, with
    ``X^(0) = identity``. The chain criterion states that the chains steer
@@ -73,18 +74,20 @@ stages mirror the proof structure:
    ``residual^2 = sum_{k not in K} ||U_A^(k)^dagger N||^2
    + sum_{k in K} ||A_k N conj(U_notK)||^2
    + sum_{k,l in K} ||A_k N B_l^T - t_kl J||^2``.
-   Both off-pair sides are collapsed through a ladder rounded as in step 3
-   (:func:`_round_ladder`), so they take the arms to be an isometry, and
-   the output norm is gated as in :func:`apply_isometry`. The columns of
-   ``U_notK`` are the eigenvectors of the second party's label operator
-   labelled outside K. Its ladder is rounded already, ``P_B^(l) = U_l
+   Both off-pair sides are collapsed through an orthonormal basis with
+   outcome labels, so they take the arms to be an isometry, and the output
+   norm is gated as in :func:`apply_isometry`. The columns of ``U_notK``
+   are the eigenvectors of the second party's label operator labelled
+   outside K. Its ladder is rounded already (step 3), ``P_B^(l) = U_l
    U_l^dagger``, and every ``X_B^(l)`` is a product of sign-unitarized
    operators, so the slice norms over l outside K sum to
    ``||A_k N conj(U_notK)||^2``. The first party's ladder is the device's
-   own, projective only to ``eps = MEASUREMENT_TOL`` entrywise. Here alone
-   it is rounded the same way: ``U_A^(k)`` holds the columns of ``v_a``,
-   the eigenvectors of its label operator ``sum_k k P_A^(k)``, labelled k,
-   and ``||X_A^(k) P_A^(k) N||`` is read as ``||U_A^(k)^dagger N||``. Each step of ``X_A^(k)`` is a
+   own setting 0, whose basis ``v_a`` and labels the realization holds
+   (``r.basis_a[0]`` and ``r.labels_a[0]``): as built for a party built
+   from bases, else rounded as in step 3 from its stacks, which are
+   projective only to ``eps = MEASUREMENT_TOL`` entrywise. ``U_A^(k)``
+   holds the columns of ``v_a`` labelled k, and ``||X_A^(k) P_A^(k) N||``
+   is read as ``||U_A^(k)^dagger N||``. Each step of ``X_A^(k)`` is a
    reflection ``R = 1 - 2P`` with P a device projector, and
    ``R^dagger R - 1 = 4 (P^dagger P - (P + P^dagger) / 2)``; with P
    Hermitian and idempotent to eps, ``delta = ||R^dagger R - 1|| <= 10
@@ -116,9 +119,10 @@ takes three stacked eigendecompositions whatever d is: the unitarized
 frames of step 2, the cut supports of step 3 and the label operator. The
 criterion residuals are batched expressions over k, the arms ``X^(k)
 P^(k)`` of steps 5 and 6 are one stacked product per side, made with the
-ladders, and measurement equivalence is batched over blocks throughout,
-with one more eigendecomposition, the first party's label operator, when
-d > 2.
+ladders, and measurement equivalence is batched over blocks throughout.
+It reads the first party's setting-0 basis from the realization, which
+rounds a party given as stacks once, on first use, with one more stacked
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
-from .ideal import Realization
+from .ideal import Realization, basis_projectors, dagger, round_ladder
 from .schmidt import BlockTable, SchmidtCoefficients, blocks
 
 __all__ = [
@@ -161,11 +165,6 @@ ZERO_TOL = 1e-10
 #: and the largest criterion or measurement residual it accepts.
 FIDELITY_MIN = 1 - 1e-6
 RESIDUAL_TOL = 1e-6
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(a.conj(), -1, -2)
 
 
 def sign_unitarize(h: np.ndarray) -> np.ndarray:
@@ -345,13 +344,14 @@ class CriterionOperators:
     is the second party's ladder as cut from the block frames, before
     rounding; ``x_a[k]`` / ``x_b[k]`` the flip chains; ``arm_a[k] = x_a[k]
     @ p_a[k]`` and ``arm_b[k] = x_b[k] @ p_b[k]`` the arms of the isometry,
-    made once here and read by every later stage. :func:`_round_ladder`
-    rounds a ladder: the columns of ``v_b`` are the eigenvectors of the
-    second party's label operator and ``label_b`` holds each column's
-    label, so ``p_b[k]`` projects onto ``v_b[:, label_b == k]``;
-    :func:`measurement_equivalence` rounds ``p_a`` the same way for its
-    off-pair term alone. `block_ops` keeps the stacked block observables,
-    in :func:`blocks` order, for :func:`measurement_equivalence`.
+    made once here and read by every later stage. The columns of ``v_b``
+    are the eigenvectors of the second party's label operator and
+    ``label_b`` holds each column's label, as
+    :func:`selftesting.ideal.round_ladder` rounds the cut ladder, so
+    ``p_b[k]`` projects onto ``v_b[:, label_b == k]``. `block_ops` keeps
+    the stacked block observables, in :func:`blocks` order, for
+    :func:`measurement_equivalence`, which reads the first party's
+    setting-0 basis from the realization for its off-pair term.
     """
 
     d: int
@@ -375,23 +375,6 @@ def _chain(flips: np.ndarray) -> np.ndarray:
     for f in flips:
         out.append(out[-1] @ f)
     return np.stack(out)
-
-
-def _round_ladder(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Round a ladder of ``d`` outcome operators to a projective one.
-
-    Takes the eigenvectors ``v`` of the Hermitian part of the label operator
-    ``sum_k k p[k]`` and gives each the nearest label in 0..d-1. The
-    projector of outcome k is onto the columns ``v[:, labels == k]``; these
-    are orthogonal and complete by construction, and equal ``p[k]`` when the
-    ladder is exactly projective.
-    """
-    d = len(p)
-    # Summed along the outcome axis one outcome after the other, as a loop
-    # over k would.
-    label = np.add.reduce(np.arange(d)[:, None, None] * p, axis=0)
-    w, v = np.linalg.eigh((label + dagger(label)) / 2)
-    return v, np.clip(np.rint(w), 0, d - 1).astype(int)
 
 
 def _ladder(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -439,9 +422,9 @@ def build_criterion_ops(r: Realization, sc: SchmidtCoefficients) -> CriterionOpe
     p_cut = np.concatenate((support + z_cut, support - z_cut))[take] / 2.0
 
     # Round the cut ladder to a projective one.
-    v, labels = _round_ladder(p_cut)
+    v, labels = round_ladder(p_cut)
     p_a = r.proj_a[0]
-    p_b = np.stack([u @ dagger(u) for u in (v[:, labels == k] for k in range(d))])
+    p_b = basis_projectors(v[None], labels[None], d)[0]
     x_a = _chain(_reflect(ops.ia[step_at, 1], ops.a[step_at, 1]))
     x_b = _chain(xb)
     return CriterionOperators(
@@ -634,15 +617,16 @@ def measurement_equivalence(
     """
     mat = r.state_matrix()
     _output_norm(ops, _alice(ops.arm_a, mat))
-    return _measurement_residuals(ops, mat, _junk_state(ops, mat), sc)
+    return _measurement_residuals(ops, r, _junk_state(ops, mat), sc)
 
 
 def _measurement_residuals(
-    ops: CriterionOperators, mat: np.ndarray, junk: np.ndarray, sc: SchmidtCoefficients
+    ops: CriterionOperators, r: Realization, junk: np.ndarray, sc: SchmidtCoefficients
 ) -> list[MeasurementResidual]:
     """The residuals of :func:`measurement_equivalence`, without its norm
-    gate; `junk` is ``_junk_state(ops, mat)``."""
+    gate; `junk` is ``_junk_state(ops, r.state_matrix())``."""
     d, dim_a, dim_b = ops.d, ops.dim_a, ops.dim_b
+    mat = r.state_matrix()
     bo = ops.block_ops
     table = bo.table
     n = len(table)
@@ -656,7 +640,7 @@ def _measurement_residuals(
     if d > 2:
         # k off the pair: the rows of v_a^dagger O|psi> labelled outside it,
         # one product against each block's masked basis.
-        v_a, label_a = _round_ladder(ops.p_a)
+        v_a, label_a = r.basis_a[0], r.labels_a[0]
         off = (label_a != pair[:, :1]) & (label_a != pair[:, 1:])
         sq = _consume_sq_norms((dagger(v_a) * off[:, :, None])[:, None] @ moved, 4 * n)
         sq = sq.reshape(n, 4)
@@ -740,7 +724,7 @@ def extraction_report(r: Realization, sc: SchmidtCoefficients) -> ExtractionRepo
     mat = r.state_matrix()
     junk = _junk_state(ops, mat)
     norm, fid, overlap = _isometry_figures(ops, mat, junk, sc)
-    meas = _measurement_residuals(ops, mat, junk, sc)
+    meas = _measurement_residuals(ops, r, junk, sc)
     return ExtractionReport(
         projector_residuals=crit.projector_match,
         chain_residuals=crit.chain_map,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationTables, compute_tables, is_int
-from .ideal import Realization
+from .correlations import CorrelationTables, compute_tables
+from .ideal import Realization, basis_projectors, is_int
 
 __all__ = [
     "EmbeddingSpec",
@@ -64,40 +64,49 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _pad_projectors(proj: np.ndarray, extra: int) -> np.ndarray:
-    """Zero-pad a party's projectors; each outcome 0 absorbs the new dimensions."""
-    settings, n, dim, _ = proj.shape
-    out = np.zeros((settings, n, dim + extra, dim + extra), dtype=complex)
-    out[..., :dim, :dim] = proj
-    out[:, 0, dim:, dim:] = np.eye(extra)
-    return out
-
-
 def embed_realization(r: Realization, spec: EmbeddingSpec) -> Realization:
     """Pad a realization into a larger space and rotate it locally.
 
-    The state picks up zero amplitudes on the new dimensions; each
-    measurement keeps its outcome structure, with outcome 0's projector
-    absorbing the new dimensions so completeness survives. Local unitaries
-    (one per side, drawn from sub-streams 0 and 1 of `spec.seed`) then
-    scramble the embedding. Correlation tables are exactly invariant under
-    all of this.
+    The state picks up zero amplitudes on the new dimensions; each setting's
+    basis is padded with the new unit vectors, all labelled outcome 0, so
+    each measurement keeps its outcome structure and outcome 0's projector
+    absorbs the new dimensions. Local unitaries (one per side, drawn from
+    sub-streams 0 and 1 of `spec.seed`) then rotate the state and multiply
+    into the bases. Correlation tables are exactly invariant under all of
+    this. A party given as projector stacks is padded as its rounded bases
+    (:func:`selftesting.ideal.round_ladder`).
+
+    The result holds the projectors of the rotated bases as its stacks, not
+    the bases: an embedded party is dense and extraction reads its
+    projectors, so keeping both would hold half as much again at two
+    outcomes.
     """
     dim_a = r.dim_a + spec.extra_a
     dim_b = r.dim_b + spec.extra_b
     if spec.seed is None:
-        u_a = np.eye(dim_a, dtype=complex)
-        u_b = np.eye(dim_b, dtype=complex)
+        u_a, u_b = np.eye(dim_a), np.eye(dim_b)
     else:
         u_a = haar_unitary(dim_a, np.random.default_rng(np.random.SeedSequence((spec.seed, 0))))
         u_b = haar_unitary(dim_b, np.random.default_rng(np.random.SeedSequence((spec.seed, 1))))
 
-    mat = np.zeros((dim_a, dim_b), dtype=complex)
+    def party(basis: np.ndarray, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
+        settings, dim, _ = basis.shape
+        padded = np.zeros((settings, len(u), len(u)), dtype=basis.dtype)
+        padded[:, :dim, :dim] = basis
+        padded[:, dim:, dim:] = np.eye(len(u) - dim)
+        labels = np.pad(labels, ((0, 0), (0, len(u) - dim)))
+        return basis_projectors(u @ padded, labels, r.n_outcomes)
+
+    mat = np.zeros((dim_a, dim_b), dtype=r.state.dtype)
     mat[: r.dim_a, : r.dim_b] = r.state_matrix()
     mat = u_a @ mat @ u_b.T
-    alice = u_a @ _pad_projectors(r.proj_a, spec.extra_a) @ u_a.conj().T
-    bob = u_b @ _pad_projectors(r.proj_b, spec.extra_b) @ u_b.conj().T
-    return Realization(dim_a=dim_a, dim_b=dim_b, state=mat.reshape(-1), alice=alice, bob=bob)
+    return Realization(
+        dim_a=dim_a,
+        dim_b=dim_b,
+        state=mat.reshape(-1),
+        alice=party(r.basis_a, r.labels_a, u_a),
+        bob=party(r.basis_b, r.labels_b, u_b),
+    )
 
 
 @dataclass(frozen=True)

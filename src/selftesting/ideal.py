@@ -12,28 +12,49 @@ two-level observable on every block of its family (see
 Within a block the +1 eigenvector is assigned to the block's first outcome
 label and the -1 eigenvector to the second. An outcome that no block of a
 setting holds (for odd d, one outcome per family) keeps its computational
-projector there. All projectors are rank one, and each measurement's
-projectors sum to the identity exactly by construction.
+basis vector there. So every setting is an orthonormal basis with one
+eigenvector per outcome, and every projector is rank one.
 
-In memory each party is one read-only, C-ordered (settings, n, dim, dim)
-array indexed [setting, outcome, row, column]: ``proj_a`` holds the first
-party's 3 settings, ``proj_b`` the second party's 4. A party is float64
-when none of its entries has a nonzero imaginary part, else complex128
-(see :func:`_real_or_complex`): one complex setting makes it all complex.
-``alice`` and ``bob`` hold one :class:`Measurement` per setting, each a
-view of that array. An ideal realization is real, so it is float64.
+A realization holds each party in the form it was built from:
 
-Validation checks one party at a time. It forms the products ``P_j P_k``,
-k >= j, one diagonal ``o = k - j`` at a time, for every setting at once.
-A diagonal is skipped when no ``P_j`` on it has a nonzero column where its
-``P_k`` has a nonzero row, since then each of its products is exactly
-zero. Every ideal projector lives on one block's pair, so an ideal party
-keeps only the diagonals 0, 1 and, for even d, d - 1.
+* as bases, built by :meth:`Realization.from_bases` (as
+  :func:`ideal_realization` builds its own): one (settings, dim, dim)
+  array ``basis_a`` or ``basis_b`` of orthonormal columns and one
+  (settings, dim) integer array ``labels_a`` or ``labels_b``, the outcome
+  of each column. Outcome k of setting x projects onto the columns
+  labelled k, ``P_k = U[:, labels == k] U[:, labels == k]^dagger``; an
+  outcome that labels no column has the zero projector.
+* as projector stacks, handed to the constructor (as files, tests and
+  :func:`selftesting.harness.embed_realization` give them): one C-ordered
+  (settings, n, dim, dim) array ``proj_a`` or ``proj_b``, indexed
+  [setting, outcome, row, column].
+
+The other form is readable too. It is made on its first read and then
+kept on the realization, read-only: a basis-built party's projectors by
+:func:`basis_projectors`, a stack-built party's bases by
+:func:`round_ladder`, after the finiteness and Hermiticity checks of its
+stacks. ``alice`` and ``bob`` hold one :class:`Measurement` per setting,
+each a view of ``proj_a`` or ``proj_b``. A party is float64 when none of
+its entries has a nonzero imaginary part, else complex128 (see
+:func:`_real_or_complex`): one complex setting makes it all complex. An
+ideal realization is real, so it is float64.
+
+Validation checks each party in the form it was built from. A basis-built
+party takes one product per setting: its basis must be finite and
+``max|U^dagger U - 1|`` at most ``MEASUREMENT_TOL``; its labels were
+checked at construction. A stack-built party forms the products
+``P_j P_k``, k >= j, one diagonal ``o = k - j`` at a time, for every
+setting at once. A diagonal is skipped when no ``P_j`` on it has a nonzero
+column where its ``P_k`` has a nonzero row, since then each of its
+products is exactly zero. Every ideal projector lives on one block's pair,
+so an ideal party's stacks keep only the diagonals 0, 1 and, for even d,
+d - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -58,6 +79,18 @@ MEASUREMENT_TOL = 1e-10
 #: float64 setting, so checking a party at d = 32 needs no larger
 #: temporaries than checking one setting.
 _PRODUCT_BYTES = 1 << 18
+
+
+# Not in __all__: shared with correlations and harness, which check their
+# inputs by the same rule.
+def is_int(value: object) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def _real_or_complex(a: np.ndarray) -> np.ndarray:
@@ -116,6 +149,16 @@ class Measurement:
         _check_projectors(self.projectors[None])
 
 
+def _check_entries(q: np.ndarray, at: str) -> None:
+    """Raise unless one setting's (n, dim, dim) stack is finite and
+    Hermitian within ``MEASUREMENT_TOL``; each message starts with `at`."""
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"{at}projectors contain non-finite entries")
+    herm = np.max(np.abs(q - np.conj(np.transpose(q, (0, 2, 1)))))
+    if herm > MEASUREMENT_TOL:
+        raise HermiticityError(f"{at}projector asymmetry {herm:.3e} > {MEASUREMENT_TOL:.0e}")
+
+
 def _check_projectors(p: np.ndarray, party: str = "") -> None:
     """Validate each setting of a (settings, n, dim, dim) stack, in order.
 
@@ -143,11 +186,7 @@ def _check_projectors(p: np.ndarray, party: str = "") -> None:
         comp = np.max(np.abs(p.sum(axis=1) - np.eye(dim)), axis=(1, 2))
     for x, q in enumerate(p):
         at = f"{party} setting {x}: " if party else ""
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"{at}projectors contain non-finite entries")
-        herm = np.max(np.abs(q - np.conj(np.transpose(q, (0, 2, 1)))))
-        if herm > MEASUREMENT_TOL:
-            raise HermiticityError(f"{at}projector asymmetry {herm:.3e} > {MEASUREMENT_TOL:.0e}")
+        _check_entries(q, at)
         bad = np.argwhere(worst[x] > MEASUREMENT_TOL)
         if bad.size:
             j, k = bad[0]
@@ -156,6 +195,67 @@ def _check_projectors(p: np.ndarray, party: str = "") -> None:
             raise ValueError(f"{at}outcomes {j},{k} projectors overlap ({worst[x, j, k]:.3e})")
         if comp[x] > MEASUREMENT_TOL:
             raise ValueError(f"{at}projectors sum off identity by {comp[x]:.3e}")
+
+
+def _check_bases(u: np.ndarray, party: str) -> None:
+    """Validate each basis of a (settings, dim, dim) array, in order: finite,
+    then ``max|U^dagger U - 1| <= MEASUREMENT_TOL``. Each message starts
+    with ``"<party> setting <x>: "``."""
+    # Non-finite entries are reported before any value computed from them.
+    with np.errstate(all="ignore"):
+        off = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])), axis=(1, 2))
+    for x, q in enumerate(u):
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"{party} setting {x}: basis contains non-finite entries")
+        if off[x] > MEASUREMENT_TOL:
+            raise ValueError(f"{party} setting {x}: basis off orthonormal by {off[x]:.3e}")
+
+
+# Not in __all__: shared with extraction, which rounds its cut ladder by the same rule.
+def round_ladder(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Round a ladder of n outcome operators, or each of a stack of ladders,
+    to an orthonormal basis plus one outcome label per column.
+
+    Takes the eigenvectors ``v`` of the Hermitian part of the label operator
+    ``sum_k k p[k]`` and gives each the nearest label in 0..n-1. The
+    projector of outcome k is onto the columns ``v[:, labels == k]``; these
+    are orthogonal and complete by construction, and equal ``p[k]`` when the
+    ladder is exactly projective.
+    """
+    n = p.shape[-3]
+    # Summed along the outcome axis one outcome after the other, as a loop
+    # over k would.
+    label = np.add.reduce(np.arange(n)[:, None, None] * p, axis=-3)
+    w, v = np.linalg.eigh((label + dagger(label)) / 2)
+    return v, np.clip(np.rint(w), 0, n - 1).astype(int)
+
+
+# Not in __all__: shared with harness, which embeds bases as their projectors,
+# and extraction, which builds its rounded ladder with it.
+def basis_projectors(basis: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """The (settings, n, dim, dim) projectors of (settings, dim, dim) bases
+    whose columns carry the (settings, dim) outcome labels.
+
+    Outcome k of setting x is ``basis[x]`` with the columns not labelled k
+    zeroed, times ``basis[x]^dagger``: one stacked product per outcome,
+    written into the result, so no temporary is larger than one outcome's
+    stack. The zeroed columns add exact zeros to each entry, so a rank-one
+    projector is the outer product of its column bit for bit. Adding 0.0
+    turns each -0.0 into 0.0.
+    """
+    p = np.empty((len(basis), n, *basis.shape[1:]), basis.dtype)
+    right = dagger(basis)
+    for k in range(n):
+        np.matmul(basis * (labels[:, None, :] == k), right, out=p[:, k])
+    p += 0.0
+    return p
+
+
+#: The side of each attribute that one form of a party makes from the other
+#: on its first read.
+_SIDE = {"alice": "a", "bob": "b"} | {
+    f"{name}_{side}": side for name in ("proj", "basis", "labels") for side in "ab"
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +267,16 @@ class Realization:
     factor, `bob` 4 on the second, each a :class:`Measurement` or an
     (n, dim, dim) array, all with the same n (else this raises). A party
     given as one array is adopted, and made read-only, as ``proj_a`` or
-    ``proj_b``; one given setting by setting is copied. ``==`` is identity.
+    ``proj_b``; one given setting by setting is copied.
+    :meth:`from_bases` builds a realization from bases plus labels instead.
+
+    Either way these attributes are readable, as the module docstring
+    describes them: ``n_outcomes``, ``alice``, ``bob``, ``proj_a``,
+    ``proj_b``, ``basis_a``, ``basis_b``, ``labels_a`` and ``labels_b``.
+    The form a party was not built in is made on its first read. Only the
+    constructor's arguments are dataclass fields, so ``dataclasses.replace``
+    rebuilds a realization from its stacks, and a walk over the fields
+    rounds no given stack to bases. ``==`` is identity.
     """
 
     dim_a: int
@@ -175,8 +284,6 @@ class Realization:
     state: np.ndarray
     alice: tuple[Measurement, ...]
     bob: tuple[Measurement, ...]
-    proj_a: np.ndarray = field(init=False, repr=False)
-    proj_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "state", _real_or_complex(self.state).reshape(-1))
@@ -204,19 +311,92 @@ class Realization:
             proj.flags.writeable = False
             object.__setattr__(self, f"proj_{label[0]}", proj)
             object.__setattr__(self, label, tuple(map(Measurement, proj)))
+        object.__setattr__(self, "n_outcomes", n)
+        object.__setattr__(self, "_from_bases", False)
 
-    @property
-    def n_outcomes(self) -> int:
-        return int(self.proj_a.shape[1])
+    @classmethod
+    def from_bases(
+        cls,
+        state: np.ndarray,
+        basis_a: np.ndarray,
+        labels_a: np.ndarray,
+        basis_b: np.ndarray,
+        labels_b: np.ndarray,
+        n_outcomes: int,
+    ) -> Realization:
+        """A realization whose every setting is an orthonormal basis with one
+        outcome label per column.
+
+        Setting x of the first party measures the columns of
+        ``basis_a[x]``, column j with outcome ``labels_a[x, j]``; likewise
+        the second party. ``basis_a`` has shape (3, dim_a, dim_a) and
+        ``basis_b`` (4, dim_b, dim_b), which give the local dimensions. Each
+        label array must be an integer array, not bool, of shape (settings,
+        dim), with every entry in [0, n_outcomes); an outcome that labels no
+        column has the zero projector. Anything else is a ``ValueError``
+        that names the party; so is an `n_outcomes` that is not a positive
+        integer, without a party. The bases are adopted and made read-only,
+        the labels copied; :meth:`validate` checks the bases.
+        """
+        if not is_int(n_outcomes) or n_outcomes < 1:
+            raise ValueError(f"n_outcomes must be a positive integer, got {n_outcomes!r}")
+        r = object.__new__(cls)
+        attrs = {"state": _real_or_complex(state).reshape(-1), "n_outcomes": int(n_outcomes)}
+        for party, settings, basis, labels in (
+            ("alice", ALICE_SETTINGS, basis_a, labels_a),
+            ("bob", BOB_SETTINGS, basis_b, labels_b),
+        ):
+            basis, labels = _real_or_complex(basis), np.asarray(labels)
+            if basis.ndim != 3 or basis.shape[0] != settings or basis.shape[1] != basis.shape[2]:
+                raise ValueError(f"{party} bases must be ({settings}, dim, dim), got {basis.shape}")
+            if labels.dtype.kind not in "iu":
+                raise ValueError(f"{party} labels must be integers, got dtype {labels.dtype}")
+            if labels.shape != basis.shape[:2]:
+                raise ValueError(
+                    f"{party} labels must have shape {basis.shape[:2]}, got {labels.shape}"
+                )
+            outside = labels[(labels < 0) | (labels >= n_outcomes)]
+            if outside.size:
+                raise ValueError(f"{party} label {outside[0]} outside [0, {n_outcomes})")
+            labels = labels.astype(int, order="C")
+            basis.flags.writeable = labels.flags.writeable = False
+            side = party[0]
+            attrs |= {f"dim_{side}": basis.shape[1], f"basis_{side}": basis, f"labels_{side}": labels}
+        for name, value in (attrs | {"_from_bases": True}).items():
+            object.__setattr__(r, name, value)
+        return r
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute not set yet: the form of a party that
+        # is made from the other on its first read.
+        have = vars(self)
+        side = _SIDE.get(name)
+        if side is None or "_from_bases" not in have:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        party = "alice" if side == "a" else "bob"
+        if have["_from_bases"]:
+            proj = basis_projectors(have[f"basis_{side}"], have[f"labels_{side}"], self.n_outcomes)
+            proj.flags.writeable = False
+            object.__setattr__(self, f"proj_{side}", proj)
+            object.__setattr__(self, party, tuple(map(Measurement, proj)))
+        else:
+            proj = have[f"proj_{side}"]
+            for x, q in enumerate(proj):
+                _check_entries(q, f"{party} setting {x}: ")
+            for part, value in zip(("basis", "labels"), round_ladder(proj)):
+                value.flags.writeable = False
+                object.__setattr__(self, f"{part}_{side}", value)
+        return have[name]
 
     def state_matrix(self) -> np.ndarray:
         """The state as a dim_a x dim_b coefficient matrix."""
         return self.state.reshape(self.dim_a, self.dim_b)
 
     def validate(self) -> None:
-        """Check the dimensions, the state, then each setting as
-        :meth:`Measurement.validate` does, first party first. A projector
-        error names its setting, as in ``bob setting 2: outcomes 3,4
+        """Check the dimensions, the state, then each party in the form it
+        was built from, first party first: each basis as the module
+        docstring says, or each stack as :meth:`Measurement.validate` does.
+        An error names its setting, as in ``bob setting 2: outcomes 3,4
         projectors overlap (1.000e-09)``."""
         if self.dim_a < 2 or self.dim_b < 2:
             raise DimensionError(
@@ -233,12 +413,16 @@ class Realization:
             raise NormalizationError(
                 f"state squared norm {norm_sq!r} off 1 beyond {MEASUREMENT_TOL:.0e}"
             )
-        _check_projectors(self.proj_a, "alice")
-        _check_projectors(self.proj_b, "bob")
+        for party in ("alice", "bob"):
+            if self._from_bases:
+                _check_bases(getattr(self, f"basis_{party[0]}"), party)
+            else:
+                _check_projectors(getattr(self, f"proj_{party[0]}"), party)
 
 
-def _party(d: int, settings: np.ndarray, table: BlockTable, u: np.ndarray) -> np.ndarray:
-    """One party's projectors as one (settings, d, d, d) array.
+def _bases(d: int, settings: np.ndarray, table: BlockTable, u: np.ndarray) -> np.ndarray:
+    """One party's bases as one (settings, d, d) array, column k the
+    eigenvector of outcome k.
 
     ``settings`` holds the party's two settings of each block,
     ``table.xs`` or ``table.ys``; the party has ``settings.max() + 1``
@@ -248,38 +432,38 @@ def _party(d: int, settings: np.ndarray, table: BlockTable, u: np.ndarray) -> np
     (``e_lo``, then ``e_hi``) of the eigenvector for its o-th outcome. A
     block axis of length 1 serves every block.
 
-    Every outcome of every setting starts as its computational projector
-    ``|k><k|``. Then one index assignment writes every block of both
-    setting columns: outcome ``pair[o]`` gets ``u[j, o, k] u[j, o, l]`` at
-    ``(pair[k], pair[l])``, its own diagonal cell included. So each outcome
-    that a block of the setting holds is overwritten, and one that no block
-    holds keeps ``|k><k|``. A setting shared by both families (the first
-    party's Z basis) is written twice, identically. Adding 0.0 turns each
-    -0.0 into 0.0, so a saved ideal realization holds no signed zeros.
+    Every column starts as its computational basis vector ``e_k``. Then one
+    index assignment writes every block of both setting columns: column
+    ``pair[o]`` gets ``u[j, o, k]`` at row ``pair[k]``. So each outcome that
+    a block of the setting holds is overwritten, and one that no block
+    holds keeps ``e_k``. A setting shared by both families (the first
+    party's Z basis) is written twice, identically.
     """
-    p = np.zeros((settings.max() + 1, d, d, d))
+    basis = np.zeros((settings.max() + 1, d, d))
     k = np.arange(d)
-    p[:, k, k, k] = 1.0
+    basis[:, k, k] = 1.0
     pair = table.pair.T
-    # Indexed [j, o, k, l, block], as the products u[j, o, k] u[j, o, l].
-    at = (settings.T[:, None, None, None], pair[:, None, None], pair[:, None], pair)
-    p[at] = u[:, :, :, None] * u[:, :, None, :] + 0.0
-    return p
+    # Indexed [j, o, k, block], as u.
+    basis[settings.T[:, None, None], pair, pair[:, None]] = u
+    return basis
 
 
 def ideal_realization(sc: SchmidtCoefficients) -> Realization:
-    """Target state plus ideal measurements on both sides."""
-    table = blocks(sc)
+    """Target state plus ideal measurements on both sides, built from their
+    bases; outcome k is column k of every setting."""
+    d, table = sc.d, blocks(sc)
     # First party: Z, then X; second party: cos(mu) Z + sin(mu) X, then
     # cos(mu) Z - sin(mu) X, outcome lo on the +1 eigenvector.
     s = 1.0 / np.sqrt(2)
     u_a = np.array([[[1.0, 0.0], [0.0, 1.0]], [[s, s], [s, -s]]])[..., None]
     ch, sh = np.cos(table.mu / 2), np.sin(table.mu / 2)
     u_b = np.array([[[ch, sh], [-sh, ch]], [[ch, -sh], [sh, ch]]])
-    return Realization(
-        dim_a=sc.d,
-        dim_b=sc.d,
-        state=target_state(sc),
-        alice=_party(sc.d, table.xs, table, u_a),
-        bob=_party(sc.d, table.ys, table, u_b),
+    labels = np.arange(d)
+    return Realization.from_bases(
+        target_state(sc),
+        _bases(d, table.xs, table, u_a),
+        np.broadcast_to(labels, (ALICE_SETTINGS, d)),
+        _bases(d, table.ys, table, u_b),
+        np.broadcast_to(labels, (BOB_SETTINGS, d)),
+        d,
     )

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import block_rows, projector_stack, random_coefficients, random_ranges
+from conftest import (
+    block_rows,
+    perturbed_realization,
+    projector_stack,
+    random_coefficients,
+    random_ranges,
+)
 from selftesting import (
     CorrelationTables,
     EmbeddingSpec,
@@ -170,12 +177,19 @@ def _random_device(d: int, dim_a: int, dim_b: int, seed: int) -> Realization:
     )
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
 def test_compute_tables_matches_einsum(d):
+    # the Born rule on the projector stacks is the reference for the
+    # amplitude route, on bases as built (ideal, real and complex) and as
+    # rounded from given stacks (embedded, random, perturbed)
     sc = random_coefficients(d, seed=800 + d)
+    ideal = ideal_realization(sc)
     devices = [
-        embed_realization(ideal_realization(sc), EmbeddingSpec(extra_a=2, extra_b=3, seed=d)),
+        ideal,
+        _complex_copy(ideal),
+        embed_realization(ideal, EmbeddingSpec(extra_a=2, extra_b=3, seed=d)),
         _random_device(d, d + 1, d + 3, seed=810 + d),
+        perturbed_realization(ideal, 1e-3, seed=d),
     ]
     for r in devices:
         r.validate()
@@ -443,11 +457,12 @@ def test_equality_is_identity():
 
 
 def _complex_copy(r: Realization) -> Realization:
-    """`r` with its state and both party arrays stored as complex128, which
-    is what :func:`compute_tables` reads. The constructor stores such arrays
-    as float64, so the complex copies are set afterwards."""
-    out = replace(r)
-    for name in ("state", "proj_a", "proj_b"):
+    """`r`, built from bases, with its state and both parties' bases stored
+    as complex128, which is what :func:`compute_tables` reads.
+    :meth:`Realization.from_bases` stores such arrays as float64, so the
+    complex copies are set afterwards."""
+    out = Realization.from_bases(r.state, r.basis_a, r.labels_a, r.basis_b, r.labels_b, r.n_outcomes)
+    for name in ("state", "basis_a", "basis_b"):
         object.__setattr__(out, name, getattr(r, name).astype(complex))
     return out
 
@@ -457,7 +472,7 @@ def test_real_device_tables_match_complex_arithmetic(d):
     r = ideal_realization(random_coefficients(d, seed=500 + d))
     rc = _complex_copy(r)
     assert r.state.dtype == np.float64 and rc.state.dtype == np.complex128
-    assert rc.proj_a.dtype == rc.proj_b.dtype == np.complex128
+    assert rc.basis_a.dtype == rc.basis_b.dtype == np.complex128
     real, cplx = compute_tables(r), compute_tables(rc)
     for pair in real.pairs():
         assert np.max(np.abs(real.table(*pair) - cplx.table(*pair))) <= 1e-15
@@ -469,5 +484,19 @@ def test_compute_tables_rejects_nonhermitian_projectors():
     stack = r.alice[0].projectors.astype(complex)
     stack[0, 0, 1] += 1e-3j
     r = replace(r, alice=(Measurement(stack), *r.alice[1:]))
-    with pytest.raises(HermiticityError, match=r"pair \(0,0\)"):
+    # given stacks are checked before they are rounded to bases, with the
+    # messages of Realization.validate
+    with pytest.raises(HermiticityError, match=r"^alice setting 0: projector asymmetry 1\.000e-03 > 1e-10$"):
         compute_tables(r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compute_tables_rejects_nonfinite_stacks_without_warnings(bad):
+    r = ideal_realization(random_coefficients(4, seed=4))
+    bob = r.proj_b.copy()
+    bob[2, 1, 0, 3] = bad
+    r = Realization(r.dim_a, r.dim_b, r.state, r.alice, bob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^bob setting 2: projectors contain non-finite entries$"):
+            compute_tables(r)

@@ -119,14 +119,18 @@ def test_haar_unitary_seed_determinism():
 
 
 def test_zero_embedding_is_exact():
-    # no padding and identity rotations cannot move a single bit
+    # no padding and identity rotations cannot move a single bit of the
+    # state or the projectors; the embedded party is held as stacks, whose
+    # tables are those of their rounded bases, a rounding error away
     sc = random_coefficients(3, seed=22)
     r = ideal_realization(sc)
     emb = embed_realization(r, EmbeddingSpec(extra_a=0, extra_b=0, seed=None))
+    assert np.array_equal(emb.state, r.state)
+    assert np.array_equal(emb.proj_a, r.proj_a) and np.array_equal(emb.proj_b, r.proj_b)
     t0 = compute_tables(r)
     t1 = compute_tables(emb)
     for pair in t0.pairs():
-        assert np.array_equal(t0.table(*pair), t1.table(*pair))
+        assert np.max(np.abs(t0.table(*pair) - t1.table(*pair))) <= 4 * np.finfo(float).eps
 
 
 def test_padding_without_rotation_preserves_tables():

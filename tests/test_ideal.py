@@ -12,8 +12,11 @@ from selftesting import (
     Measurement,
     Realization,
     SchmidtCoefficients,
+    blocks,
+    compute_tables,
     embed_realization,
     ideal_realization,
+    sample_tables,
 )
 from selftesting.cli import main
 from selftesting.errors import DimensionError, HermiticityError, NormalizationError
@@ -424,6 +427,126 @@ def test_cli_ideal_matches_per_block_loop(capsys):
     assert main(["ideal", "--coeffs", coeffs]) == 0
     want = json.dumps(realization_to_doc(_ideal_loop(sc)), indent=2) + "\n"
     assert capsys.readouterr().out == want
+
+
+def _party_reference(d: int, settings: np.ndarray, table, u: np.ndarray) -> np.ndarray:
+    """Dense reference for one ideal party's (settings, d, d, d) projectors.
+
+    Every outcome of every setting starts as ``|k><k|``; then one index
+    assignment writes outcome ``pair[o]`` of block i's setting
+    ``settings[i, j]`` as ``u[j, o, k] u[j, o, l]`` at ``(pair[k],
+    pair[l])``, the entries of ``u`` as in ``ideal._bases``. Adding 0.0
+    turns each -0.0 into 0.0.
+    """
+    p = np.zeros((settings.max() + 1, d, d, d))
+    k = np.arange(d)
+    p[:, k, k, k] = 1.0
+    pair = table.pair.T
+    at = (settings.T[:, None, None, None], pair[:, None, None], pair[:, None], pair)
+    p[at] = u[:, :, :, None] * u[:, :, None, :] + 0.0
+    return p
+
+
+@pytest.mark.parametrize("d", [*range(2, 18), 32])
+def test_ideal_projectors_match_dense_reference(d):
+    # the projectors made from the ideal bases are the stacks written entry
+    # by entry, bit for bit, and hold no -0.0
+    sc = random_coefficients(d, seed=900 + d)
+    table = blocks(sc)
+    s = 1.0 / np.sqrt(2)
+    u_a = np.array([[[1.0, 0.0], [0.0, 1.0]], [[s, s], [s, -s]]])[..., None]
+    ch, sh = np.cos(table.mu / 2), np.sin(table.mu / 2)
+    u_b = np.array([[[ch, sh], [-sh, ch]], [[ch, -sh], [sh, ch]]])
+    r = ideal_realization(sc)
+    for got, want in ((r.proj_a, _party_reference(d, table.xs, table, u_a)),
+                      (r.proj_b, _party_reference(d, table.ys, table, u_b))):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert not np.signbit(got[got == 0]).any()
+
+
+def test_basis_party_forms_are_made_on_first_read_and_kept():
+    # the tables, validation and sampling read the bases alone; the
+    # projectors are made on the first read and then kept, as the rounded
+    # bases of a party given as stacks are
+    r = ideal_realization(random_coefficients(6, seed=6))
+    r.validate()
+    compute_tables(r)
+    sample_tables(r, 10, seed=1)
+    assert not {"proj_a", "proj_b", "alice", "bob"} & vars(r).keys()
+    assert r.proj_b is r.proj_b and r.alice is r.alice
+    given = Realization(r.dim_a, r.dim_b, r.state, r.proj_a, r.proj_b)
+    given.validate()
+    assert not {"basis_a", "basis_b", "labels_a", "labels_b"} & vars(given).keys()
+    assert given.basis_a is given.basis_a and not given.labels_b.flags.writeable
+
+
+@pytest.mark.parametrize("party, x", [("alice", 1), ("bob", 3)])
+def test_basis_validation_names_party_and_setting(party, x):
+    # one column's squared norm off 1 by twice the tolerance fails; by half
+    # of it, it passes
+    r = ideal_realization(random_coefficients(5, seed=5))
+    for times, message in ((2.0, "2.000e-10"), (0.5, None)):
+        bases = {"a": r.basis_a.copy(), "b": r.basis_b.copy()}
+        bases[party[0]][x, :, 2] *= np.sqrt(1 + times * MEASUREMENT_TOL)
+        got = Realization.from_bases(
+            r.state, bases["a"], r.labels_a, bases["b"], r.labels_b, r.n_outcomes
+        )
+        if message is None:
+            got.validate()
+            continue
+        with pytest.raises(ValueError, match=rf"^{party} setting {x}: basis off orthonormal by {message}$"):
+            got.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_basis_validation_rejects_nonfinite_without_warnings(bad):
+    r = ideal_realization(random_coefficients(4, seed=4))
+    basis_b = r.basis_b.copy()
+    basis_b[2, 1, 1] = bad
+    got = Realization.from_bases(r.state, r.basis_a, r.labels_a, basis_b, r.labels_b, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^bob setting 2: basis contains non-finite entries$"):
+            got.validate()
+
+
+@pytest.mark.parametrize("party", ["alice", "bob"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda labels: labels.astype(float), r"labels must be integers, got dtype float64"),
+        (lambda labels: labels.astype(bool), r"labels must be integers, got dtype bool"),
+        (lambda labels: labels[:, :-1], r"labels must have shape \(\d, 3\), got \(\d, 2\)"),
+        (lambda labels: labels[0], r"labels must have shape \(\d, 3\), got \(3,\)"),
+        (lambda labels: labels - 1, r"label -1 outside \[0, 3\)"),
+        (lambda labels: labels + 1, r"label 3 outside \[0, 3\)"),
+    ],
+    ids=["float", "bool", "columns", "flat", "negative", "too-large"],
+)
+def test_from_bases_refuses_bad_labels(party, make, message):
+    r = ideal_realization(random_coefficients(3, seed=3))
+    labels = {"a": r.labels_a, "b": r.labels_b}
+    labels[party[0]] = make(labels[party[0]])
+    with pytest.raises(ValueError, match=rf"^{party} {message}$"):
+        Realization.from_bases(r.state, r.basis_a, labels["a"], r.basis_b, labels["b"], 3)
+
+
+@pytest.mark.parametrize("n", [0, 3.0, True, "3"])
+def test_from_bases_refuses_bad_outcome_count(n):
+    r = ideal_realization(random_coefficients(3, seed=3))
+    with pytest.raises(ValueError, match=rf"^n_outcomes must be a positive integer, got {n!r}$"):
+        Realization.from_bases(r.state, r.basis_a, r.labels_a, r.basis_b, r.labels_b, n)
+
+
+def test_outcome_labelling_no_column_has_zero_projector():
+    r = ideal_realization(random_coefficients(3, seed=3))
+    got = Realization.from_bases(r.state, r.basis_a, r.labels_a, r.basis_b, r.labels_b, 4)
+    got.validate()
+    assert got.proj_a.shape == (3, 4, 3, 3) and got.proj_b.shape == (4, 4, 3, 3)
+    assert not got.proj_a[:, 3].any() and not got.proj_b[:, 3].any()
+    tables = compute_tables(got).values
+    assert not tables[:, :, 3].any() and not tables[:, :, :, 3].any()
+    assert np.array_equal(tables[:, :, :3, :3], compute_tables(r).values)
 
 
 def test_ideal_measurements_are_valid_projective():
