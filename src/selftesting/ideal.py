@@ -42,13 +42,11 @@ ideal realization is real, so it is float64.
 Validation checks each party in the form it was built from. A basis-built
 party takes one product per setting: its basis must be finite and
 ``max|U^dagger U - 1|`` at most ``MEASUREMENT_TOL``; its labels were
-checked at construction. A stack-built party forms the products
-``P_j P_k``, k >= j, one diagonal ``o = k - j`` at a time, for every
-setting at once. A diagonal is skipped when no ``P_j`` on it has a nonzero
-column where its ``P_k`` has a nonzero row, since then each of its
-products is exactly zero. Every ideal projector lives on one block's pair,
-so an ideal party's stacks keep only the diagonals 0, 1 and, for even d,
-d - 1.
+checked at construction. A stack-built party is checked one setting at a
+time, as :meth:`Measurement.validate` checks one measurement: its entries
+must be finite and Hermitian, every product ``P_j P_k`` with k >= j must
+be ``P_j`` (k = j) or zero (k > j), and the projectors must sum to the
+identity, each within ``MEASUREMENT_TOL``.
 """
 
 from __future__ import annotations
@@ -74,11 +72,6 @@ ALICE_SETTINGS = 3
 BOB_SETTINGS = 4
 
 MEASUREMENT_TOL = 1e-10
-
-#: Most bytes of products formed at once: one outcome row of a d = 32
-#: float64 setting, so checking a party at d = 32 needs no larger
-#: temporaries than checking one setting.
-_PRODUCT_BYTES = 1 << 18
 
 
 # Not in __all__: shared with correlations and harness, which check their
@@ -137,14 +130,10 @@ class Measurement:
         """Check finite, Hermitian, idempotent, mutually orthogonal, complete,
         each within ``MEASUREMENT_TOL``.
 
-        Products ``P_j P_k`` for k >= j are formed one diagonal ``o = k - j``
-        at a time, as ``P[:n-o] @ P[o:]``: separate ``dim x dim`` products,
-        the same per pair as one ``P_j @ P_k``. A diagonal with o > 0 is
-        skipped when no ``P_j`` on it has a nonzero column where ``P_k`` has
-        a nonzero row: each of its products is then exactly zero. Columns
-        against rows, not rows against rows, because Hermiticity holds only
-        within the tolerance. The first failing pair in (j, k) order is
-        reported.
+        The checks run in that order. Products ``P_j P_k`` for k >= j are
+        formed one outcome row at a time, as ``P_j @ P[j:]``: separate
+        ``dim x dim`` products, the same per pair as one ``P_j @ P_k``. The
+        first failing pair in (j, k) order is reported.
         """
         _check_projectors(self.projectors[None])
 
@@ -160,41 +149,31 @@ def _check_entries(q: np.ndarray, at: str) -> None:
 
 
 def _check_projectors(p: np.ndarray, party: str = "") -> None:
-    """Validate each setting of a (settings, n, dim, dim) stack, in order.
+    """Validate each setting of a (settings, n, dim, dim) stack, in order,
+    and raise on the first failure.
 
     The checks and messages are those of :meth:`Measurement.validate`; with
-    ``party`` each message starts with ``"<party> setting <x>: "``. Each
-    diagonal's outcome range is split so that no product stack exceeds
-    ``_PRODUCT_BYTES``.
+    ``party`` each message starts with ``"<party> setting <x>: "``.
     """
-    s, n, dim = p.shape[:3]
-    links = np.any(p, axis=2).astype(float) @ np.any(p, axis=3).transpose(0, 2, 1)
-    _, js, ks = np.nonzero(links)
-    step = max(1, _PRODUCT_BYTES // max(1, p[:, :1].nbytes))
-    worst = np.zeros((s, n, n))
-    # Non-finite entries are reported before any value computed from them.
-    with np.errstate(all="ignore"):
-        # A set, not np.union1d, whose first call adds about 1 MB of resident memory.
-        for o in {0, *(ks - js)[ks > js].tolist()}:
-            for a in range(0, n - o, step):
-                b = min(a + step, n - o)
-                prod = p[:, a:b] @ p[:, a + o : b + o]
-                if o == 0:
-                    prod -= p[:, a:b]
-                j = np.arange(a, b)
-                worst[:, j, j + o] = np.max(np.abs(prod).reshape(s, b - a, -1), axis=2)
-        comp = np.max(np.abs(p.sum(axis=1) - np.eye(dim)), axis=(1, 2))
+    n, dim = p.shape[1:3]
     for x, q in enumerate(p):
         at = f"{party} setting {x}: " if party else ""
         _check_entries(q, at)
-        bad = np.argwhere(worst[x] > MEASUREMENT_TOL)
-        if bad.size:
-            j, k = bad[0]
-            if j == k:
-                raise ValueError(f"{at}outcome {j} projector not idempotent ({worst[x, j, j]:.3e})")
-            raise ValueError(f"{at}outcomes {j},{k} projectors overlap ({worst[x, j, k]:.3e})")
-        if comp[x] > MEASUREMENT_TOL:
-            raise ValueError(f"{at}projectors sum off identity by {comp[x]:.3e}")
+        # Finite entries can still overflow: their products then read inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n):
+                prod = q[j] @ q[j:]
+                prod[0] -= q[j]
+                worst = np.abs(prod).max(axis=(1, 2))
+                bad = np.flatnonzero(worst > MEASUREMENT_TOL)
+                if bad.size:
+                    k, w = j + bad[0], worst[bad[0]]
+                    if k == j:
+                        raise ValueError(f"{at}outcome {j} projector not idempotent ({w:.3e})")
+                    raise ValueError(f"{at}outcomes {j},{k} projectors overlap ({w:.3e})")
+            comp = np.max(np.abs(q.sum(axis=0) - np.eye(dim)))
+        if comp > MEASUREMENT_TOL:
+            raise ValueError(f"{at}projectors sum off identity by {comp:.3e}")
 
 
 def _check_bases(u: np.ndarray, party: str) -> None:

@@ -71,3 +71,53 @@ def test_no_numpy2_only_names():
         if NUMPY2_ONLY.search(line)
     ]
     assert found == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each top-level private function, class or
+    constant of a module; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name that `node` reads, as a name, an attribute or an import."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def test_no_unread_private_names():
+    # a private helper or constant that nothing reads outside its own
+    # definition is dead code left behind by a change
+    src = Path(selftesting.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    reads = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
+    defined = [
+        (f"{f}:{name}", name, node)
+        for f, tree in trees.items()
+        for name, node in _private_definitions(tree)
+    ]
+    assert defined
+    unread = [
+        where
+        for where, name, node in defined
+        if not any(name in names for other, names in reads if other is not node)
+    ]
+    assert unread == []

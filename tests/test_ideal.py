@@ -123,24 +123,27 @@ def test_validate_matches_pairwise_loop_real():
 
 
 def _unit_vector(q: np.ndarray) -> np.ndarray:
-    """A unit vector spanning the real rank-one projector `q`."""
-    i = np.argmax(np.diagonal(q))
-    return q[:, i] / np.sqrt(q[i, i])
+    """A unit vector spanning the real or complex rank-one projector `q`."""
+    i = np.argmax(np.diagonal(q).real)
+    return q[:, i] / np.sqrt(q[i, i].real)
 
 
 def _planted_overlap(p: np.ndarray, j: int, k: int, eps: float) -> np.ndarray:
-    """Real rank-one stack `p` with outcome k's vector leaned by `eps` into outcome j's."""
+    """Stack `p` with outcome k's vector leaned by `eps` into outcome j's;
+    both outcomes' projectors must be rank one, real or complex."""
     a, b = _unit_vector(p[k]), _unit_vector(p[j])
     v = (a + eps * b) / np.sqrt(1 + eps * eps)
     out = p.copy()
-    out[k] = np.outer(v, v)
+    out[k] = np.outer(v, v.conj())
     return out
 
 
 def test_validate_reports_overlap_deep_in_stack():
-    # a pair far from the diagonal of a long outcome row
+    # a pair far from the diagonal of a long outcome row, in sparse real
+    # stacks and in dense complex ones
     r = ideal_realization(random_coefficients(32, seed=32))
-    for meas in r.alice + r.bob:
+    hidden = embed_realization(r, EmbeddingSpec(2, 1, 7))
+    for meas in r.alice + r.bob + hidden.alice + hidden.bob:
         bad = Measurement(_planted_overlap(meas.projectors, 3, 30, 1e-9))
         want = _verdict(lambda: _validate_loop(bad))
         assert want is not None and want[1].startswith("outcomes 3,30 projectors overlap")
@@ -167,6 +170,22 @@ def test_validate_rejects_nonfinite_projectors():
         Measurement(stack).validate()
 
 
+def test_validate_huge_finite_entries_fail_without_warnings():
+    # products of finite entries overflow to inf, which fails idempotency
+    r = ideal_realization(random_coefficients(4, seed=4))
+    huge = r.proj_a * 1e200
+    checks = [
+        ("", Measurement(huge[0]).validate),
+        ("alice setting 0: ", Realization(r.dim_a, r.dim_b, r.state, huge, r.proj_b).validate),
+    ]
+    for at, check in checks:
+        want = rf"^{at}outcome 0 projector not idempotent \(inf\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=want):
+                check()
+
+
 def _party_loop(r: Realization) -> tuple[type, str] | None:
     """Pairwise reference for Realization.validate's projector checks: the
     first failing setting's `_validate_loop` verdict, named by its setting."""
@@ -181,13 +200,13 @@ def _party_loop(r: Realization) -> tuple[type, str] | None:
 def _defective_realization(d: int, seed: int) -> tuple[str, Realization]:
     """Ideal realization with one seeded defect in one setting.
 
-    Ideal stacks are sparse: each projector lives on one block's pair, so
-    most diagonals of products are skipped. The "overlap" defect leans
-    outcome k's vector into outcome j's range, which links two disjoint
-    supports. The "column" defect puts a sub-tolerance entry into P_j at
-    a row in its support and a column c in P_k's support, then scales P_k
-    by 100: the column support of P_j meets the row support of P_k while
-    their row supports stay disjoint, and P_j P_k exceeds the tolerance.
+    Ideal stacks are sparse: each projector lives on one block's pair. The
+    "overlap" defect leans outcome k's vector into outcome j's range, which
+    links two disjoint supports. The "column" defect picks j < k with
+    disjoint supports, puts a sub-tolerance entry into P_j at a row in its
+    support and a column c in P_k's support, then scales P_k by 100. P_j
+    stays Hermitian and idempotent within the tolerance, but P_j P_k
+    exceeds it, and pair (j, k) comes before P_k's own idempotency check.
     """
     rng = np.random.default_rng(seed)
     r = ideal_realization(random_coefficients(d, seed=seed))
