@@ -20,7 +20,10 @@ block table's columns, block k's cell (a, b) of settings
 ``(xs[k, i], ys[k, j])`` being ``values[xs[k, i], ys[k, j], pair[k, a],
 pair[k, b]]``. An outcome k that no block of a constrained pair holds (for
 odd d, one outcome per family) is deterministic there: its one cell is
-``(k, k)``, with the full weight ``c_k^2``.
+``(k, k)``, with the full weight ``c_k^2``. Every table set of this package
+is built from the two arrays by :meth:`CorrelationTables.from_values`; the
+mapping constructor, which files and tests use, assembles them from one
+table per pair and then applies the same checks.
 
 :func:`compute_tables` and :func:`reference_tables` are two independent
 routes to the same numbers for an ideal realization. The first applies the
@@ -30,7 +33,9 @@ separate is what makes the equivalence test meaningful. The closed form is
 evaluated once per coefficient vector: one cached scatter writes the eight
 reference tables, in the same (3, 4, d, d) layout, and the mask of their
 block cells together, and both :func:`reference_tables` and
-:func:`verify_tables` read it.
+:func:`verify_tables` read it. Likewise the Born rule runs once per
+realization: :func:`compute_tables` keeps its array on the realization,
+where :func:`selftesting.harness.sample_tables` finds it.
 """
 
 from __future__ import annotations
@@ -60,17 +65,24 @@ def constrained_pairs() -> list[tuple[int, int]]:
     return [(x, y) for xs, ys in SETTINGS.values() for x in xs for y in ys]
 
 
+#: The constrained pairs of :func:`constrained_pairs` as two index arrays,
+#: in its order.
+_CONSTRAINED = tuple(np.array(constrained_pairs()).T)
+#: Every setting pair present, as Born-rule and sampled tables have them.
+_ALL = np.ones((ALICE_SETTINGS, BOB_SETTINGS), dtype=bool)
+
+
 @dataclass(eq=False)
 class CorrelationTables:
     """Per-pair outcome distributions, held as the module docstring describes.
 
     `tables` maps setting pairs ``(x, y)`` to d x d tables, which are
     copied. `d` must be an integer >= 2, every key two integers in range,
-    every table of shape (d, d) with finite entries (a NaN compares false
-    against every tolerance, so it would pass any check made on it), and
-    the mapping must not be empty; anything else is a ``ValueError``. A
-    complex table is taken as its real part if its imaginary part is zero,
-    and refused otherwise. ``==`` is identity.
+    every table of shape (d, d), and the mapping must not be empty;
+    anything else is a ``ValueError``. A complex table is taken as its
+    real part if its imaginary part is zero, and refused otherwise. The
+    assembled array then passes the checks of :meth:`from_values`, which
+    builds a table set from the array layout directly. ``==`` is identity.
     """
 
     d: int
@@ -95,28 +107,74 @@ class CorrelationTables:
                 raise ValueError(f"table {key} has shape {np.shape(tab)}, expected {(d, d)}")
             if np.iscomplexobj(tab) and np.any(np.imag(tab)):
                 raise ValueError(f"table {key} has a nonzero imaginary part")
-        self.values = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
-        self.present = np.zeros((ALICE_SETTINGS, BOB_SETTINGS), dtype=bool)
+        values = np.zeros((ALICE_SETTINGS, BOB_SETTINGS, d, d))
+        present = np.zeros((ALICE_SETTINGS, BOB_SETTINGS), dtype=bool)
         for (x, y), tab in tables.items():
-            self.values[x, y] = np.real(tab)
-            self.present[x, y] = True
-        bad = np.argwhere(~np.isfinite(self.values).all(axis=(2, 3)))
-        if bad.size:
-            raise ValueError(f"table {tuple(bad[0].tolist())} contains non-finite entries")
-        self.values.flags.writeable = False
-        self.present.flags.writeable = False
+            values[x, y] = np.real(tab)
+            present[x, y] = True
+        self._adopt(values, present)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, present: np.ndarray) -> CorrelationTables:
+        """A table set from its (3, 4, d, d) array `values` and (3, 4) bool
+        array `present`, both copied.
+
+        `values` must have d >= 2, finite entries (a NaN compares false
+        against every tolerance, so it would pass any check made on it)
+        and, if complex, a zero imaginary part; `present` must name at
+        least one pair, and every pair it does not name must be zero in
+        `values`. Anything else is a ``ValueError``; one about a table
+        names the first such pair in row-major order. The copy of `values`
+        is C-ordered float64.
+        """
+        values, present = np.asarray(values), np.asarray(present)
+        shape = (ALICE_SETTINGS, BOB_SETTINGS)
+        if values.ndim != 4 or values.shape[:2] != shape or values.shape[2] != values.shape[3]:
+            raise ValueError(f"values must have shape (3, 4, d, d), got {values.shape}")
+        if values.shape[2] < 2:
+            raise ValueError(f"d must be an integer >= 2, got {values.shape[2]}")
+        if present.shape != shape or present.dtype != bool:
+            raise ValueError(
+                f"present must be a (3, 4) bool array, got {present.dtype} of shape {present.shape}"
+            )
+        t = object.__new__(cls)
+        t.d = values.shape[2]
+        t._adopt(values, present)
+        return t
+
+    def _adopt(self, values: np.ndarray, present: np.ndarray) -> None:
+        """Check `values` and `present` as :meth:`from_values` says, then keep
+        read-only copies of both and the tuple of present pairs."""
+        if not present.any():
+            raise ValueError("a table set needs at least one setting pair")
+        if np.iscomplexobj(values):
+            imag = np.imag(values).any(axis=(2, 3))
+            if imag.any():
+                raise ValueError(f"table {_first(imag)} has a nonzero imaginary part")
+            values = values.real
+        self.values = np.array(values, dtype=float, order="C")
+        if not np.isfinite(self.values).all():
+            raise ValueError(
+                f"table {_first(~np.isfinite(self.values).all(axis=(2, 3)))} contains non-finite entries"
+            )
+        stray = self.values.any(axis=(2, 3)) & ~present
+        if stray.any():
+            raise ValueError(f"table {_first(stray)} is not present but nonzero")
+        self.present = np.array(present)
+        self.values.flags.writeable = self.present.flags.writeable = False
+        self._pairs = tuple(map(tuple, np.argwhere(present).tolist()))
 
     def has(self, x: int, y: int) -> bool:
-        return 0 <= x < ALICE_SETTINGS and 0 <= y < BOB_SETTINGS and bool(self.present[x, y])
+        return (x, y) in self._pairs
 
     def table(self, x: int, y: int) -> np.ndarray:
         """The read-only table of pair (x, y); :class:`CoverageError` if absent."""
-        if not self.has(x, y):
+        if (x, y) not in self._pairs:
             raise CoverageError(f"no table for setting pair ({x}, {y})")
         return self.values[x, y]
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(x, y) for x, y in np.argwhere(self.present).tolist()]
+        return list(self._pairs)
 
     def require_constrained(self, d: int) -> None:
         """Raise :class:`DimensionError` unless these tables have `d`
@@ -124,8 +182,15 @@ class CorrelationTables:
         pair, in :func:`constrained_pairs` order, that they lack."""
         if self.d != d:
             raise DimensionError(f"tables have d = {self.d}, but the coefficients give d = {d}")
-        for x, y in constrained_pairs():
-            self.table(x, y)
+        given = self.present[_CONSTRAINED]
+        if not given.all():
+            x, y = constrained_pairs()[int(np.argmin(given))]
+            raise CoverageError(f"no table for setting pair ({x}, {y})")
+
+
+def _first(bad: np.ndarray) -> tuple[int, int]:
+    """The first true pair of a (3, 4) bool array, in row-major order."""
+    return tuple(np.argwhere(bad)[0].tolist())
 
 
 def compute_tables(r: Realization) -> CorrelationTables:
@@ -143,19 +208,28 @@ def compute_tables(r: Realization) -> CorrelationTables:
     to within their distance from projective ones (see
     :func:`selftesting.ideal.round_ladder`); its stacks must be finite and
     Hermitian, else this raises as :meth:`Realization.validate` does.
+
+    The read-only (3, 4, d, d) array is computed on the first call and kept
+    on `r`, as the reference tables are kept on the coefficients: every
+    array a realization holds is read-only, so it never goes stale. Each
+    call returns a new table set copied from it.
     """
-    m, n = r.state_matrix(), r.n_outcomes
-    amp = (dagger(r.basis_a) @ m)[:, None] @ r.basis_b.conj()
-    sq = np.square(amp.real)
-    if np.iscomplexobj(amp):
-        sq += np.square(amp.imag)
-    # Cell of each amplitude in the (3, 4, n, n) tables, flattened.
-    cell = np.arange(ALICE_SETTINGS * BOB_SETTINGS).reshape(ALICE_SETTINGS, BOB_SETTINGS, 1, 1)
-    cell = (cell * n + r.labels_a[:, None, :, None]) * n + r.labels_b[:, None, :]
-    out = np.bincount(cell.ravel(), sq.ravel(), ALICE_SETTINGS * BOB_SETTINGS * n * n)
-    out = out.reshape(ALICE_SETTINGS, BOB_SETTINGS, n, n)
-    tables = {pair: out[pair] for pair in np.ndindex(ALICE_SETTINGS, BOB_SETTINGS)}
-    return CorrelationTables(d=n, tables=tables)
+    # `vars`, as in _reference: `r` is frozen.
+    born = vars(r).get("_tables")
+    if born is None:
+        m, n = r.state_matrix(), r.n_outcomes
+        amp = (dagger(r.basis_a) @ m)[:, None] @ r.basis_b.conj()
+        sq = np.square(amp.real)
+        if np.iscomplexobj(amp):
+            sq += np.square(amp.imag)
+        # Cell of each amplitude in the (3, 4, n, n) tables, flattened.
+        cell = np.arange(ALICE_SETTINGS * BOB_SETTINGS).reshape(ALICE_SETTINGS, BOB_SETTINGS, 1, 1)
+        cell = (cell * n + r.labels_a[:, None, :, None]) * n + r.labels_b[:, None, :]
+        born = np.bincount(cell.ravel(), sq.ravel(), ALICE_SETTINGS * BOB_SETTINGS * n * n)
+        born = born.reshape(ALICE_SETTINGS, BOB_SETTINGS, n, n)
+        born.flags.writeable = False
+        vars(r)["_tables"] = born
+    return CorrelationTables.from_values(born, _ALL)
 
 
 def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -188,17 +262,18 @@ def _block_2x2(c_lo: np.ndarray, c_hi: np.ndarray, mu: np.ndarray) -> np.ndarray
     return np.array([[z, z], x])
 
 
-def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
+def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The reference tables of `sc` in one read-only (3, 4, d, d) array,
-    laid out as ``CorrelationTables.values``, and the read-only mask of
-    their cells, of the same shape. The four unconstrained pairs are zero
-    and unmasked.
+    laid out as ``CorrelationTables.values``, the read-only mask of their
+    cells, and the read-only mask of the other cells of the constrained
+    pairs (their off-block cells), both of the same shape. The four
+    unconstrained pairs are zero and in neither mask.
 
-    One scatter writes both: a single index assignment puts block k's cell
-    (a, b) of settings ``(xs[k, i], ys[k, j])`` at ``(pair[k, a], pair[k,
-    b])`` and marks the same cells in the mask. Then each row k of a
-    constrained pair that holds no block cell gets ``c_k^2`` at (k, k), and
-    is masked there.
+    One scatter writes the first two: a single index assignment puts block
+    k's cell (a, b) of settings ``(xs[k, i], ys[k, j])`` at ``(pair[k, a],
+    pair[k, b])`` and marks the same cells in the mask. Then each row k of
+    a constrained pair that holds no block cell gets ``c_k^2`` at (k, k),
+    and is masked there.
     Computed on the first call and kept on `sc`, as its block table is
     (:func:`selftesting.schmidt.blocks`): `sc` is immutable, so they never
     go stale.
@@ -217,8 +292,9 @@ def _reference(sc: SchmidtCoefficients) -> tuple[np.ndarray, np.ndarray]:
         x, y, k = np.nonzero(mask.any(axis=(2, 3))[..., None] & ~mask.any(axis=3))
         ref[x, y, k, k] = np.float_power(c[k], 2)
         mask[x, y, k, k] = True
-        ref.flags.writeable = mask.flags.writeable = False
-        cached = vars(sc)["_reference"] = (ref, mask)
+        off = ~mask & mask.any(axis=(2, 3), keepdims=True)
+        ref.flags.writeable = mask.flags.writeable = off.flags.writeable = False
+        cached = vars(sc)["_reference"] = (ref, mask, off)
     return cached
 
 
@@ -231,8 +307,8 @@ def reference_tables(sc: SchmidtCoefficients) -> CorrelationTables:
     :func:`_reference`, so one closed-form evaluation per coefficient
     vector serves this and :func:`verify_tables`.
     """
-    ref, _ = _reference(sc)
-    return CorrelationTables(d=sc.d, tables={(x, y): ref[x, y] for x, y in constrained_pairs()})
+    ref, mask, _ = _reference(sc)
+    return CorrelationTables.from_values(ref, mask.any(axis=(2, 3)))
 
 
 def no_signaling_check(t: CorrelationTables) -> float:
@@ -243,14 +319,16 @@ def no_signaling_check(t: CorrelationTables) -> float:
     marginal is compared with that of the first present pair it must match.
     Pairs not present contribute nothing.
     """
-    gaps = []
-    # Row sums compared along y (axis 1 of the pair grid), column sums along x.
-    for axis, marginals in ((1, t.values.sum(axis=3)), (0, t.values.sum(axis=2))):
-        first = np.expand_dims(np.argmax(t.present, axis=axis), (axis, 2))
-        gap = np.abs(marginals - np.take_along_axis(marginals, first, axis=axis))
-        gaps.append(np.max(gap, where=t.present[..., None], initial=0.0))
+    v, present = t.values, t.present
+    # Each row marginal against that of the first present y of its x, each
+    # column marginal against that of the first present x of its y.
+    rows, cols = v.sum(axis=3), v.sum(axis=2)
+    row_gap = np.abs(rows - rows[np.arange(ALICE_SETTINGS), present.argmax(axis=1)][:, None])
+    col_gap = np.abs(cols - cols[present.argmax(axis=0), np.arange(BOB_SETTINGS)])
     # np.max, not the builtin: a NaN must propagate, not be dropped.
-    return float(np.max(gaps))
+    return float(np.max([
+        np.max(gap, where=present[..., None], initial=0.0) for gap in (row_gap, col_gap)
+    ]))
 
 
 @dataclass(frozen=True)
@@ -290,14 +368,12 @@ def verify_tables(
     raise :class:`DimensionError`.
     """
     t.require_constrained(sc.d)
-    ref, mask = _reference(sc)
+    ref, mask, off = _reference(sc)
     # Fold with numpy, which propagates a NaN that the builtin max would drop.
     block_res = float(np.max(np.abs(t.values - ref)[mask]))
-    # The cells of the constrained pairs off their blocks. Both families
-    # leave the same number of them, and `values` is C-ordered, so each
-    # pair's mass is the pairwise sum of its own off-block cells in
-    # row-major order.
-    off = ~mask & mask.any(axis=(2, 3), keepdims=True)
+    # Both families leave the same number of off-block cells, and `values`
+    # is C-ordered, so each pair's mass is the pairwise sum of its own
+    # off-block cells in row-major order.
     off_mass = float(np.max(np.abs(t.values[off]).reshape(8, -1).sum(axis=-1)))
     ns = no_signaling_check(t)
     sum_res = float(np.max(np.abs(t.values.sum(axis=(2, 3))[t.present] - 1.0)))

@@ -131,9 +131,15 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     Each pair draws one multinomial with `shots` trials from its exact
     outcome distribution, on an independent PCG64 sub-stream seeded with
     ``(seed, x, y)`` so pairs are reproducible in isolation and the result
-    does not depend on iteration order. `shots` and `seed` are Python or
-    numpy integers, not bools; anything else is a ``ValueError`` that names
-    the argument.
+    does not depend on iteration order: the counts of pair (x, y) are
+    those of ``default_rng(SeedSequence((seed, x, y))).multinomial(shots,
+    p / p.sum())``, with ``p`` the pair's Born table clipped at zero and
+    flattened. The Born tables are those :func:`compute_tables` keeps on
+    `r`, computed here only if no earlier call did. All pairs are
+    normalized at once and their counts written into one array, from
+    which :meth:`CorrelationTables.from_values` builds the estimate.
+    `shots` and `seed` are Python or numpy integers, not bools; anything
+    else is a ``ValueError`` that names the argument.
     """
     # The frequencies divide by `shots`, but the draw truncates it.
     for name, value in (("shots", shots), ("seed", seed)):
@@ -145,17 +151,17 @@ def sample_tables(r: Realization, shots: int, seed: int) -> SampleResult:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     exact = compute_tables(r)
-    v = exact.values
+    v, d = exact.values, exact.d
     stderr_max = float(np.max(np.sqrt(np.clip(v * (1 - v), 0, None) / shots)))
     p = np.clip(v, 0, None)
-    estimated: dict[tuple[int, int], np.ndarray] = {}
+    p = (p / p.sum(axis=(2, 3), keepdims=True)).reshape(*p.shape[:2], d * d)
+    counts = np.empty(p.shape, dtype=np.int64)
     for x, y in exact.pairs():
         rng = np.random.default_rng(np.random.SeedSequence((seed, x, y)))
-        counts = rng.multinomial(shots, p[x, y].ravel() / p[x, y].sum())
-        estimated[(x, y)] = counts.reshape(exact.d, exact.d) / shots
+        counts[x, y] = rng.multinomial(shots, p[x, y])
     return SampleResult(
         seed=seed,
         shots_per_pair=shots,
-        estimated=CorrelationTables(d=exact.d, tables=estimated),
+        estimated=CorrelationTables.from_values(counts.reshape(v.shape) / shots, exact.present),
         stderr_max=stderr_max,
     )

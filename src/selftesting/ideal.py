@@ -101,6 +101,15 @@ def _real_or_complex(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float)
 
 
+def _state(state: Any) -> np.ndarray:
+    """A flat, read-only copy of `state`, of the dtype :func:`_real_or_complex`
+    gives it: no caller can change a realization after construction, nor
+    make stale what is kept on it."""
+    state = np.array(_real_or_complex(state).reshape(-1))
+    state.flags.writeable = False
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """A projective measurement as a stack of projectors.
@@ -144,7 +153,7 @@ def _check_entries(q: np.ndarray, at: str) -> None:
     if not np.all(np.isfinite(q)):
         raise ValueError(f"{at}projectors contain non-finite entries")
     herm = np.max(np.abs(q - np.conj(np.transpose(q, (0, 2, 1)))))
-    if herm > MEASUREMENT_TOL:
+    if not herm <= MEASUREMENT_TOL:
         raise HermiticityError(f"{at}projector asymmetry {herm:.3e} > {MEASUREMENT_TOL:.0e}")
 
 
@@ -165,14 +174,14 @@ def _check_projectors(p: np.ndarray, party: str = "") -> None:
                 prod = q[j] @ q[j:]
                 prod[0] -= q[j]
                 worst = np.abs(prod).max(axis=(1, 2))
-                bad = np.flatnonzero(worst > MEASUREMENT_TOL)
+                bad = np.flatnonzero(~(worst <= MEASUREMENT_TOL))
                 if bad.size:
                     k, w = j + bad[0], worst[bad[0]]
                     if k == j:
                         raise ValueError(f"{at}outcome {j} projector not idempotent ({w:.3e})")
                     raise ValueError(f"{at}outcomes {j},{k} projectors overlap ({w:.3e})")
             comp = np.max(np.abs(q.sum(axis=0) - np.eye(dim)))
-        if comp > MEASUREMENT_TOL:
+        if not comp <= MEASUREMENT_TOL:
             raise ValueError(f"{at}projectors sum off identity by {comp:.3e}")
 
 
@@ -186,7 +195,7 @@ def _check_bases(u: np.ndarray, party: str) -> None:
     for x, q in enumerate(u):
         if not np.all(np.isfinite(q)):
             raise ValueError(f"{party} setting {x}: basis contains non-finite entries")
-        if off[x] > MEASUREMENT_TOL:
+        if not off[x] <= MEASUREMENT_TOL:
             raise ValueError(f"{party} setting {x}: basis off orthonormal by {off[x]:.3e}")
 
 
@@ -242,7 +251,8 @@ class Realization:
     """A concrete state and measurement assignment for both parties.
 
     `state` is a flat vector on the product space, index ``i * dim_b + j``,
-    real or complex as a party is. `alice` takes 3 settings on the first
+    real or complex as a party is, held as a read-only copy by both
+    constructors. `alice` takes 3 settings on the first
     factor, `bob` 4 on the second, each a :class:`Measurement` or an
     (n, dim, dim) array, all with the same n (else this raises). A party
     given as one array is adopted, and made read-only, as ``proj_a`` or
@@ -265,7 +275,7 @@ class Realization:
     bob: tuple[Measurement, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "state", _real_or_complex(self.state).reshape(-1))
+        object.__setattr__(self, "state", _state(self.state))
         if len(self.alice) != ALICE_SETTINGS or len(self.bob) != BOB_SETTINGS:
             raise ValueError(
                 f"need {ALICE_SETTINGS} first-party and {BOB_SETTINGS} second-party settings, "
@@ -315,12 +325,12 @@ class Realization:
         column has the zero projector. Anything else is a ``ValueError``
         that names the party; so is an `n_outcomes` that is not a positive
         integer, without a party. The bases are adopted and made read-only,
-        the labels copied; :meth:`validate` checks the bases.
+        the state and the labels copied; :meth:`validate` checks the bases.
         """
         if not is_int(n_outcomes) or n_outcomes < 1:
             raise ValueError(f"n_outcomes must be a positive integer, got {n_outcomes!r}")
         r = object.__new__(cls)
-        attrs = {"state": _real_or_complex(state).reshape(-1), "n_outcomes": int(n_outcomes)}
+        attrs = {"state": _state(state), "n_outcomes": int(n_outcomes)}
         for party, settings, basis, labels in (
             ("alice", ALICE_SETTINGS, basis_a, labels_a),
             ("bob", BOB_SETTINGS, basis_b, labels_b),
@@ -388,7 +398,7 @@ class Realization:
         if not np.all(np.isfinite(self.state)):
             raise ValueError("state contains non-finite entries")
         norm_sq = float(np.real(np.vdot(self.state, self.state)))
-        if abs(norm_sq - 1.0) > MEASUREMENT_TOL:
+        if not abs(norm_sq - 1.0) <= MEASUREMENT_TOL:
             raise NormalizationError(
                 f"state squared norm {norm_sq!r} off 1 beyond {MEASUREMENT_TOL:.0e}"
             )

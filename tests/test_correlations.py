@@ -31,6 +31,7 @@ from selftesting import correlations
 from selftesting.chsh import block_scores
 from selftesting.correlations import _block_2x2, _reference, constrained_pairs
 from selftesting.errors import CoverageError, HermiticityError
+from selftesting.io import load_realization, save_realization
 from selftesting.schmidt import SETTINGS, blocks
 
 # c=(0.8, 0.6): T_{0,0}[0,0] = 0.64 cos^2(mu/2)
@@ -145,8 +146,11 @@ def test_reference_tables_match_block_loop(d):
     # the unconstrained pairs hold no reference cell
     unconstrained = np.ones((3, 4), dtype=bool)
     unconstrained[tuple(zip(*constrained_pairs()))] = False
-    ref, mask = _reference(sc)
+    ref, mask, off = _reference(sc)
     assert not mask[unconstrained].any() and not ref[unconstrained].any()
+    # the off-block cells are the other cells of the constrained pairs
+    assert not off[unconstrained].any()
+    assert np.array_equal(off[~unconstrained], ~mask[~unconstrained])
 
 
 def _einsum_tables(r: Realization) -> dict[tuple[int, int], np.ndarray]:
@@ -378,8 +382,7 @@ def test_verify_builds_the_reference_once_per_coefficients(monkeypatch):
         ]
         assert len(calls) == 1
         assert all(rep.passed for rep in reports) and reports[2:] == reports[:2]
-        ref, mask = _reference(sc)
-        assert not ref.flags.writeable and not mask.flags.writeable
+        assert not any(a.flags.writeable for a in _reference(sc))
     # other coefficients of the same d get their own reference
     assert not verify_tables(ideal, random_coefficients(5, seed=13)).passed
     assert len(calls) == 2
@@ -500,3 +503,216 @@ def test_compute_tables_rejects_nonfinite_stacks_without_warnings(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^bob setting 2: projectors contain non-finite entries$"):
             compute_tables(r)
+
+
+def test_from_values_copies_into_a_read_only_array():
+    # the array constructor gives the same table set as the mapping one, from
+    # any layout and real dtype, and keeps nothing of the caller's arrays
+    t = compute_tables(ideal_realization(random_coefficients(3, seed=3)))
+    want = CorrelationTables(3, {(0, 1): t.table(0, 1), (2, 3): t.table(2, 3)})
+    values = want.values.copy()
+    for given in (values, np.asfortranarray(values), values.astype(complex)):
+        present = want.present.copy()
+        got = CorrelationTables.from_values(given, present)
+        assert got.d == 3 and np.array_equal(got.values, want.values)
+        assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
+        assert np.array_equal(got.present, want.present)
+        assert got.pairs() == [(0, 1), (2, 3)] and got.has(2, 3) and not got.has(0, 0)
+        with pytest.raises(CoverageError, match=r"^no table for setting pair \(0, 0\)$"):
+            got.table(0, 0)
+        given[0, 1] = 9.0
+        present[:] = True
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.present, want.present)
+        for array in (got.values, got.present, got.table(0, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "values, present, message",
+    [
+        (np.zeros((3, 4, 2, 3)), np.ones((3, 4), bool), r"^values must have shape \(3, 4, d, d\), got \(3, 4, 2, 3\)$"),
+        (np.zeros((4, 3, 2, 2)), np.ones((3, 4), bool), r"^values must have shape \(3, 4, d, d\), got \(4, 3, 2, 2\)$"),
+        (np.zeros((12, 2, 2)), np.ones((3, 4), bool), r"^values must have shape \(3, 4, d, d\), got \(12, 2, 2\)$"),
+        (np.ones((3, 4, 1, 1)), np.ones((3, 4), bool), r"^d must be an integer >= 2, got 1$"),
+        (np.zeros((3, 4, 2, 2)), np.ones((4, 3), bool), r"^present must be a \(3, 4\) bool array, got bool of shape \(4, 3\)$"),
+        (np.zeros((3, 4, 2, 2)), np.ones((3, 4), int), r"^present must be a \(3, 4\) bool array, got int64 of shape \(3, 4\)$"),
+        (np.zeros((3, 4, 2, 2)), np.zeros((3, 4), bool), r"^a table set needs at least one setting pair$"),
+    ],
+    ids=["square", "pair-grid", "ndim", "d=1", "present-shape", "present-dtype", "no-pair"],
+)
+def test_from_values_refuses_bad_layouts(values, present, message):
+    with pytest.raises(ValueError, match=message):
+        CorrelationTables.from_values(values, present)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (1e-300j, r"^table \(1, 2\) has a nonzero imaginary part$"),
+        (complex(0.0, np.nan), r"^table \(1, 2\) has a nonzero imaginary part$"),
+        (np.nan, r"^table \(1, 2\) contains non-finite entries$"),
+        (-np.inf, r"^table \(1, 2\) contains non-finite entries$"),
+    ],
+    ids=["imaginary", "nan-imaginary", "nan", "inf"],
+)
+def test_from_values_refuses_bad_entries(bad, message):
+    # the first bad pair in row-major order is named, by both constructors,
+    # which end in the same checks
+    values = np.full((3, 4, 2, 2), 0.25, dtype=np.result_type(bad))
+    values[1, 2, 0, 1] = values[2, 3, 1, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        CorrelationTables.from_values(values, np.ones((3, 4), dtype=bool))
+    with pytest.raises(ValueError, match=message):
+        CorrelationTables(2, {(x, y): values[x, y] for x, y in np.ndindex(3, 4)})
+
+
+def test_from_values_refuses_nonzero_absent_pairs():
+    # an absent pair means "no statement", so it must hold nothing
+    values = np.zeros((3, 4, 2, 2))
+    present = np.zeros((3, 4), dtype=bool)
+    values[0, 0], present[0, 0] = np.eye(2) / 2, True
+    values[1, 1, 1, 0] = values[2, 0, 0, 0] = 1e-300
+    with pytest.raises(ValueError, match=r"^table \(1, 1\) is not present but nonzero$"):
+        CorrelationTables.from_values(values, present)
+    values[1, 1, 1, 0] = values[2, 0, 0, 0] = -0.0
+    assert CorrelationTables.from_values(values, present).pairs() == [(0, 0)]
+
+
+def test_require_constrained_names_the_first_missing_pair():
+    t = reference_tables(random_coefficients(4, seed=4))
+    for drop in ([(0, 0)], [(1, 1), (0, 2)], [(2, 3), (2, 2)], constrained_pairs()[::-1]):
+        present = t.present.copy()
+        present[tuple(np.array(drop).T)] = False
+        if not present.any():
+            present[1, 2] = True
+        values = np.where(present[..., None, None], t.values, 0.0)
+        first = min(drop, key=constrained_pairs().index)
+        with pytest.raises(CoverageError, match=rf"^no table for setting pair \({first[0]}, {first[1]}\)$"):
+            CorrelationTables.from_values(values, present).require_constrained(4)
+
+
+def test_born_tables_are_computed_once_per_realization(monkeypatch):
+    # compute_tables keeps its read-only array on the realization, so a
+    # later compute_tables or sample_tables reads it; each call still
+    # returns its own table set
+    calls = []
+    dagger = correlations.dagger
+
+    def counted(a):
+        calls.append(a)
+        return dagger(a)
+
+    monkeypatch.setattr(correlations, "dagger", counted)
+    sc = random_coefficients(5, seed=5)
+    for r in (ideal_realization(sc), embed_realization(ideal_realization(sc), EmbeddingSpec(1, 2, 3))):
+        calls.clear()
+        first = compute_tables(r)
+        sampled = sample_tables(r, 100, seed=1)
+        again = compute_tables(r)
+        assert len(calls) == 1
+        assert again is not first and np.array_equal(again.values, first.values)
+        assert not vars(r)["_tables"].flags.writeable
+        assert not np.shares_memory(first.values, vars(r)["_tables"])
+        assert sampled.estimated.pairs() == first.pairs()
+    r = ideal_realization(sc)
+    calls.clear()
+    sample_tables(r, 100, seed=1)
+    compute_tables(r)
+    assert len(calls) == 1
+
+
+# The table layer as built before the array constructor: every table set
+# went through the mapping constructor, one view per pair. Kept as the
+# oracle that the array-native forms must match bit for bit.
+
+
+def _compute_tables_dict(r: Realization) -> CorrelationTables:
+    m, n = r.state_matrix(), r.n_outcomes
+    amp = (r.basis_a.conj().swapaxes(-1, -2) @ m)[:, None] @ r.basis_b.conj()
+    sq = np.square(amp.real)
+    if np.iscomplexobj(amp):
+        sq += np.square(amp.imag)
+    cell = np.arange(12).reshape(3, 4, 1, 1)
+    cell = (cell * n + r.labels_a[:, None, :, None]) * n + r.labels_b[:, None, :]
+    out = np.bincount(cell.ravel(), sq.ravel(), 12 * n * n).reshape(3, 4, n, n)
+    return CorrelationTables(d=n, tables={pair: out[pair] for pair in np.ndindex(3, 4)})
+
+
+def _reference_tables_dict(sc: SchmidtCoefficients) -> CorrelationTables:
+    ref = _reference(sc)[0]
+    return CorrelationTables(d=sc.d, tables={(x, y): ref[x, y] for x, y in constrained_pairs()})
+
+
+def _sample_tables_dict(r: Realization, shots: int, seed: int) -> tuple[CorrelationTables, float]:
+    exact = _compute_tables_dict(r)
+    v = exact.values
+    stderr_max = float(np.max(np.sqrt(np.clip(v * (1 - v), 0, None) / shots)))
+    p = np.clip(v, 0, None)
+    estimated = {}
+    for x, y in exact.pairs():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, x, y)))
+        counts = rng.multinomial(shots, p[x, y].ravel() / p[x, y].sum())
+        estimated[(x, y)] = counts.reshape(exact.d, exact.d) / shots
+    return CorrelationTables(d=exact.d, tables=estimated), stderr_max
+
+
+def _no_signaling_dict(t: CorrelationTables) -> float:
+    gaps = []
+    for axis, marginals in ((1, t.values.sum(axis=3)), (0, t.values.sum(axis=2))):
+        first = np.expand_dims(np.argmax(t.present, axis=axis), (axis, 2))
+        gap = np.abs(marginals - np.take_along_axis(marginals, first, axis=axis))
+        gaps.append(np.max(gap, where=t.present[..., None], initial=0.0))
+    return float(np.max(gaps))
+
+
+def _verify_dict(t: CorrelationTables, sc: SchmidtCoefficients) -> tuple[float, ...]:
+    ref, mask = _reference(sc)[:2]
+    block_res = float(np.max(np.abs(t.values - ref)[mask]))
+    off = ~mask & mask.any(axis=(2, 3), keepdims=True)
+    off_mass = float(np.max(np.abs(t.values[off]).reshape(8, -1).sum(axis=-1)))
+    sum_res = float(np.max(np.abs(t.values.sum(axis=(2, 3))[t.present] - 1.0)))
+    return block_res, off_mass, _no_signaling_dict(t), sum_res
+
+
+def _same(got: CorrelationTables, want: CorrelationTables) -> bool:
+    """Bit-identical values (so -0.0 differs from 0.0) and equal present pairs."""
+    return (
+        got.d == want.d
+        and got.values.dtype == want.values.dtype
+        and got.values.tobytes() == want.values.tobytes()
+        and np.array_equal(got.present, want.present)
+        and got.pairs() == want.pairs()
+    )
+
+
+@pytest.mark.parametrize("d", [*range(2, 18), 32])
+def test_table_layer_matches_dict_forms(d, tmp_path):
+    sc = random_coefficients(d, seed=900 + d)
+    ideal = ideal_realization(sc)
+    save_realization(ideal, tmp_path / "r.json")
+    devices = [
+        ideal,
+        embed_realization(ideal, EmbeddingSpec(3, 2, None)),
+        embed_realization(ideal, EmbeddingSpec(2, 1, 7)),
+        perturbed_realization(ideal, 1e-3, seed=d),
+        load_realization(tmp_path / "r.json"),
+    ]
+    reference = reference_tables(sc)
+    assert _same(reference, _reference_tables_dict(sc))
+    sets = [(reference, reference)]
+    for r in devices:
+        want = _compute_tables_dict(r)
+        assert _same(compute_tables(r), want) and _same(compute_tables(r), want)
+        sampled = sample_tables(r, 1000, seed=d)
+        want_sampled, want_stderr = _sample_tables_dict(r, 1000, seed=d)
+        assert _same(sampled.estimated, want_sampled)
+        assert sampled.stderr_max == want_stderr
+        sets += [(want, compute_tables(r)), (want_sampled, sampled.estimated)]
+    for want, got in sets:
+        report = verify_tables(got, sc)
+        assert (report.block_residual, report.offblock_mass, report.nosignal_residual,
+                report.sum_residual) == _verify_dict(want, sc)
+        assert no_signaling_check(got) == _no_signaling_dict(want)
+        assert block_scores(got, sc) == block_scores(want, sc)
+    assert verify_tables(reference, sc).passed

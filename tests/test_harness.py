@@ -15,6 +15,7 @@ from selftesting import (
     sample_tables,
 )
 from selftesting.harness import haar_unitary
+from selftesting.io import load_realization, save_realization
 
 
 def test_embedding_spec_rejects_negative_padding():
@@ -231,3 +232,23 @@ def test_single_shot_runs():
     res = sample_tables(r, shots=1, seed=11)
     for pair in res.estimated.pairs():
         assert abs(res.estimated.table(*pair).sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_sampled_counts_are_standalone_draws_per_pair(d, tmp_path):
+    # each pair's counts are one multinomial draw on its own PCG64 stream,
+    # seeded with (seed, x, y), from its normalized clipped Born table: the
+    # same draw a caller makes without sample_tables
+    r = ideal_realization(random_coefficients(d, seed=30 + d))
+    save_realization(r, tmp_path / "r.json")
+    devices = [r, embed_realization(r, EmbeddingSpec(2, 1, 7)), load_realization(tmp_path / "r.json")]
+    shots, seed = 2000, 40 + d
+    for device in devices:
+        got = sample_tables(device, shots, seed).estimated
+        exact = compute_tables(device)
+        assert got.pairs() == exact.pairs() and len(got.pairs()) == 12
+        for x, y in exact.pairs():
+            p = np.clip(exact.table(x, y), 0, None).ravel()
+            rng = np.random.default_rng(np.random.SeedSequence((seed, x, y)))
+            counts = rng.multinomial(shots, p / p.sum())
+            assert got.table(x, y).tobytes() == (counts.reshape(d, d) / shots).tobytes()

@@ -186,6 +186,31 @@ def test_validate_huge_finite_entries_fail_without_warnings():
                 check()
 
 
+def test_nan_maxima_fail_their_own_check_without_warnings():
+    # complex entries scaled by 1e200 give inf - inf in the products, so a
+    # maximum reads NaN, which compares false against the tolerance: the
+    # basis passed validation, and the stack failed only at completeness
+    r = embed_realization(ideal_realization(random_coefficients(2, seed=4)), EmbeddingSpec(2, 1, 7))
+    basis_a, proj_a = np.array(r.basis_a), np.array(r.proj_a)
+    basis_a[1] *= 1e200
+    proj_a[1] *= 1e200
+    checks = [
+        (
+            Realization.from_bases(r.state, basis_a, r.labels_a, r.basis_b, r.labels_b, r.n_outcomes),
+            r"^alice setting 1: basis off orthonormal by nan$",
+        ),
+        (
+            Realization(r.dim_a, r.dim_b, r.state, proj_a, r.proj_b),
+            r"^alice setting 1: outcome 0 projector not idempotent \(nan\)$",
+        ),
+    ]
+    for got, want in checks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=want):
+                got.validate()
+
+
 def _party_loop(r: Realization) -> tuple[type, str] | None:
     """Pairwise reference for Realization.validate's projector checks: the
     first failing setting's `_validate_loop` verdict, named by its setting."""
@@ -497,6 +522,27 @@ def test_basis_party_forms_are_made_on_first_read_and_kept():
     given.validate()
     assert not {"basis_a", "basis_b", "labels_a", "labels_b"} & vars(given).keys()
     assert given.basis_a is given.basis_a and not given.labels_b.flags.writeable
+
+
+def test_state_is_a_read_only_copy():
+    # the tables are kept on a realization, so nothing may write its state:
+    # neither through the attribute nor through the caller's array
+    r = ideal_realization(random_coefficients(3, seed=3))
+    want = r.state.copy()
+    makes = [
+        lambda s: Realization(r.dim_a, r.dim_b, s, r.proj_a, r.proj_b),
+        lambda s: Realization.from_bases(s, r.basis_a, r.labels_a, r.basis_b, r.labels_b, 3),
+    ]
+    for make in makes:
+        for given in (want.copy(), want.reshape(r.dim_a, r.dim_b).copy(), want.astype(complex)):
+            got = make(given)
+            tables = compute_tables(got).values
+            with pytest.raises(ValueError, match="read-only"):
+                got.state[0] = 0.0
+            given[...] = 7.0
+            assert np.array_equal(got.state, want) and got.state.flags.owndata
+            assert np.array_equal(compute_tables(got).values, tables)
+    assert not r.state.flags.writeable
 
 
 @pytest.mark.parametrize("party, x", [("alice", 1), ("bob", 3)])
