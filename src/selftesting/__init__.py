@@ -23,7 +23,6 @@ from .errors import (
     AngleRangeError,
     CoefficientRangeError,
     CoverageError,
-    DegenerateBlockError,
     DimensionError,
     HermiticityError,
     IsometryConsistencyError,
@@ -34,13 +33,11 @@ from .errors import (
 from .extraction import (
     CriterionOperators,
     ExtractionReport,
-    IdentityReport,
     apply_isometry,
     build_block_operators,
     build_criterion_ops,
     check_criterion,
     extraction_report,
-    identity_checks,
     measurement_equivalence,
 )
 from .harness import EmbeddingSpec, SampleResult, embed_realization, sample_tables

@@ -16,7 +16,6 @@ __all__ = [
     "CoefficientRangeError",
     "AngleRangeError",
     "CoverageError",
-    "DegenerateBlockError",
     "IsometryConsistencyError",
     "ParseError",
 ]
@@ -48,10 +47,6 @@ class AngleRangeError(SelfTestingError):
 
 class CoverageError(SelfTestingError):
     """A correlation table required for an operation is missing."""
-
-
-class DegenerateBlockError(SelfTestingError):
-    """A 2x2 block carries too little state mass to be processed."""
 
 
 class IsometryConsistencyError(SelfTestingError):

@@ -8,17 +8,14 @@ stages mirror the proof structure:
    and each of its settings, the difference of the two outcome projectors
    is a two-outcome observable supported on the block; the sum is the
    block identity.
-2. Unitarized block frame and anchor identities. The first party's
-   observables extend to reflections by acting as +1 off the block. The
-   second party's tilted observables combine into ``(B0 + B1) / (2 cos mu)``
-   and ``(B0 - B1) / (2 sin mu)``, whose sign-unitarizations play the roles
-   of Z and X on that side (:func:`_frame`). On the normalized block state
-   these satisfy the two anchor identities: Z agreement across parties,
-   and the flip identity with slope tan(theta). :func:`identity_checks`
-   reports both on every block, with the block identities. The extraction
-   reads the second party's Z only on the blocks that cut the ladder (step
-   3) and its X only on the d - 1 steps of the flip chains (step 4), so it
-   asks :func:`_frame` for just those, in one stacked call.
+2. Unitarized block frame. The first party's observables extend to
+   reflections by acting as +1 off the block. The second party's tilted
+   observables combine into ``(B0 + B1) / (2 cos mu)`` and
+   ``(B0 - B1) / (2 sin mu)``, whose sign-unitarizations play the roles of
+   Z and X on that side (:func:`_frame`). The extraction reads the second
+   party's Z only on the blocks that cut the ladder (step 3) and its X only
+   on the d - 1 steps of the flip chains (step 4), so it asks
+   :func:`_frame` for just those, in one stacked call.
 3. Outcome projector ladder. The first party uses its computational
    projectors directly. The second party's ladder is first cut from the
    block frame: with P the orthogonal projector onto the eigenvectors of
@@ -112,9 +109,9 @@ stages mirror the proof structure:
 The block observables of step 1 are ``(n_blocks, 2, dim, dim)`` stacks,
 one per party and kind (:class:`BlockOperators`): the difference and sum of
 two gathers of the party's projector array, every block's own settings at
-its lo and at its hi outcome. Frames and identity checks are batched too.
-Each ladder, chain and arm stack is stored once, as a ``(d, dim, dim)``
-stack indexed by the outcome k (:class:`CriterionOperators`). Building them
+its lo and at its hi outcome. Each ladder, chain and arm stack is stored
+once, as a ``(d, dim, dim)`` stack indexed by the outcome k
+(:class:`CriterionOperators`). Building them
 takes three stacked eigendecompositions whatever d is: the unitarized
 frames of step 2, the cut supports of step 3 and the label operator. The
 criterion residuals are batched expressions over k, the arms ``X^(k)
@@ -131,29 +128,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBlockError, DimensionError, IsometryConsistencyError
+from .errors import DimensionError, IsometryConsistencyError
 from .ideal import Realization, basis_projectors, dagger, round_ladder
 from .schmidt import BlockTable, SchmidtCoefficients, blocks
 
 __all__ = [
     "BlockOperators",
-    "IdentityReport",
     "CriterionOperators",
     "CriterionReport",
     "IsometryReport",
     "MeasurementResidual",
     "ExtractionReport",
     "build_block_operators",
-    "identity_checks",
     "build_criterion_ops",
     "check_criterion",
     "apply_isometry",
     "measurement_equivalence",
     "extraction_report",
 ]
-
-#: Claimed block mass below which block states cannot be normalized.
-MASS_FLOOR = 1e-12
 
 #: Allowed deviation of the isometry output norm from the input norm.
 NORM_BUDGET = 1e-6
@@ -251,11 +243,6 @@ def build_block_operators(r: Realization, sc: SchmidtCoefficients) -> BlockOpera
     return BlockOperators(table=table, a=a, ia=ia, b=b, ib=ib)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack."""
-    return np.linalg.norm(x, axis=(-2, -1))
-
-
 def _reflect(identity_block: np.ndarray, observable: np.ndarray) -> np.ndarray:
     """Extend block observables to reflections: +1 off the block."""
     return np.eye(observable.shape[-1]) - identity_block + observable
@@ -277,60 +264,6 @@ def _frame(
     x_star = (b0u - b1u) / (2.0 * np.sin(mu))
     u = sign_unitarize(np.concatenate((z_star[z_at], x_star[x_at])))
     return u[: len(z_at)], u[len(z_at) :]
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """On-state residuals of the block identities and the two anchor identities.
-
-    Indexed by block in :func:`blocks` order. ``cross[i, s, t]`` is the
-    norm of ``(1^{A_s} - 1^{B_t}) |psi>`` for block i's first-party setting
-    s and second-party setting t; ``mass_residual[i]`` is how far block i's
-    measured weight sits from the claimed one. ``z_residual[i]`` and
-    ``flip_residual[i]`` are Z agreement and the tan(theta) flip identity
-    on block i's state ``1_m^{A_0}|psi>`` normalized by the claimed mass.
-    """
-
-    cross: np.ndarray
-    mass_residual: np.ndarray
-    z_residual: np.ndarray
-    flip_residual: np.ndarray
-
-
-def identity_checks(ops: BlockOperators, r: Realization) -> IdentityReport:
-    """Residuals of the block identities, Z agreement and the flip identity.
-
-    The anchor identities are evaluated on block states normalized by the
-    claimed mass, so a realization lying about its coefficients shows up
-    here rather than being silently renormalized away. A claimed mass at or
-    below ``MASS_FLOOR`` raises :class:`DegenerateBlockError`.
-    """
-    table = ops.table
-    mass = table.mass
-    low = np.flatnonzero(mass <= MASS_FLOOR)
-    if low.size:
-        i = low[0]
-        raise DegenerateBlockError(
-            f"block ({table.m[i]}, primed={table.primed[i]}) claimed mass {mass[i]:.3e} below floor"
-        )
-    root = np.sqrt(mass)
-    mat = r.state_matrix()
-    ia, ib = _alice(ops.ia, mat), _bob(ops.ib, mat)
-    every = list(range(len(table)))
-    zb, xb = _frame(ops, every, every)
-    a = _reflect(ops.ia, ops.a)
-    za, xa = a[:, 0], a[:, 1]
-    state = ia[:, 0] / root[:, None, None]
-    eye = np.eye(r.dim_a)
-    lhs = _alice(xa @ (eye - za), state)
-    tan = np.tan(table.theta)[:, None, None]
-    rhs = tan * _bob(xb, _alice(eye + za, state))
-    return IdentityReport(
-        cross=_norms(ia[:, :, None] - ib[:, None]),
-        mass_residual=np.abs(_norms(ia[:, 0]) - root),
-        z_residual=_norms(_alice(za, state) - _bob(zb, state)),
-        flip_residual=_norms(lhs - rhs),
-    )
 
 
 @dataclass

@@ -254,9 +254,10 @@ class Realization:
     real or complex as a party is, held as a read-only copy by both
     constructors. `alice` takes 3 settings on the first
     factor, `bob` 4 on the second, each a :class:`Measurement` or an
-    (n, dim, dim) array, all with the same n (else this raises). A party
-    given as one array is adopted, and made read-only, as ``proj_a`` or
-    ``proj_b``; one given setting by setting is copied.
+    (n, dim, dim) array, all with the same n (else this raises). Each party
+    is copied into one read-only array, ``proj_a`` or ``proj_b``, whether
+    it is given as one array or setting by setting, so no caller's array is
+    shared or made read-only.
     :meth:`from_bases` builds a realization from bases plus labels instead.
 
     Either way these attributes are readable, as the module docstring
@@ -293,10 +294,7 @@ class Realization:
                     raise ValueError(
                         f"{label} setting {x} has {m.n_outcomes} outcomes, expected {n}"
                     )
-            # At d = 32 a copy's page faults cost more than building the party.
-            if not isinstance(given, np.ndarray):
-                given = np.stack([m.projectors for m in settings])
-            proj = _real_or_complex(given)
+            proj = _real_or_complex(np.stack([m.projectors for m in settings]))
             proj.flags.writeable = False
             object.__setattr__(self, f"proj_{label[0]}", proj)
             object.__setattr__(self, label, tuple(map(Measurement, proj)))
@@ -324,8 +322,8 @@ class Realization:
         dim), with every entry in [0, n_outcomes); an outcome that labels no
         column has the zero projector. Anything else is a ``ValueError``
         that names the party; so is an `n_outcomes` that is not a positive
-        integer, without a party. The bases are adopted and made read-only,
-        the state and the labels copied; :meth:`validate` checks the bases.
+        integer, without a party. The state, the bases and the labels are
+        copied into read-only arrays; :meth:`validate` checks the bases.
         """
         if not is_int(n_outcomes) or n_outcomes < 1:
             raise ValueError(f"n_outcomes must be a positive integer, got {n_outcomes!r}")
@@ -335,7 +333,7 @@ class Realization:
             ("alice", ALICE_SETTINGS, basis_a, labels_a),
             ("bob", BOB_SETTINGS, basis_b, labels_b),
         ):
-            basis, labels = _real_or_complex(basis), np.asarray(labels)
+            basis, labels = np.array(_real_or_complex(basis)), np.asarray(labels)
             if basis.ndim != 3 or basis.shape[0] != settings or basis.shape[1] != basis.shape[2]:
                 raise ValueError(f"{party} bases must be ({settings}, dim, dim), got {basis.shape}")
             if labels.dtype.kind not in "iu":

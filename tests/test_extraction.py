@@ -13,21 +13,22 @@ from selftesting import (
     SchmidtCoefficients,
     angles,
     apply_isometry,
+    block_scores,
     blocks,
     build_block_operators,
     build_criterion_ops,
     check_criterion,
+    compute_tables,
     embed_realization,
     extraction,
     extraction_report,
     ideal_realization,
-    identity_checks,
     measurement_equivalence,
     target_state,
+    verify_tables,
 )
-from selftesting.errors import DegenerateBlockError, IsometryConsistencyError
+from selftesting.errors import IsometryConsistencyError
 from selftesting.extraction import (
-    MASS_FLOOR,
     ZERO_TOL,
     CriterionReport,
     ExtractionReport,
@@ -108,58 +109,51 @@ def _whole_frame(ops):
     return SimpleNamespace(za=a[:, 0], xa=a[:, 1], zb=zb, xb=xb)
 
 
-def test_block_identity_checks_ideal():
-    for d in (2, 3, 4, 5):
-        sc = random_coefficients(d, seed=900 + d)
-        r = ideal_realization(sc)
-        rep = identity_checks(build_block_operators(r, sc), r)
-        assert rep.cross.shape == (len(blocks(sc)), 2, 2)
-        assert rep.mass_residual.shape == (len(blocks(sc)),)
-        assert np.max(rep.cross) < 1e-12
-        assert np.max(rep.mass_residual) < 1e-12
+def _pauli_on_pair(dim, pair, pauli):
+    """`pauli` on the basis vectors of `pair`, in its order, and +1 off them."""
+    op = np.eye(dim)
+    op[np.ix_(pair, pair)] = pauli
+    return op
 
 
-def test_block_frame_d2():
-    sc = SchmidtCoefficients(np.array([0.8, 0.6]))
-    r = ideal_realization(sc)
-    frame = _whole_frame(build_block_operators(r, sc))
-    assert np.allclose(frame.za[0], SIGMA_Z, atol=1e-12)
-    assert np.allclose(frame.xa[0], SIGMA_X, atol=1e-12)
-    assert np.allclose(frame.zb[0], SIGMA_Z, atol=1e-12)
-    assert np.allclose(frame.xb[0], SIGMA_X, atol=1e-12)
-
-
-def test_frame_identity_checks_ideal():
-    for d in (2, 3, 4, 6):
+def test_block_frame_ideal():
+    # on an ideal device both parties' unitarized Z and X of every block are
+    # the block's Z and X on its pair and +1 off it, the wrapping pair
+    # (d-1, 0) of even d included
+    for d in (2, 3, 4, 5, 6, 9):
         sc = random_coefficients(d, seed=950 + d)
-        r = ideal_realization(sc)
-        ops = build_block_operators(r, sc)
-        rep = identity_checks(ops, r)
-        assert rep.z_residual.shape == rep.flip_residual.shape == (len(blocks(sc)),)
-        assert np.max(rep.z_residual) < 1e-12
-        assert np.max(rep.flip_residual) < 1e-12
+        frame = _whole_frame(build_block_operators(ideal_realization(sc), sc))
+        for i, pair in enumerate(blocks(sc).pair):
+            z, x = _pauli_on_pair(d, pair, SIGMA_Z), _pauli_on_pair(d, pair, SIGMA_X)
+            for got, want in ((frame.za, z), (frame.zb, z), (frame.xa, x), (frame.xb, x)):
+                assert np.max(np.abs(got[i] - want)) <= 1e-14, (d, i)
 
 
-def test_frame_rejects_vanishing_claimed_mass():
-    eps = 1e-7
-    cases = (
-        # the only primed block, pairing (1, 2)
-        (3, [(0, True)]),
-        # unprimed block 1, pairing (2, 3), then primed block 0, pairing (1, 2)
-        (4, [(1, False), (0, True)]),
-    )
-    for d, low_blocks in cases:
-        c = np.full(d, eps)
-        c[0] = np.sqrt(1 - (d - 1) * eps**2)
-        sc = SchmidtCoefficients(c)
-        r = ideal_realization(sc)
-        ops = build_block_operators(r, sc)
-        low = [(blk.m, blk.primed) for blk in block_rows(sc) if blk.mass <= MASS_FLOOR]
-        assert low == low_blocks
-        # the message names the first block below the floor
-        m, primed = low[0]
-        with pytest.raises(DegenerateBlockError, match=rf"^block \({m}, primed={primed}\) claimed"):
-            identity_checks(ops, r)
+def _skewed_coefficients(d, eps=1e-7):
+    """Every coefficient eps except c_0: some block masses are 2 eps^2."""
+    c = np.full(d, eps)
+    c[0] = np.sqrt(1 - (d - 1) * eps**2)
+    return SchmidtCoefficients(c)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize(
+    "spec",
+    [None, EmbeddingSpec(3, 2, None), EmbeddingSpec(0, 0, 7), EmbeddingSpec(2, 1, 7)],
+    ids=["ideal", "3-2-none", "0-0-7", "2-1-7"],
+)
+def test_skewed_state_passes_every_stage(d, spec):
+    # block masses of 2e-14 pass the tables, the block scores and the
+    # extraction, whether or not the device is rotated or embedded
+    sc = _skewed_coefficients(d)
+    assert np.min(blocks(sc).mass) < 1e-13
+    r = ideal_realization(sc)
+    if spec is not None:
+        r = embed_realization(r, spec)
+    t = compute_tables(r)
+    assert verify_tables(t, sc).passed
+    assert max(abs(s.beta - s.target) for s in block_scores(t, sc)) <= 1e-9
+    assert extraction_report(r, sc).passes()
 
 
 def test_criterion_ops_ideal_structure():
@@ -543,28 +537,6 @@ def _block_frame_loop(b):
     return SimpleNamespace(za=eye_a - b.ia0 + b.a0, xa=eye_a - b.ia1 + b.a1, zb=zb, xb=xb)
 
 
-def _identity_checks_loop(r, sc):
-    """Reference: the block and frame identity residuals one block at a time."""
-    mat = r.state_matrix()
-    eye = np.eye(r.dim_a)
-    rows = []
-    for b in _block_operators_loop(r, sc):
-        blk, frame = b.block, _block_frame_loop(b)
-        cross = [
-            [np.linalg.norm(_alice(ia, mat) - _bob(ib, mat)) for ib in (b.ib0, b.ib1)]
-            for ia in (b.ia0, b.ia1)
-        ]
-        state = _alice(b.ia0, mat)
-        mass_residual = abs(np.linalg.norm(state) - np.sqrt(blk.mass))
-        state = state / np.sqrt(blk.mass)
-        z_residual = np.linalg.norm(_alice(frame.za, state) - _bob(frame.zb, state))
-        lhs = _alice(frame.xa @ (eye - frame.za), state)
-        rhs = np.tan(blk.theta) * _bob(frame.xb, _alice(eye + frame.za, state))
-        rows.append((cross, mass_residual, z_residual, np.linalg.norm(lhs - rhs)))
-    names = ("cross", "mass_residual", "z_residual", "flip_residual")
-    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
-
-
 def _full_image_residuals(ops, r, sc):
     """Reference: each observable's whole ``(dim_a, dim_b, d, d)`` isometry
     image, built one at a time, minus its ideal image next to the junk state."""
@@ -685,31 +657,20 @@ def test_report_never_builds_the_image(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_block_operators_match_block_loop(d):
-    for sc, r in _reference_cases(d):
+    # the stacked observables, and the frames unitarized from them in one
+    # call, against one block at a time
+    for sc, r in _reference_cases(d) + _perturbed_cases(d):
         ops = build_block_operators(r, sc)
         want = _block_operators_loop(r, sc)
         assert ops.table is blocks(sc)
         for name in ("a", "ia", "b", "ib"):
             ref = np.array([[getattr(b, name + "0"), getattr(b, name + "1")] for b in want])
             assert np.array_equal(getattr(ops, name), ref)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
-def test_identity_checks_match_block_loop(d):
-    for sc, r in _reference_cases(d) + _perturbed_cases(d):
-        ops = build_block_operators(r, sc)
         frame = _whole_frame(ops)
-        ref_frames = [_block_frame_loop(b) for b in _block_operators_loop(r, sc)]
+        ref_frames = [_block_frame_loop(b) for b in want]
         for name in ("za", "xa", "zb", "xb"):
             ref = np.array([getattr(f, name) for f in ref_frames])
             assert np.max(np.abs(getattr(frame, name) - ref)) <= 1e-15
-        rep = identity_checks(ops, r)
-        got = {f.name: getattr(rep, f.name) for f in fields(rep)}
-        want = _identity_checks_loop(r, sc)
-        assert got.keys() == want.keys()
-        for name, ref in want.items():
-            assert got[name].shape == ref.shape
-            assert np.max(np.abs(got[name] - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])

@@ -374,14 +374,41 @@ def test_settings_are_views_of_read_only_party_arrays(tmp_path):
             r.bob[3].projectors[0, 0, 0] = 0.5
 
 
-def test_settings_are_copied_and_party_arrays_adopted():
+def test_party_arrays_are_copied():
+    # whether a party comes setting by setting, as one array or as bases,
+    # the realization holds its own copy and the caller's array stays as it was
     r = ideal_realization(random_coefficients(2, seed=18))
     stack = r.proj_b[1].copy()
     got = Realization(r.dim_a, r.dim_b, r.state, r.alice, (*r.bob[:3], stack))
     assert not np.shares_memory(got.proj_b, stack) and stack.flags.writeable
-    party = r.proj_b.copy()
-    got = Realization(r.dim_a, r.dim_b, r.state, r.alice, party)
-    assert got.proj_b is party and not party.flags.writeable
+    party = np.array(r.proj_a)
+    got = Realization(r.dim_a, r.dim_b, r.state, party, r.proj_b)
+    assert not np.shares_memory(got.proj_a, party) and party.flags.writeable
+    basis = np.array(r.basis_a)
+    got = Realization.from_bases(r.state, basis, r.labels_a, r.basis_b, r.labels_b, 2)
+    assert not np.shares_memory(got.basis_a, basis) and basis.flags.writeable
+    assert not got.basis_a.flags.writeable
+
+
+def test_writes_to_a_given_array_do_not_reach_the_realization():
+    # a party handed in as a view of a writeable array keeps the values it
+    # was built from, so validation and the kept tables still agree
+    r = ideal_realization(random_coefficients(3, seed=18))
+    makes = {
+        "proj_a": lambda big: Realization(r.dim_a, r.dim_b, r.state, big[:3], r.proj_b),
+        "basis_a": lambda big: Realization.from_bases(
+            r.state, big[:3], r.labels_a, r.basis_b, r.labels_b, 3
+        ),
+    }
+    for name, make in makes.items():
+        given = getattr(r, name)
+        big = np.concatenate((given, given))
+        got = make(big)
+        tables = compute_tables(got).values.copy()
+        big[0, 0] = 0.0
+        got.validate()
+        assert np.array_equal(getattr(got, name), given), name
+        assert np.array_equal(compute_tables(got).values, tables), name
 
 
 @pytest.mark.parametrize(
