@@ -164,9 +164,6 @@ class CorrelationTables:
         self.values.flags.writeable = self.present.flags.writeable = False
         self._pairs = tuple(map(tuple, np.argwhere(present).tolist()))
 
-    def has(self, x: int, y: int) -> bool:
-        return (x, y) in self._pairs
-
     def table(self, x: int, y: int) -> np.ndarray:
         """The read-only table of pair (x, y); :class:`CoverageError` if absent."""
         if (x, y) not in self._pairs:

@@ -181,12 +181,6 @@ def _bob(op: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return mat @ np.swapaxes(op, -1, -2)
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each entry of a stack, taken over all its other axes."""
-    x = x.reshape(len(x), -1)
-    return np.einsum("ij,ij->i", x, x.conj()).real
-
-
 def _consume_sq_norms(x: np.ndarray, n: int) -> np.ndarray:
     """Squared norm of each of the `n` equal leading parts of a stack.
 
@@ -401,16 +395,17 @@ def check_criterion(
     ops: CriterionOperators, r: Realization, sc: SchmidtCoefficients
 ) -> CriterionReport:
     """Evaluate the chain criterion residuals on the realization."""
-    mat = r.state_matrix()
+    mat, d = r.state_matrix(), ops.d
     ratio = (sc.c / sc.c[0])[:, None, None]
     extra = _alice(ops.p_a[0], mat)
     lhs = _alice(ops.x_a, _bob(ops.arm_b, mat))
-    lhs_adj = _alice(ops.arm_a, mat)
+    adjoint = _alice(ops.arm_a, mat) - ratio * _bob(dagger(ops.x_b), extra)
+    # Each argument of _consume_sq_norms is a fresh temporary.
     return CriterionReport(
-        projector_match=np.sqrt(_sq_norms(_alice(ops.p_a, mat) - _bob(ops.p_b, mat))),
-        chain_map=np.sqrt(_sq_norms(lhs - ratio * extra)),
-        chain_map_adjoint=np.sqrt(_sq_norms(lhs_adj - ratio * _bob(dagger(ops.x_b), extra))),
-        ladder_rounding=float(np.sum(_sq_norms(_bob(ops.p_b - ops.p_cut, mat)))),
+        projector_match=np.sqrt(_consume_sq_norms(_alice(ops.p_a, mat) - _bob(ops.p_b, mat), d)),
+        chain_map=np.sqrt(_consume_sq_norms(lhs - ratio * extra, d)),
+        chain_map_adjoint=np.sqrt(_consume_sq_norms(adjoint, d)),
+        ladder_rounding=float(np.sum(_consume_sq_norms(_bob(ops.p_b - ops.p_cut, mat), d))),
     )
 
 

@@ -43,10 +43,9 @@ Validation checks each party in the form it was built from. A basis-built
 party takes one product per setting: its basis must be finite and
 ``max|U^dagger U - 1|`` at most ``MEASUREMENT_TOL``; its labels were
 checked at construction. A stack-built party is checked one setting at a
-time, as :meth:`Measurement.validate` checks one measurement: its entries
-must be finite and Hermitian, every product ``P_j P_k`` with k >= j must
-be ``P_j`` (k = j) or zero (k > j), and the projectors must sum to the
-identity, each within ``MEASUREMENT_TOL``.
+time: its entries must be finite and Hermitian, every product ``P_j P_k``
+with k >= j must be ``P_j`` (k = j) or zero (k > j), and the projectors
+must sum to the identity, each within ``MEASUREMENT_TOL``.
 """
 
 from __future__ import annotations
@@ -112,11 +111,12 @@ def _state(state: Any) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """A projective measurement as a stack of projectors.
+    """One setting of a party as a stack of projectors.
 
     ``projectors[k]`` is the (possibly zero) projector of outcome k; the
     stack has shape (n_outcomes, dim, dim) and keeps the dtype it is given.
-    ``==`` is identity.
+    Construction checks only that shape; :meth:`Realization.validate` checks
+    the projectors themselves. ``==`` is identity.
     """
 
     projectors: np.ndarray
@@ -126,25 +126,6 @@ class Measurement:
         if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise ValueError(f"projector stack must be (n, dim, dim), got {p.shape}")
         object.__setattr__(self, "projectors", p)
-
-    @property
-    def n_outcomes(self) -> int:
-        return int(self.projectors.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.projectors.shape[1])
-
-    def validate(self) -> None:
-        """Check finite, Hermitian, idempotent, mutually orthogonal, complete,
-        each within ``MEASUREMENT_TOL``.
-
-        The checks run in that order. Products ``P_j P_k`` for k >= j are
-        formed one outcome row at a time, as ``P_j @ P[j:]``: separate
-        ``dim x dim`` products, the same per pair as one ``P_j @ P_k``. The
-        first failing pair in (j, k) order is reported.
-        """
-        _check_projectors(self.projectors[None])
 
 
 def _check_entries(q: np.ndarray, at: str) -> None:
@@ -157,16 +138,20 @@ def _check_entries(q: np.ndarray, at: str) -> None:
         raise HermiticityError(f"{at}projector asymmetry {herm:.3e} > {MEASUREMENT_TOL:.0e}")
 
 
-def _check_projectors(p: np.ndarray, party: str = "") -> None:
+def _check_projectors(p: np.ndarray, party: str) -> None:
     """Validate each setting of a (settings, n, dim, dim) stack, in order,
-    and raise on the first failure.
+    and raise on the first failure; each message starts with
+    ``"<party> setting <x>: "``.
 
-    The checks and messages are those of :meth:`Measurement.validate`; with
-    ``party`` each message starts with ``"<party> setting <x>: "``.
+    A setting must be finite, Hermitian, idempotent, mutually orthogonal
+    and complete, each within ``MEASUREMENT_TOL``, checked in that order.
+    Products ``P_j P_k`` for k >= j are formed one outcome row at a time, as
+    ``P_j @ P[j:]``: separate ``dim x dim`` products, the same per pair as
+    one ``P_j @ P_k``. The first failing pair in (j, k) order is reported.
     """
     n, dim = p.shape[1:3]
     for x, q in enumerate(p):
-        at = f"{party} setting {x}: " if party else ""
+        at = f"{party} setting {x}: "
         _check_entries(q, at)
         # Finite entries can still overflow: their products then read inf.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -252,12 +237,13 @@ class Realization:
 
     `state` is a flat vector on the product space, index ``i * dim_b + j``,
     real or complex as a party is, held as a read-only copy by both
-    constructors. `alice` takes 3 settings on the first
-    factor, `bob` 4 on the second, each a :class:`Measurement` or an
-    (n, dim, dim) array, all with the same n (else this raises). Each party
-    is copied into one read-only array, ``proj_a`` or ``proj_b``, whether
-    it is given as one array or setting by setting, so no caller's array is
-    shared or made read-only.
+    constructors. `dim_a` and `dim_b` must be integers, not bools, else
+    this raises a ``ValueError`` that names the field. `alice` takes 3
+    settings on the first factor, `bob` 4 on the second, each a
+    :class:`Measurement` or an (n, dim, dim) array, all with the same n
+    (else this raises). Each party is copied into one read-only array,
+    ``proj_a`` or ``proj_b``, whether it is given as one array or setting
+    by setting, so no caller's array is shared or made read-only.
     :meth:`from_bases` builds a realization from bases plus labels instead.
 
     Either way these attributes are readable, as the module docstring
@@ -276,6 +262,9 @@ class Realization:
     bob: tuple[Measurement, ...]
 
     def __post_init__(self) -> None:
+        for name in ("dim_a", "dim_b"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         object.__setattr__(self, "state", _state(self.state))
         if len(self.alice) != ALICE_SETTINGS or len(self.bob) != BOB_SETTINGS:
             raise ValueError(
@@ -284,17 +273,17 @@ class Realization:
             )
         n = None
         for label, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
-            given = getattr(self, label)
-            settings = [m if isinstance(m, Measurement) else Measurement(m) for m in given]
-            n = settings[0].n_outcomes if n is None else n
-            for x, m in enumerate(settings):
-                if m.dim != dim:
-                    raise DimensionError(f"{label} setting {x} acts on dim {m.dim} != {dim}")
-                if m.n_outcomes != n:
-                    raise ValueError(
-                        f"{label} setting {x} has {m.n_outcomes} outcomes, expected {n}"
-                    )
-            proj = _real_or_complex(np.stack([m.projectors for m in settings]))
+            stacks = [
+                (m if isinstance(m, Measurement) else Measurement(m)).projectors
+                for m in getattr(self, label)
+            ]
+            n = stacks[0].shape[0] if n is None else n
+            for x, (outcomes, acts_on, _) in enumerate(q.shape for q in stacks):
+                if acts_on != dim:
+                    raise DimensionError(f"{label} setting {x} acts on dim {acts_on} != {dim}")
+                if outcomes != n:
+                    raise ValueError(f"{label} setting {x} has {outcomes} outcomes, expected {n}")
+            proj = _real_or_complex(np.stack(stacks))
             proj.flags.writeable = False
             object.__setattr__(self, f"proj_{label[0]}", proj)
             object.__setattr__(self, label, tuple(map(Measurement, proj)))
@@ -381,9 +370,8 @@ class Realization:
 
     def validate(self) -> None:
         """Check the dimensions, the state, then each party in the form it
-        was built from, first party first: each basis as the module
-        docstring says, or each stack as :meth:`Measurement.validate` does.
-        An error names its setting, as in ``bob setting 2: outcomes 3,4
+        was built from, first party first, each as the module docstring
+        says. An error names its setting, as in ``bob setting 2: outcomes 3,4
         projectors overlap (1.000e-09)``."""
         if self.dim_a < 2 or self.dim_b < 2:
             raise DimensionError(

@@ -70,14 +70,26 @@ class SchmidtCoefficients:
     Coefficients are kept exactly as given (no sorting, no renormalizing),
     in a read-only float64 copy of the caller's values, so neither ``c`` nor
     the block table derived from it can change after construction.
-    Construction fails if d < 2, any coefficient leaves the open interval
-    (0, 1), or the squares do not sum to 1 within ``NORMALIZATION_TOL``.
+    Coefficients must be real numbers: a complex coefficient with a zero
+    imaginary part is taken as its real part, while a nonzero imaginary
+    part, or strings, bools or objects, raise :class:`CoefficientRangeError`
+    naming the first such coefficient or the dtype. Construction also fails
+    if d < 2, any coefficient leaves the open interval (0, 1), or the
+    squares do not sum to 1 within ``NORMALIZATION_TOL``.
     """
 
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.c, dtype=float).reshape(-1)
+        c = np.asarray(self.c)
+        if c.dtype.kind not in "iufc":
+            raise CoefficientRangeError(f"coefficients must be real numbers, got dtype {c.dtype}")
+        if c.dtype.kind == "c":
+            imag = np.flatnonzero(c.imag)
+            if imag.size:
+                raise CoefficientRangeError(f"coefficient {imag[0]} has a nonzero imaginary part")
+            c = c.real
+        c = np.array(c, dtype=float).reshape(-1)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
         if c.size < 2:
@@ -189,10 +201,6 @@ class AngleSchedule:
     theta_primed: np.ndarray
     mu_primed: np.ndarray
     alpha_primed: np.ndarray
-
-    @property
-    def n_blocks(self) -> int:
-        return self.d // 2
 
 
 def angles(sc: SchmidtCoefficients) -> AngleSchedule:

@@ -54,7 +54,8 @@ def perturbed_realization(r: Realization, eps: float, seed: int) -> Realization:
     state = r.state + eps * (noise[0] + 1j * noise[1])
 
     def rotate(meas):
-        h = rng.standard_normal((2, meas.dim, meas.dim))
+        dim = meas.projectors.shape[-1]
+        h = rng.standard_normal((2, dim, dim))
         h = h[0] + 1j * h[1]
         w, v = np.linalg.eigh(h + h.conj().T)
         u = (v * np.exp(0.5j * eps * w)) @ v.conj().T

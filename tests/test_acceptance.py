@@ -197,7 +197,7 @@ def test_criterion_7_nosignaling_normalization(capsys):
             for pair in t.pairs():
                 worst_sum = max(worst_sum, abs(float(t.table(*pair).sum()) - 1.0))
             for y in range(4):
-                if t.has(0, y):
+                if (0, y) in t.pairs():
                     marg = t.table(0, y).sum(axis=1)
                     worst_marginal = max(
                         worst_marginal, float(np.max(np.abs(marg - sc.c**2)))

@@ -155,3 +155,43 @@ def test_public_names_have_a_reader():
         and not any(name in names for other, names in reads if other is not node)
     ]
     assert unread == []
+
+
+def test_public_methods_have_a_reader():
+    """Every public method or property of a class in a module's ``__all__``
+    is read as ``.name`` by a module or a demo outside its own definition.
+
+    Dataclass fields are exempt, since the CLI prints them through
+    ``asdict``. The benchmark is not scanned, as above. The scan matches by
+    name only: a method that shares its name with one that is read, as a
+    second ``validate`` would with ``Realization.validate``, passes here and
+    has to be checked by hand.
+    """
+    src = Path(selftesting.__file__).parent
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    paths = [src / f"{m}.py" for m in [*MODULES, "__main__"]] + sorted(demos.glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+    reads = [
+        n
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+    methods = []
+    for module in MODULES:
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        public = importlib.import_module(f"selftesting.{module}").__all__
+        methods += [
+            (f"{module}.py:{cls.name}.{node.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name in public
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+    assert methods
+    unread = []
+    for where, node in methods:
+        own = set(map(id, ast.walk(node)))
+        if not any(n.attr == node.name and id(n) not in own for n in reads):
+            unread.append(where)
+    assert unread == []

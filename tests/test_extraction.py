@@ -41,7 +41,6 @@ from selftesting.extraction import (
     _isometry_figures,
     _junk_state,
     _reflect,
-    _sq_norms,
     dagger,
     sign_unitarize,
 )
@@ -682,6 +681,13 @@ def test_measurement_residuals_match_full_image(d):
         ops = build_criterion_ops(r, sc)
         got = [v.residual for v in measurement_equivalence(ops, r, sc)]
         assert np.max(np.abs(got - _full_image_residuals(ops, r, sc))) <= 1e-14
+
+
+def _sq_norms(x):
+    """Squared norm of each entry of a stack, over all its other axes, by
+    an einsum against the conjugate."""
+    x = x.reshape(len(x), -1)
+    return np.einsum("ij,ij->i", x, x.conj()).real
 
 
 def _measurement_loop(ops, r, sc):

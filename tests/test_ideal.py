@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from selftesting import (
 )
 from selftesting.cli import main
 from selftesting.errors import DimensionError, HermiticityError, NormalizationError
-from selftesting.ideal import MEASUREMENT_TOL
+from selftesting.ideal import MEASUREMENT_TOL, _check_projectors
 from selftesting.io import load_realization, realization_to_doc, save_realization
 from selftesting.schmidt import target_state
 
@@ -28,12 +29,21 @@ from selftesting.schmidt import target_state
 BOB_OVERLAP_86 = 0.8606936605154758
 
 
+def _validate_one(p: np.ndarray) -> None:
+    """Validate one (n, dim, dim) stack as the first party's setting 0."""
+    _check_projectors(p[None], "alice")
+
+
+def _at_setting_0(verdict: tuple[type, str] | None) -> tuple[type, str] | None:
+    """A `_validate_loop` verdict as `_validate_one` words it."""
+    return verdict and (verdict[0], f"alice setting 0: {verdict[1]}")
+
+
 def test_measurement_validation_catches_broken_projectors():
-    good = Measurement(projectors=np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
-    good.validate()
-    bad = Measurement(projectors=np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]))
-    with pytest.raises(ValueError):
-        bad.validate()
+    _validate_one(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    bad = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match=r"^alice setting 0: outcomes 0,1 projectors overlap"):
+        _validate_one(bad)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)])
@@ -43,20 +53,21 @@ def test_measurement_stack_shape_is_checked(shape):
 
 
 def _validate_loop(meas: Measurement, tol: float = MEASUREMENT_TOL) -> None:
-    """Pairwise reference for Measurement.validate: one product per (j, k >= j)."""
+    """Pairwise reference for validating one setting: one product per (j, k >= j)."""
     p = meas.projectors
+    n, dim = p.shape[:2]
     herm = np.max(np.abs(p - np.conj(np.transpose(p, (0, 2, 1)))))
     if herm > tol:
         raise HermiticityError(f"projector asymmetry {herm:.3e} > {tol:.0e}")
-    for j in range(meas.n_outcomes):
+    for j in range(n):
         idem = np.max(np.abs(p[j] @ p[j] - p[j]))
         if idem > tol:
             raise ValueError(f"outcome {j} projector not idempotent ({idem:.3e})")
-        for k in range(j + 1, meas.n_outcomes):
+        for k in range(j + 1, n):
             cross = np.max(np.abs(p[j] @ p[k]))
             if cross > tol:
                 raise ValueError(f"outcomes {j},{k} projectors overlap ({cross:.3e})")
-    comp = np.max(np.abs(p.sum(axis=0) - np.eye(meas.dim)))
+    comp = np.max(np.abs(p.sum(axis=0) - np.eye(dim)))
     if comp > tol:
         raise ValueError(f"projectors sum off identity by {comp:.3e}")
 
@@ -106,7 +117,7 @@ def _assert_validate_matches_loop(real: bool) -> None:
         meas = Measurement(stack)
         assert meas.projectors.dtype == (float if real else complex), (seed, kind)
         want = _verdict(lambda: _validate_loop(meas))
-        assert _verdict(meas.validate) == want, (seed, kind)
+        assert _verdict(lambda: _validate_one(stack)) == _at_setting_0(want), (seed, kind)
         if want is not None:
             first_words.add(want[1].split()[0])
     # every failure kind was reached: asymmetry, idempotency, overlap, completeness
@@ -147,7 +158,7 @@ def test_validate_reports_overlap_deep_in_stack():
         bad = Measurement(_planted_overlap(meas.projectors, 3, 30, 1e-9))
         want = _verdict(lambda: _validate_loop(bad))
         assert want is not None and want[1].startswith("outcomes 3,30 projectors overlap")
-        assert _verdict(bad.validate) == want
+        assert _verdict(lambda: _validate_one(bad.projectors)) == _at_setting_0(want)
 
 
 @pytest.mark.parametrize("d", [8, 16, 32])
@@ -155,19 +166,19 @@ def test_validate_passes_ideal_and_embedded_many_outcomes(d):
     r = ideal_realization(random_coefficients(d, seed=d))
     hidden = embed_realization(r, EmbeddingSpec(2, 1, 7))
     for meas in r.alice + r.bob + hidden.alice + hidden.bob:
-        assert _verdict(meas.validate) is None
+        assert _verdict(lambda: _validate_one(meas.projectors)) is None
         assert _verdict(lambda: _validate_loop(meas)) is None
 
 
 def test_validate_rejects_nonfinite_projectors():
     stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     stack[0, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        Measurement(stack).validate()
+    with pytest.raises(ValueError, match="^alice setting 0: projectors contain non-finite"):
+        _validate_one(stack)
     stack[0, 0, 0] = 1.0
     stack[1, 0, 1] = complex(0.0, np.inf)
-    with pytest.raises(ValueError, match="non-finite"):
-        Measurement(stack).validate()
+    with pytest.raises(ValueError, match="^alice setting 0: projectors contain non-finite"):
+        _validate_one(stack)
 
 
 def test_validate_huge_finite_entries_fail_without_warnings():
@@ -175,11 +186,11 @@ def test_validate_huge_finite_entries_fail_without_warnings():
     r = ideal_realization(random_coefficients(4, seed=4))
     huge = r.proj_a * 1e200
     checks = [
-        ("", Measurement(huge[0]).validate),
-        ("alice setting 0: ", Realization(r.dim_a, r.dim_b, r.state, huge, r.proj_b).validate),
+        lambda: _validate_one(huge[0]),
+        Realization(r.dim_a, r.dim_b, r.state, huge, r.proj_b).validate,
     ]
-    for at, check in checks:
-        want = rf"^{at}outcome 0 projector not idempotent \(inf\)$"
+    for check in checks:
+        want = r"^alice setting 0: outcome 0 projector not idempotent \(inf\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=want):
@@ -431,6 +442,24 @@ def test_party_structure_is_checked_at_construction(alice_bob, error, message):
     alice, bob = alice_bob(r.proj_a, r.proj_b)
     with pytest.raises(error, match=message):
         Realization(r.dim_a, r.dim_b, r.state, alice, bob)
+
+
+@pytest.mark.parametrize("field", ["dim_a", "dim_b"])
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0), True, "2", None])
+def test_realization_dimensions_must_be_integers(field, bad):
+    # a float dimension used to construct and validate, then fail in the
+    # tables with a TypeError
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    dims = {"dim_a": r.dim_a, "dim_b": r.dim_b, field: bad}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+        Realization(dims["dim_a"], dims["dim_b"], r.state, r.proj_a, r.proj_b)
+
+
+def test_realization_takes_numpy_integer_dimensions():
+    r = ideal_realization(SchmidtCoefficients(np.array([0.8, 0.6])))
+    got = Realization(np.int64(2), np.int32(2), r.state, r.proj_a, r.proj_b)
+    got.validate()
+    assert np.array_equal(compute_tables(got).values, compute_tables(r).values)
 
 
 def _ideal_loop(sc: SchmidtCoefficients) -> Realization:

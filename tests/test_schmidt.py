@@ -78,6 +78,30 @@ def test_validation_rejects_scalars_and_nan():
         SchmidtCoefficients(np.array([np.nan, 0.6]))
 
 
+def test_complex_coefficients_with_zero_imaginary_part_are_taken_real():
+    for given in (np.array([0.8 + 0j, 0.6]), [0.8 + 0j, 0.6 + 0j]):
+        sc = SchmidtCoefficients(given)
+        assert sc.c.dtype == np.float64 and np.array_equal(sc.c, [0.8, 0.6])
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (np.array([0.8 + 0.1j, 0.6]), "coefficient 0 has a nonzero imaginary part"),
+        ([0.8, 0.6 + 1e-20j], "coefficient 1 has a nonzero imaginary part"),
+        (np.array([0.8, complex(0.6, np.nan)]), "coefficient 1 has a nonzero imaginary part"),
+        (["0.8", "0.6"], "coefficients must be real numbers, got dtype <U3"),
+        (np.array([True, False]), "coefficients must be real numbers, got dtype bool"),
+        (np.array([0.8, 0.6], dtype=object), "coefficients must be real numbers, got dtype object"),
+    ],
+    ids=["complex", "complex-list", "nan-imaginary", "strings", "bools", "objects"],
+)
+def test_coefficients_must_be_real_numbers(given, message):
+    # a complex or parsed-from-text vector would silently change the state
+    with pytest.raises(CoefficientRangeError, match=f"^{re.escape(message)}$"):
+        SchmidtCoefficients(given)
+
+
 def test_no_sorting_no_renormalizing():
     sc = SchmidtCoefficients(np.array([0.6, 0.8]))
     assert sc.c[0] == 0.6 and sc.c[1] == 0.8
@@ -201,7 +225,7 @@ def test_block_table_is_computed_once(monkeypatch):
 def test_angles_d2():
     sc = SchmidtCoefficients(np.array([0.8, 0.6]))
     sched = angles(sc)
-    assert sched.n_blocks == 1
+    assert len(sched.theta) == 1
     assert abs(sched.theta[0] - THETA_86) < 1e-15
     assert abs(sched.alpha[0] - ALPHA_86) < 1e-15
     # primed block reverses the pair, flipping the tilt sign
@@ -221,7 +245,7 @@ def test_angles_maximally_entangled():
 def test_angles_d4_including_wrap():
     sc = SchmidtCoefficients(np.array([0.8, 0.4, 0.4, 0.2]))
     sched = angles(sc)
-    assert sched.n_blocks == 2
+    assert len(sched.theta) == 2
     assert abs(sched.alpha[0] - ALPHA_D4_M0) < 1e-14
     # primed m=0 pairs equal coefficients (0.4, 0.4): no tilt
     assert abs(sched.alpha_primed[0]) < 1e-15
